@@ -8,6 +8,8 @@ distributions must be indistinguishable.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,13 @@ from repro.sim.engine import SimulationEngine, StepSnapshot
 from repro.sim.runner import run_trials
 from repro.workloads import telemetry_fleet_scenario
 from repro.workloads.generators import BoundedChangePopulation
+
+
+def _estimates_digest(estimates: np.ndarray) -> str:
+    """sha256 of an estimate vector's little-endian float64 bytes."""
+    return hashlib.sha256(
+        np.ascontiguousarray(estimates, dtype="<f8").tobytes()
+    ).hexdigest()
 
 
 class TestOnlineContract:
@@ -151,6 +160,36 @@ class TestFaultInjection:
         sent = int((params.d >> result.orders).sum())
         # Binomial(sent, 0.5): delivered must sit well inside (0.4, 0.6) * sent.
         assert 0.4 * sent < delivered < 0.6 * sent
+
+    def test_fault_streams_are_pinned(self):
+        """Exact output of the monolithic path with and without faults.
+
+        Pins the ``integers`` order draw, the per-group randomization and,
+        per delivered column, the drop then duplicate draws.
+        """
+        params = ProtocolParams(n=200, d=16, k=3, epsilon=1.0)
+        states = BoundedChangePopulation(16, 3, start_prob=0.2).sample(
+            200, np.random.default_rng(0)
+        )
+        snapshots: list[StepSnapshot] = []
+        faulty = BatchSimulationEngine(
+            params,
+            rng=np.random.default_rng(2),
+            report_drop_rate=0.3,
+            report_duplicate_rate=0.2,
+        ).run(states, snapshots.append)
+        assert _estimates_digest(faulty.estimates) == (
+            "4c855f05da4719a1d48ebe93f294f6bd437d764ae36a702b5dd8fc5c09053aa1"
+        )
+        assert [snap.reports_this_period for snap in snapshots] == [
+            36, 61, 28, 104, 35, 60, 41, 145, 34, 65, 30, 97, 25, 58, 39, 160,
+        ]
+        clean = BatchSimulationEngine(
+            params, rng=np.random.default_rng(2)
+        ).run(states)
+        assert _estimates_digest(clean.estimates) == (
+            "6ab3eca52348fc1c727527bf56f7d0cb942b521e5d501bd1b72a91be3d7f4d58"
+        )
 
     def test_invalid_duplicate_rate(self):
         params = ProtocolParams(n=10, d=8, k=1, epsilon=1.0)

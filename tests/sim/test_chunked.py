@@ -8,6 +8,8 @@ Covers the accumulator's stream-validation errors, the chunked batch engine
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,15 @@ from repro.sim.runner import run_trials, sweep
 from repro.workloads.generators import BoundedChangePopulation
 
 _PARAMS = ProtocolParams(n=200, d=16, k=3, epsilon=1.0)
+
+
+def _digest(*arrays: np.ndarray) -> str:
+    """sha256 over the little-endian bytes of ``arrays``, in order."""
+    hasher = hashlib.sha256()
+    for array in arrays:
+        little_endian = array.dtype.newbyteorder("<")
+        hasher.update(np.ascontiguousarray(array, dtype=little_endian).tobytes())
+    return hasher.hexdigest()
 
 
 @pytest.fixture
@@ -145,6 +156,34 @@ class TestChunkedEngine:
         )
         assert 0 < delivered < offered
         assert abs(delivered - offered / 2) < 0.2 * offered / 2
+
+    def test_drop_thinning_stream_is_pinned(self, states):
+        """Exact estimates of a seeded run with drops: the thinning draws
+        (one ``random`` per order group, right after its randomization) may
+        not move."""
+        result = BatchSimulationEngine(
+            _PARAMS,
+            rng=np.random.default_rng(2),
+            chunk_size=64,
+            report_drop_rate=0.3,
+        ).run(states)
+        assert _digest(result.estimates) == (
+            "f0e7ed4d4a52cb91f1ed8eee145b57d2e1572a8b6f28334d5374d38135126bf6"
+        )
+
+    def test_chunk_size_invariance_under_drops_is_pinned(self, states):
+        """Four 64-row seed blocks with drops: every chunk size folds the
+        same delivered node sums and counts, and those are pinned exactly."""
+        for chunk_size in (1, 17, 64, 999):
+            accumulator = ChunkedTreeAccumulator(
+                _PARAMS, 3, block_rows=64, report_drop_rate=0.3
+            )
+            for start in range(0, _PARAMS.n, chunk_size):
+                accumulator.add(states[start : start + chunk_size])
+            accumulator.finalize()
+            assert _digest(*accumulator.node_sums, *accumulator.node_counts) == (
+                "4e12bd996fb817c3a7b17d98f5afacc08404d2578bdc82c90ac88e08f81ca185"
+            ), chunk_size
 
     def test_accepts_chunk_iterables_without_chunk_size(self, states):
         chunks = (states[start : start + 37] for start in range(0, _PARAMS.n, 37))

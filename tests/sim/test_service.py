@@ -16,6 +16,7 @@ The headline contracts under test:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import functools
 
 import numpy as np
@@ -23,12 +24,15 @@ import pytest
 
 from repro.analysis.conformance import fault_adjusted_radius, protocol_radius
 from repro.core.params import ProtocolParams
+from repro.core.vectorized import collect_tree_reports
 from repro.sim.batch_engine import run_batch_engine
 from repro.sim.runner import run_trials, sweep
 from repro.sim.service import (
     AggregateMessage,
     IngestionService,
     OpenIntervalError,
+    _BlockSpec,
+    _randomize_service_block,
     run_service,
 )
 from repro.workloads.generators import BoundedChangePopulation
@@ -82,6 +86,37 @@ class TestShardingContract:
     def test_unknown_traffic_preset_rejected(self):
         with pytest.raises(ValueError, match="unknown traffic model"):
             _serve("smooth-sailing")
+
+
+class TestBlockRandomization:
+    def test_single_block_matches_collect_tree_reports(self):
+        """A service block draws exactly what the monolithic client side
+        draws from the same seed: same orders, same per-node sums."""
+        states = _population().sample(BLOCK_ROWS, np.random.default_rng(0))
+        child = np.random.SeedSequence(11)
+        aggregates = _randomize_service_block(
+            _BlockSpec(
+                block=0,
+                start=0,
+                stop=BLOCK_ROWS,
+                params=PARAMS,
+                workload_child=np.random.SeedSequence(0),
+                protocol_child=child,
+                states=states,
+            )
+        )
+        reference = collect_tree_reports(
+            states,
+            dataclasses.replace(PARAMS, n=BLOCK_ROWS),
+            np.random.default_rng(child),
+        )
+        np.testing.assert_array_equal(aggregates.orders, reference.orders)
+        for order, (sums, counts) in enumerate(
+            zip(aggregates.node_sums, aggregates.node_counts, strict=True)
+        ):
+            np.testing.assert_array_equal(sums, reference.node_sums[order])
+            assert (counts == reference.group_sizes[order]).all()
+        np.testing.assert_array_equal(aggregates.true_counts, reference.true_counts)
 
 
 class TestTrafficSemantics:
