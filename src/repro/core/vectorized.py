@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -36,9 +36,11 @@ __all__ = [
     "collect_tree_reports",
     "family_randomizer",
     "group_partial_sums",
+    "iter_group_reports",
     "node_scales",
     "order_probabilities",
     "partition_rows_by_order",
+    "randomize_block",
     "validate_states",
     "BatchTreeReports",
 ]
@@ -283,6 +285,57 @@ def partition_rows_by_order(
     return sort_index, group_sizes, boundaries
 
 
+def iter_group_reports(
+    matrix: np.ndarray,
+    orders: np.ndarray,
+    num_orders: int,
+    randomize: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+    rng: np.random.Generator,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield ``(order, members, reports)`` per non-empty order group, ascending.
+
+    ``reports`` is one ``randomize`` call on the members' partial sums, so
+    the rng consumption is a fixed function of ``orders``.
+    """
+    sort_index, _, boundaries = partition_rows_by_order(orders, num_orders)
+    for order in range(num_orders):
+        members = sort_index[boundaries[order] : boundaries[order + 1]]
+        if members.size:
+            partials = group_partial_sums(matrix[members], order)
+            yield order, members, randomize(partials, rng)
+
+
+def randomize_block(
+    matrix: np.ndarray,
+    rng: np.random.Generator,
+    randomize: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+    probabilities: np.ndarray,
+    node_sums: list[np.ndarray],
+    node_counts: list[np.ndarray],
+    drop_rate: float = 0.0,
+) -> np.ndarray:
+    """Algorithm 1's client side for one block of users; returns the orders.
+
+    One ``choice`` draws the orders, then each group's report sums and
+    delivered counts are added into ``node_sums`` / ``node_counts``.  With
+    ``drop_rate > 0`` each report is lost independently, drawn right after
+    its group's randomization; at 0 no extra randomness is consumed.
+    """
+    num_orders = probabilities.size
+    orders = rng.choice(num_orders, size=matrix.shape[0], p=probabilities)
+    for order, members, reports in iter_group_reports(
+        matrix, orders, num_orders, randomize, rng
+    ):
+        if drop_rate:
+            kept = rng.random(reports.shape) >= drop_rate
+            node_sums[order] += np.where(kept, reports, 0).sum(axis=0)
+            node_counts[order] += kept.sum(axis=0)
+        else:
+            node_sums[order] += reports.sum(axis=0)
+            node_counts[order] += members.size
+    return orders
+
+
 def family_randomizer(
     family: RandomizerFamily, kernel=None
 ) -> Callable[[np.ndarray, np.random.Generator], np.ndarray]:
@@ -339,33 +392,24 @@ def collect_tree_reports(
             kernel=kernel,
         )
     matrix = validate_states(states, params)
-    n, d = matrix.shape
+    d = matrix.shape[1]
     rng = as_generator(rng)
     if family is None:
         family = default_family(params)
 
     num_orders = d.bit_length()
     probabilities = order_probabilities(d, order_weights)
-    orders = rng.choice(num_orders, size=n, p=probabilities)
     randomize = family_randomizer(family, kernel)
-
-    node_sums = [np.zeros(d >> order, dtype=np.float64) for order in range(num_orders)]
-    # One stable argsort replaces the per-order flatnonzero scans; group
-    # members (and their order) are identical, so rng consumption — and
-    # therefore every frozen reference — is unchanged.
-    sort_index, group_sizes, boundaries = partition_rows_by_order(orders, num_orders)
-    for order in range(num_orders):
-        members = sort_index[boundaries[order] : boundaries[order + 1]]
-        if members.size == 0:
-            continue
-        partials = group_partial_sums(matrix[members], order)
-        reports = randomize(partials, rng)
-        node_sums[order] = reports.sum(axis=0).astype(np.float64)
+    node_sums = [np.zeros(d >> order) for order in range(num_orders)]
+    node_counts = [np.zeros(d >> order, dtype=np.int64) for order in range(num_orders)]
+    orders = randomize_block(
+        matrix, rng, randomize, probabilities, node_sums, node_counts
+    )
 
     return BatchTreeReports(
         node_sums=node_sums,
         node_scales=node_scales(d, family.c_gap, order_weights),
-        group_sizes=group_sizes,
+        group_sizes=np.bincount(orders, minlength=num_orders),
         order_probabilities=probabilities,
         c_gap=family.c_gap,
         family_name=family.name,

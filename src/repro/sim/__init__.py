@@ -33,8 +33,9 @@ the equivalence).
 * Use :class:`BatchSimulationEngine` (batch engine) for anything at scale:
   monitoring dashboards over large fleets, drop-rate robustness studies,
   adversarial workloads, parameter sweeps.  It precomputes all per-user
-  randomness in batched numpy draws and delivers each period's reports with
-  one ``Server.receive_batch`` call per order group — millions of
+  randomness in batched numpy draws and replays the period loop through
+  ``repro.sim.engine.replay_online``, which folds each emitting order
+  group's reports with one ``Server.receive_aggregate`` call — millions of
   user-periods per second.
 
 Memory-bounded (chunked) execution

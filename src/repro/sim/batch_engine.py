@@ -14,10 +14,10 @@ vectorized across the whole population:
    because FutureRand "randomizes the future": every report is a
    deterministic function of pre-drawn noise and the input, so materializing
    the sequence up front is distributionally identical to emitting it online;
-3. at each period ``t`` the emitting groups' report columns are delivered to
-   the server in one :meth:`~repro.core.server.Server.receive_batch` call per
-   group instead of ``n`` individual :meth:`~repro.core.server.Server.receive`
-   calls.
+3. :func:`~repro.sim.engine.replay_online` plays the online clock, folding
+   each emitting group's report column with one
+   :meth:`~repro.core.server.Server.receive_aggregate` call instead of ``n``
+   individual :meth:`~repro.core.server.Server.receive` calls.
 
 The per-period outputs follow exactly the same distribution as the object
 engine (the randomizer kernels are shared), which the integration tests verify
@@ -37,15 +37,18 @@ from repro.core.protocol import ProtocolResult
 from repro.core.server import Server
 from repro.core.vectorized import (
     family_randomizer,
-    group_partial_sums,
-    partition_rows_by_order,
+    iter_group_reports,
     validate_states,
 )
 from repro.sim.chunked import ChunkedTreeAccumulator, _iter_chunks
-from repro.sim.engine import OnlineEngineBase, StepSnapshot
+from repro.sim.engine import OnlineEngineBase, StepSnapshot, replay_online
 from repro.utils.validation import ensure_positive
 
 __all__ = ["BatchSimulationEngine", "run_batch_engine"]
+
+#: A mode's output for the replay: ``(order, j) -> (total, count)`` per
+#: node, the true counts and the per-user orders.
+_Precomputed = tuple[Callable[[int, int], tuple[float, int]], np.ndarray, np.ndarray]
 
 
 class BatchSimulationEngine(OnlineEngineBase):
@@ -128,59 +131,12 @@ class BatchSimulationEngine(OnlineEngineBase):
         output is bit-identical to the fault-free historical path.
         """
         if self._chunk_size is not None or not isinstance(states, np.ndarray):
-            return self._run_chunked(states, callback)
-        matrix = validate_states(states, self._params)
-        n, d = matrix.shape
-        rng = self._rng
-        num_orders = d.bit_length()
-
-        # Line 1 of Algorithm 1 for everyone at once: announce the orders.
-        orders = rng.integers(0, num_orders, size=n)
-
-        # Precompute every order group's full report matrix.  Groups are
-        # processed in increasing order so the rng consumption is a fixed
-        # function of the order draw (reproducibility under a fixed seed).
-        group_reports: list[Optional[np.ndarray]] = [None] * num_orders
-        sort_index, _, boundaries = partition_rows_by_order(orders, num_orders)
-        for order in range(num_orders):
-            members = sort_index[boundaries[order] : boundaries[order + 1]]
-            if members.size == 0:
-                continue
-            partials = group_partial_sums(matrix[members], order)
-            group_reports[order] = self._randomize(partials, rng)
-
-        server = Server(d, self._family.c_gap)
-        estimates = np.empty(d, dtype=np.float64)
-        true_counts = matrix.sum(axis=0)
-        for t in range(1, d + 1):
-            server.advance_to(t)
-            delivered = 0
-            for order in range(num_orders):
-                if t & ((1 << order) - 1):
-                    continue  # this group emits only at multiples of 2^order
-                reports = group_reports[order]
-                if reports is None:
-                    continue
-                column = reports[:, (t >> order) - 1]
-                if self._drop_rate:
-                    column = column[rng.random(column.size) >= self._drop_rate]
-                if self._duplicate_rate:
-                    duplicated = column[
-                        rng.random(column.size) < self._duplicate_rate
-                    ]
-                    column = np.concatenate([column, duplicated])
-                delivered += server.receive_batch(order, t >> order, column)
-            estimates[t - 1] = server.estimate(t)
-            if callback is not None:
-                callback(
-                    StepSnapshot(
-                        t=t,
-                        estimate=estimates[t - 1],
-                        true_count=int(true_counts[t - 1]),
-                        reports_this_period=delivered,
-                    )
-                )
-
+            node_reports, true_counts, orders = self._fold_chunks(states)
+        else:
+            node_reports, true_counts, orders = self._precompute_groups(states)
+        estimates = replay_online(
+            Server(self._params.d, self._family.c_gap), node_reports, true_counts, callback
+        )
         return ProtocolResult(
             estimates=estimates,
             true_counts=true_counts.astype(np.float64),
@@ -189,23 +145,50 @@ class BatchSimulationEngine(OnlineEngineBase):
             orders=orders,
         )
 
-    def _run_chunked(
-        self,
-        states: Union[np.ndarray, Iterable[np.ndarray]],
-        callback: Optional[Callable[[StepSnapshot], None]],
-    ) -> ProtocolResult:
-        """Memory-bounded run: fold chunks into node sums, then replay periods.
+    def _precompute_groups(self, states: np.ndarray) -> _Precomputed:
+        """Monolithic mode: every order group's full report matrix up front.
 
-        Phase A streams user chunks through a
-        :class:`~repro.sim.chunked.ChunkedTreeAccumulator` (drop injection
-        included, per-node delivered counts tracked); phase B replays the
-        online clock, delivering each node's aggregate the period its
-        interval completes — the same snapshot stream as the monolithic
-        mode, from O(d log d) state.
+        Drop and duplicate faults are drawn per report column at replay time
+        (drops first), which is why this mode keeps the full matrices.
         """
-        params = self._params
+        matrix = validate_states(states, self._params)
+        n, d = matrix.shape
+        rng = self._rng
+        num_orders = d.bit_length()
+        # Line 1 of Algorithm 1 for everyone at once: announce the orders.
+        orders = rng.integers(0, num_orders, size=n)
+        group_reports = {
+            order: reports
+            for order, _, reports in iter_group_reports(
+                matrix, orders, num_orders, self._randomize, rng
+            )
+        }
+
+        def node_reports(order: int, j: int) -> tuple[int, int]:
+            if order not in group_reports:
+                return 0, 0
+            column = group_reports[order][:, j - 1]
+            if self._drop_rate:
+                column = column[rng.random(column.size) >= self._drop_rate]
+            if self._duplicate_rate:
+                duplicated = column[rng.random(column.size) < self._duplicate_rate]
+                column = np.concatenate([column, duplicated])
+            return int(column.sum()), column.size
+
+        return node_reports, matrix.sum(axis=0), orders
+
+    def _fold_chunks(
+        self, states: Union[np.ndarray, Iterable[np.ndarray]]
+    ) -> _Precomputed:
+        """Memory-bounded mode: fold user chunks into O(d log d) node sums.
+
+        User chunks stream through a
+        :class:`~repro.sim.chunked.ChunkedTreeAccumulator` (drop injection
+        included, per-node delivered counts tracked), so the replay delivers
+        each node's aggregate without full-population report matrices.
+        """
         accumulator = ChunkedTreeAccumulator(
-            params,
+            self._params,
             self._rng,
             family=self._family,
             report_drop_rate=self._drop_rate,
@@ -215,40 +198,13 @@ class BatchSimulationEngine(OnlineEngineBase):
             accumulator.add(chunk)
         reports = accumulator.finalize()
 
-        d = params.d
-        server = Server(d, self._family.c_gap)
-        estimates = np.empty(d, dtype=np.float64)
-        for t in range(1, d + 1):
-            server.advance_to(t)
-            delivered = 0
-            for order in range(d.bit_length()):
-                if t & ((1 << order) - 1):
-                    continue  # this group emits only at multiples of 2^order
-                j = t >> order
-                delivered += server.receive_aggregate(
-                    order,
-                    j,
-                    accumulator.node_sums[order][j - 1],
-                    accumulator.node_counts[order][j - 1],
-                )
-            estimates[t - 1] = server.estimate(t)
-            if callback is not None:
-                callback(
-                    StepSnapshot(
-                        t=t,
-                        estimate=estimates[t - 1],
-                        true_count=int(reports.true_counts[t - 1]),
-                        reports_this_period=delivered,
-                    )
-                )
+        def node_reports(order: int, j: int) -> tuple[float, int]:
+            return (
+                accumulator.node_sums[order][j - 1],
+                accumulator.node_counts[order][j - 1],
+            )
 
-        return ProtocolResult(
-            estimates=estimates,
-            true_counts=reports.true_counts,
-            c_gap=self._family.c_gap,
-            family_name=self._family.name,
-            orders=reports.orders,
-        )
+        return node_reports, reports.true_counts, reports.orders
 
 
 def run_batch_engine(

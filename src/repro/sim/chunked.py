@@ -16,9 +16,9 @@ changes *where* a trial runs, never *what* it computes"):
   twin of :func:`repro.utils.chunking.iter_row_groups`, which the generators
   use; push is what lets the engine feed chunks incrementally);
 * block ``b`` is processed with a generator seeded from the ``b``-th child of
-  the root ``SeedSequence`` (:func:`protocol_block_seeds`), consuming
-  randomness exactly like :func:`repro.core.vectorized.collect_tree_reports`
-  does on that block;
+  the root ``SeedSequence`` (:func:`protocol_block_seeds`) through
+  :func:`repro.core.vectorized.randomize_block`, the block step
+  :func:`~repro.core.vectorized.collect_tree_reports` also runs;
 * therefore the accumulated :class:`~repro.core.vectorized.BatchTreeReports`
   is **bit-identical for any chunk size** at a fixed ``block_rows``, and for
   ``n <= block_rows`` (a single block) it is bit-identical to the monolithic
@@ -42,10 +42,9 @@ from repro.core.protocol import ProtocolResult, default_family
 from repro.core.vectorized import (
     BatchTreeReports,
     family_randomizer,
-    group_partial_sums,
     node_scales,
     order_probabilities,
-    partition_rows_by_order,
+    randomize_block,
     validate_states,
 )
 from repro.utils.chunking import DEFAULT_BLOCK_ROWS, plan_row_blocks
@@ -194,14 +193,11 @@ class ChunkedTreeAccumulator:
         self._process_block(block)
 
     def _process_block(self, block: np.ndarray) -> None:
-        """Randomize one block, consuming rng exactly like the monolithic path.
+        """Randomize one block through :func:`~repro.core.vectorized.randomize_block`.
 
-        The draw sequence — one ``choice`` for the orders, then one
-        ``randomize_matrix`` per non-empty order group in increasing order —
-        replicates :func:`~repro.core.vectorized.collect_tree_reports`
-        verbatim, which is what makes the single-block case bit-identical to
-        the monolithic driver (regression-tested).  Drop thinning (when
-        enabled) draws strictly after each group's randomization.
+        The same block step as the monolithic
+        :func:`~repro.core.vectorized.collect_tree_reports`, which is what
+        makes the single-block case bit-identical to it (regression-tested).
         """
         start, stop = self._blocks[self._block_index]
         if block.shape[0] != stop - start:
@@ -214,28 +210,16 @@ class ChunkedTreeAccumulator:
         self._rows_seen += block.shape[0]
 
         matrix = block if block.dtype == np.int8 else block.astype(np.int8)
-        orders = rng.choice(
-            self._num_orders, size=matrix.shape[0], p=self._probabilities
+        orders = randomize_block(
+            matrix,
+            rng,
+            self._randomize,
+            self._probabilities,
+            self.node_sums,
+            self.node_counts,
+            self._drop_rate,
         )
-        # Same single-argsort partition as collect_tree_reports: identical
-        # group membership and ordering, hence identical rng consumption.
-        sort_index, sizes, boundaries = partition_rows_by_order(
-            orders, self._num_orders
-        )
-        self.group_sizes += sizes
-        for order in range(self._num_orders):
-            members = sort_index[boundaries[order] : boundaries[order + 1]]
-            if members.size == 0:
-                continue
-            partials = group_partial_sums(matrix[members], order)
-            reports = self._randomize(partials, rng)
-            if self._drop_rate:
-                kept = rng.random(reports.shape) >= self._drop_rate
-                self.node_sums[order] += np.where(kept, reports, 0).sum(axis=0)
-                self.node_counts[order] += kept.sum(axis=0)
-            else:
-                self.node_sums[order] += reports.sum(axis=0)
-                self.node_counts[order] += members.size
+        self.group_sizes += np.bincount(orders, minlength=self._num_orders)
         self.true_counts += matrix.sum(axis=0)
         self._order_chunks.append(orders)
 

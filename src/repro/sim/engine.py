@@ -21,7 +21,7 @@ from repro.core.protocol import ProtocolResult, default_family
 from repro.core.server import Server
 from repro.utils.rng import as_generator, spawn_generators
 
-__all__ = ["OnlineEngineBase", "SimulationEngine", "StepSnapshot"]
+__all__ = ["OnlineEngineBase", "SimulationEngine", "StepSnapshot", "replay_online"]
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,38 @@ class StepSnapshot:
     def error(self) -> float:
         """Signed estimation error at this period."""
         return self.estimate - self.true_count
+
+
+def replay_online(
+    server: Server,
+    node_reports: Callable[[int, int], tuple[float, int]],
+    true_counts: np.ndarray,
+    callback: Optional[Callable[[StepSnapshot], None]] = None,
+) -> np.ndarray:
+    """Replay Algorithm 2's period loop over precomputed per-node reports.
+
+    At each period ``t`` the server clock advances to ``t``, every dyadic
+    node ``I_{h,j}`` closing at ``t = j * 2^h`` is folded in (orders
+    ascending) with the ``(total, count)`` that ``node_reports(h, j)``
+    returns, and ``a_hat[t]`` is released to ``callback`` as a
+    :class:`StepSnapshot`.  Returns the released estimates.
+    """
+    d = len(true_counts)
+    estimates = np.empty(d, dtype=np.float64)
+    for t in range(1, d + 1):
+        server.advance_to(t)
+        delivered = 0
+        for order in range(d.bit_length()):
+            if t & ((1 << order) - 1):
+                continue  # order-h nodes close only at multiples of 2^h
+            total, count = node_reports(order, t >> order)
+            delivered += server.receive_aggregate(order, t >> order, total, count)
+        estimates[t - 1] = server.estimate(t)
+        if callback is not None:
+            callback(
+                StepSnapshot(t, estimates[t - 1], int(true_counts[t - 1]), delivered)
+            )
+    return estimates
 
 
 class OnlineEngineBase:

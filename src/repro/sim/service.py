@@ -18,8 +18,9 @@ Pipeline
    randomized by a worker process seeded from its own child of the root
    ``SeedSequence`` (the :mod:`repro.sim.parallel` contract: sharding
    changes *where* a block runs, never *what* it computes).  A block's
-   per-node report sums replicate the chunked accumulator's draw sequence
-   verbatim, so the service's randomness is block-for-block the
+   per-node report sums come from
+   :func:`repro.core.vectorized.randomize_block`, the chunked accumulator's
+   block step, so the service's randomness is block-for-block the
    out-of-core pipeline's.
 2. **Schedule** — each block's aggregate messages get delivery times from
    the traffic model, drawn from the *traffic* stream of the seed tree
@@ -75,9 +76,11 @@ from repro.core.protocol import ProtocolResult, default_family
 from repro.core.server import Server
 from repro.core.vectorized import (
     family_randomizer,
-    group_partial_sums,
+    # Unused here; perfbench/tracer.py patches these two names on this module.
+    group_partial_sums,  # noqa: F401
     order_probabilities,
-    partition_rows_by_order,
+    partition_rows_by_order,  # noqa: F401
+    randomize_block,
     validate_states,
 )
 from repro.faults import (
@@ -264,6 +267,14 @@ class _BlockSpec:
     family: Optional[RandomizerFamily] = None
     kernel: Optional[str] = None
 
+    def sample(self) -> np.ndarray:
+        """The block's states: given, or drawn from its workload seed."""
+        if self.states is not None:
+            return np.asarray(self.states)
+        assert self.population is not None
+        rng = np.random.default_rng(self.workload_child)
+        return self.population.sample(self.stop - self.start, rng)
+
 
 @dataclass(frozen=True)
 class _BlockAggregates:
@@ -279,48 +290,26 @@ class _BlockAggregates:
 def _randomize_service_block(spec: _BlockSpec) -> _BlockAggregates:
     """Sample and randomize one seed block (module-level: pool-picklable).
 
-    The draw sequence — one ``choice`` for the orders, then one randomize
-    per non-empty order group ascending — replicates
-    :meth:`repro.sim.chunked.ChunkedTreeAccumulator._process_block`, so the
-    service's per-block aggregates are bit-identical to the out-of-core
-    pipeline's for the same block seed.
+    The randomization is :func:`~repro.core.vectorized.randomize_block`, the
+    block step of the out-of-core pipeline, so the service's per-block
+    aggregates are bit-identical to it for the same block seed.
     """
     params = spec.params
     d = params.d
-    rows = spec.stop - spec.start
-    if spec.states is not None:
-        matrix = np.asarray(spec.states)
-    else:
-        assert spec.population is not None
-        matrix = spec.population.sample(
-            rows, np.random.default_rng(spec.workload_child)
-        )
-    validate_states(matrix, params, rows=rows)
+    matrix = spec.sample()
+    validate_states(matrix, params, rows=spec.stop - spec.start)
     if matrix.dtype != np.int8:
         matrix = matrix.astype(np.int8)
 
     family = spec.family if spec.family is not None else default_family(params)
     randomize = family_randomizer(family, spec.kernel)
-    num_orders = d.bit_length()
-    probabilities = order_probabilities(d, None)
-
     rng = np.random.default_rng(spec.protocol_child)
-    orders = rng.choice(num_orders, size=rows, p=probabilities)
-    sort_index, _, boundaries = partition_rows_by_order(orders, num_orders)
-    node_sums = [
-        np.zeros(d >> order, dtype=np.float64) for order in range(num_orders)
-    ]
-    node_counts = [
-        np.zeros(d >> order, dtype=np.int64) for order in range(num_orders)
-    ]
-    for order in range(num_orders):
-        members = sort_index[boundaries[order] : boundaries[order + 1]]
-        if members.size == 0:
-            continue
-        partials = group_partial_sums(matrix[members], order)
-        reports = randomize(partials, rng)
-        node_sums[order] += reports.sum(axis=0)
-        node_counts[order] += members.size
+    num_orders = d.bit_length()
+    node_sums = [np.zeros(d >> order) for order in range(num_orders)]
+    node_counts = [np.zeros(d >> order, dtype=np.int64) for order in range(num_orders)]
+    orders = randomize_block(
+        matrix, rng, randomize, order_probabilities(d, None), node_sums, node_counts
+    )
     return _BlockAggregates(
         block=spec.block,
         node_sums=node_sums,
@@ -787,22 +776,13 @@ def _block_truth(spec: _BlockSpec) -> tuple[np.ndarray, np.ndarray]:
     seed children, so the truth of a block whose *randomization* was
     permanently lost is still exactly known — only its reports are gone.
     """
-    params = spec.params
-    rows = spec.stop - spec.start
-    if spec.states is not None:
-        matrix = np.asarray(spec.states)
-    else:
-        assert spec.population is not None
-        matrix = spec.population.sample(
-            rows, np.random.default_rng(spec.workload_child)
-        )
+    d = spec.params.d
     rng = np.random.default_rng(spec.protocol_child)
+    # The first draw of randomize_block: the block's orders.
     orders = rng.choice(
-        params.d.bit_length(),
-        size=rows,
-        p=order_probabilities(params.d, None),
+        d.bit_length(), size=spec.stop - spec.start, p=order_probabilities(d, None)
     )
-    return matrix.sum(axis=0, dtype=np.int64), orders
+    return spec.sample().sum(axis=0, dtype=np.int64), orders
 
 
 def _journal_config(
