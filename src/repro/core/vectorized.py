@@ -227,6 +227,8 @@ def _order_probabilities_cached(
     if weights_key is None:
         return _readonly(np.full(num_orders, 1.0 / num_orders))
     probabilities = np.array(weights_key, dtype=np.float64)
+    if not np.isfinite(probabilities).all():
+        raise ValueError(f"order_weights must all be finite, got {list(weights_key)}")
     if (probabilities <= 0).any():
         raise ValueError("order_weights must all be positive")
     return _readonly(probabilities / probabilities.sum())

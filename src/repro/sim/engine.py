@@ -19,6 +19,7 @@ from repro.core.interfaces import RandomizerFamily
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolResult, default_family
 from repro.core.server import Server
+from repro.core.vectorized import validate_states
 from repro.utils.rng import as_generator, spawn_generators
 
 __all__ = ["OnlineEngineBase", "SimulationEngine", "StepSnapshot", "replay_online"]
@@ -127,14 +128,10 @@ class SimulationEngine(OnlineEngineBase):
         With ``report_drop_rate > 0`` each report is independently lost with
         that probability (an unreliable-network fault model); the estimates
         become biased towards zero proportionally, quantifying the protocol's
-        sensitivity to missing reports.
+        sensitivity to missing reports.  Invalid ``states`` raise before any
+        period is played.
         """
-        matrix = np.asarray(states)
-        if matrix.shape != (self._params.n, self._params.d):
-            raise ValueError(
-                f"states shape {matrix.shape} disagrees with params "
-                f"(n={self._params.n}, d={self._params.d})"
-            )
+        matrix = validate_states(states, self._params)
         n, d = matrix.shape
         client_rngs = spawn_generators(self._rng, n)
         clients = [

@@ -87,6 +87,14 @@ class TestOrderWeights:
                 rng,
                 order_weights=[0.0, *[1.0] * (small_params.num_orders - 1)],
             )
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="order_weights must all be finite"):
+                collect_tree_reports(
+                    small_states,
+                    small_params,
+                    rng,
+                    order_weights=[bad, *[1.0] * (small_params.num_orders - 1)],
+                )
 
     def test_sampling_follows_weights(self, small_params, small_states):
         weights = np.zeros(small_params.num_orders)

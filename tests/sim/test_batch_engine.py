@@ -115,6 +115,25 @@ class TestOnlineContract:
         with pytest.raises(ValueError):
             BatchSimulationEngine(params, rng=rng).run(states)
 
+    @pytest.mark.parametrize(
+        ("row", "match"),
+        [([0, 1, 0, 1, 0, 0, 0, 0], "exceeding k=1"), ([0, 2, 2, 2, 2, 2, 2, 2], "0 or 1")],
+    )
+    def test_both_engines_fail_fast_on_invalid_states(self, rng, row, match):
+        """Invalid states raise the same error from both engines before any
+        period is played (no callback fires)."""
+        params = ProtocolParams(n=4, d=8, k=1, epsilon=1.0)
+        states = np.zeros((4, 8), dtype=np.int8)
+        states[0] = row
+        snapshots: list[StepSnapshot] = []
+        messages = []
+        for engine_type in (SimulationEngine, BatchSimulationEngine):
+            with pytest.raises(ValueError, match=match) as caught:
+                engine_type(params, rng=rng).run(states, snapshots.append)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert snapshots == []
+
     def test_invalid_drop_rate(self):
         params = ProtocolParams(n=10, d=8, k=1, epsilon=1.0)
         with pytest.raises(ValueError):
