@@ -4,7 +4,9 @@
 a real :class:`Server`, period by period, invoking a caller-supplied callback
 with a :class:`StepSnapshot` after every period — the hook the examples use to
 print live dashboards, measure online error trajectories, or inject faults
-(e.g. drop a fraction of reports to study robustness).
+(e.g. drop a fraction of reports to study robustness).  :func:`replay_online`
+is the same period loop over precomputed per-node reports, shared by both
+modes of :class:`repro.sim.batch_engine.BatchSimulationEngine`.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def replay_online(
     server: Server,
     node_reports: Callable[[int, int], tuple[float, int]],
     true_counts: np.ndarray,
-    callback: Optional[Callable[[StepSnapshot], None]] = None,
+    callback: Optional[Callable[[StepSnapshot], None]],
 ) -> np.ndarray:
     """Replay Algorithm 2's period loop over precomputed per-node reports.
 

@@ -117,7 +117,10 @@ class TestOnlineContract:
 
     @pytest.mark.parametrize(
         ("row", "match"),
-        [([0, 1, 0, 1, 0, 0, 0, 0], "exceeding k=1"), ([0, 2, 2, 2, 2, 2, 2, 2], "0 or 1")],
+        [
+            ([0, 1, 0, 1, 0, 0, 0, 0], "exceeding k=1"),
+            ([0, 2, 2, 2, 2, 2, 2, 2], "0 or 1"),
+        ],
     )
     def test_both_engines_fail_fast_on_invalid_states(self, rng, row, match):
         """Invalid states raise the same error from both engines before any
