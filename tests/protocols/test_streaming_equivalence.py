@@ -9,11 +9,14 @@ everywhere else.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.params import ProtocolParams
 from repro.protocols import get_protocol
+from repro.workloads.generators import BoundedChangePopulation
 
 PARAMS = ProtocolParams(n=400, d=16, k=3, epsilon=1.0)
 
@@ -23,6 +26,13 @@ def _signal_states() -> np.ndarray:
     states = np.zeros((400, 16), dtype=np.int8)
     states[:250, 4:] = 1
     return states
+
+
+def _digest(array: np.ndarray, dtype: str) -> str:
+    """sha256 of an array's bytes at a fixed little-endian dtype."""
+    return hashlib.sha256(
+        np.ascontiguousarray(array, dtype=dtype).tobytes()
+    ).hexdigest()
 
 
 def _stream(protocol, states, rng) -> np.ndarray:
@@ -43,6 +53,28 @@ class TestExactEquivalence:
         ).estimates
         stream_estimates = _stream(protocol, states, np.random.default_rng(7))
         np.testing.assert_allclose(stream_estimates, run_estimates)
+
+    def test_object_reference_is_pinned(self):
+        """Exact estimates and orders of ``future_rand_object``, one-shot and
+        streamed: both drive the same Client/Server step from one seed."""
+        params = ProtocolParams(n=120, d=16, k=3, epsilon=1.0)
+        states = BoundedChangePopulation(16, 3, start_prob=0.2).sample(
+            120, np.random.default_rng(0)
+        )
+        protocol = get_protocol("future_rand_object")
+        session = protocol.prepare(params, np.random.default_rng(4))
+        for t in range(1, params.d + 1):
+            session.ingest(t, states[:, t - 1])
+        for result in (
+            protocol.run(states, params, np.random.default_rng(4)),
+            session.result(),
+        ):
+            assert _digest(result.estimates, "<f8") == (
+                "02abb6d165e17f6dcf234b0777d6060acc4b685bce1623b28d05110b75f6ac4c"
+            )
+            assert _digest(result.orders, "<i8") == (
+                "0a96975400ea38c505cd69724859765ba3ca171e0fb3805f7f2124848d5c9579"
+            )
 
 
 @pytest.mark.parametrize(

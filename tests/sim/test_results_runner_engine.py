@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,14 @@ from repro.core.vectorized import run_batch
 from repro.sim.engine import SimulationEngine, StepSnapshot
 from repro.sim.results import ResultTable, format_markdown_table
 from repro.sim.runner import run_trials, sweep
+from repro.workloads.generators import BoundedChangePopulation
+
+
+def _estimates_digest(estimates: np.ndarray) -> str:
+    """sha256 of an estimate vector's little-endian float64 bytes."""
+    return hashlib.sha256(
+        np.ascontiguousarray(estimates, dtype="<f8").tobytes()
+    ).hexdigest()
 
 
 class TestResultTable:
@@ -277,6 +287,37 @@ class TestSimulationEngine:
         delivered = sum(snap.reports_this_period for snap in dropped_snaps)
         # Binomial(sent, 0.5) concentrates well inside (0.4, 0.6) * sent.
         assert 0.4 * dropped_sent < delivered < 0.6 * dropped_sent
+
+    def test_draw_streams_are_pinned(self):
+        """Exact output with and without drops.
+
+        Pins the per-client spawn, each client's order and noise draws, and
+        the engine stream's one drop draw per emitted report (client order).
+        """
+        params = ProtocolParams(n=120, d=16, k=3, epsilon=1.0)
+        states = BoundedChangePopulation(16, 3, start_prob=0.2).sample(
+            120, np.random.default_rng(0)
+        )
+        clean_snaps: list[StepSnapshot] = []
+        clean = SimulationEngine(params, rng=np.random.default_rng(2)).run(
+            states, clean_snaps.append
+        )
+        assert _estimates_digest(clean.estimates) == (
+            "30fae943795a6d5fad46622d047d6b9a202ee589cbcbed147155b7e3f62cd0c0"
+        )
+        assert [snap.reports_this_period for snap in clean_snaps] == [
+            16, 48, 16, 70, 16, 48, 16, 94, 16, 48, 16, 70, 16, 48, 16, 120,
+        ]
+        lossy_snaps: list[StepSnapshot] = []
+        lossy = SimulationEngine(
+            params, rng=np.random.default_rng(2), report_drop_rate=0.3
+        ).run(states, lossy_snaps.append)
+        assert _estimates_digest(lossy.estimates) == (
+            "d8323325015c25733b36463f2fcd0cf666bedde9b1d2fc9efd599636b1822bab"
+        )
+        assert [snap.reports_this_period for snap in lossy_snaps] == [
+            10, 36, 13, 44, 12, 30, 9, 64, 13, 32, 13, 44, 14, 33, 10, 88,
+        ]
 
     def test_shape_validation(self, rng):
         params = ProtocolParams(n=10, d=8, k=1, epsilon=1.0)
