@@ -50,7 +50,6 @@ from repro.core import (
     SimpleRandomizer,
     SimpleRandomizerFamily,
     run_batch,
-    run_online,
 )
 
 __version__ = "1.0.0"
@@ -71,6 +70,5 @@ __all__ = [
     "SimpleRandomizer",
     "SimpleRandomizerFamily",
     "run_batch",
-    "run_online",
     "__version__",
 ]

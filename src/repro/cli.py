@@ -858,9 +858,9 @@ def _command_sweep(args: argparse.Namespace) -> int:
             ),
         )
     except TypeError as error:
-        # Legacy extension classes (and other non-runner specs) are rejected
-        # by resolve_runner before any worker starts; surface that as a
-        # readable argument error, not a mid-run traceback.
+        # Non-runner specs are rejected by resolve_runner before any worker
+        # starts; surface that as a readable argument error, not a mid-run
+        # traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2
     print(table.to_markdown())

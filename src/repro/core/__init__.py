@@ -10,8 +10,9 @@ Layering (bottom-up):
   pre-computation trick (``b~ = R~(1^k)``).
 * :mod:`repro.core.simple_randomizer` — Example 4.2's independent randomizer.
 * :mod:`repro.core.client` / :mod:`repro.core.server` — Algorithms 1 and 2.
-* :mod:`repro.core.protocol` / :mod:`repro.core.vectorized` — end-to-end
-  drivers (object/online and batch/vectorized).
+* :mod:`repro.core.protocol` — the result types every driver returns.
+* :mod:`repro.core.vectorized` — the batch/vectorized end-to-end driver (the
+  per-user object reference is the ``future_rand_object`` registry entry).
 """
 
 from repro.core.annulus import AnnulusLaw, future_rand_bounds, future_rand_eps_tilde
@@ -21,7 +22,7 @@ from repro.core.composed_randomizer import ComposedRandomizer
 from repro.core.future_rand import FutureRand, FutureRandFamily
 from repro.core.interfaces import RandomizerFamily, SequenceRandomizer
 from repro.core.params import ProtocolParams
-from repro.core.protocol import ProtocolResult, run_online
+from repro.core.protocol import ProtocolResult
 from repro.core.server import Server
 from repro.core.simple_randomizer import SimpleRandomizer, SimpleRandomizerFamily
 from repro.core.vectorized import run_batch
@@ -42,7 +43,6 @@ __all__ = [
     "SequenceRandomizer",
     "ProtocolParams",
     "ProtocolResult",
-    "run_online",
     "Server",
     "SimpleRandomizer",
     "SimpleRandomizerFamily",

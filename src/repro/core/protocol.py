@@ -1,12 +1,11 @@
-"""End-to-end online protocol driver (Section 4's framework, object form).
+"""Result types shared by every protocol driver, and the default family.
 
-``run_online`` wires ``n`` :class:`~repro.core.client.Client` objects to one
-:class:`~repro.core.server.Server` and plays the longitudinal collection
-protocol time period by time period — exactly the deployment the paper
-describes.  It is the reference implementation: clear, faithful, O(n·d) Python.
-Large experiments use :mod:`repro.core.vectorized`, which computes the same
-estimates with matrix kernels; the two are statistically interchangeable
-(tested) and share all randomizer math.
+Every driver — the per-user object reference (``future_rand_object``, which
+wires ``n`` :class:`~repro.core.client.Client` objects to one
+:class:`~repro.core.server.Server` period by period), the vectorized drivers
+of :mod:`repro.core.vectorized`, the simulation engines and the baselines —
+returns a :class:`ProtocolResult`; item-domain protocols return its
+:class:`ItemDomainResult` extension.
 """
 
 from __future__ import annotations
@@ -16,15 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.client import Client
 from repro.core.future_rand import FutureRandFamily
 from repro.core.interfaces import RandomizerFamily
 from repro.core.params import ProtocolParams
-from repro.core.server import Server
-from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.validation import check_power_of_two
 
-__all__ = ["ProtocolResult", "ItemDomainResult", "run_online", "default_family"]
+__all__ = ["ProtocolResult", "ItemDomainResult", "default_family"]
 
 
 @dataclass(frozen=True)
@@ -92,78 +87,3 @@ class ItemDomainResult(ProtocolResult):
 def default_family(params: ProtocolParams) -> RandomizerFamily:
     """Return the paper's randomizer family (FutureRand) for these parameters."""
     return FutureRandFamily(params.k, params.epsilon)
-
-
-def run_online(
-    states: np.ndarray,
-    params: ProtocolParams,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    family: Optional[RandomizerFamily] = None,
-) -> ProtocolResult:
-    """Execute the full online protocol on a population state matrix.
-
-    Parameters
-    ----------
-    states:
-        ``(n, d)`` Boolean matrix; row ``u`` is user ``u``'s value sequence
-        ``st_u``.  Every row must change at most ``params.k`` times.
-    params:
-        Problem parameters; ``params.n`` and ``params.d`` must match ``states``.
-    rng:
-        Root generator; every client receives an independent child stream.
-    family:
-        Randomizer family to deploy client-side (default: FutureRand).
-
-    Returns
-    -------
-    ProtocolResult
-        Online estimates ``a_hat[1..d]`` alongside the ground truth.
-    """
-    matrix = np.asarray(states)
-    if matrix.ndim != 2:
-        raise ValueError(f"states must be 2-D (n, d), got shape {matrix.shape}")
-    n, d = matrix.shape
-    if (n, d) != (params.n, params.d):
-        raise ValueError(
-            f"states shape {matrix.shape} disagrees with params (n={params.n}, d={params.d})"
-        )
-    check_power_of_two(d, "d")
-    if not np.isin(matrix, (0, 1)).all():
-        raise ValueError("states entries must all be 0 or 1")
-    changes = np.count_nonzero(np.diff(matrix, axis=1, prepend=0), axis=1)
-    if (changes > params.k).any():
-        raise ValueError(
-            f"a user changes {int(changes.max())} times, exceeding k={params.k}"
-        )
-
-    rng = as_generator(rng)
-    if family is None:
-        family = default_family(params)
-
-    client_rngs = spawn_generators(rng, n)
-    clients = [
-        Client(user_id=u, d=d, family=family, rng=client_rngs[u]) for u in range(n)
-    ]
-    server = Server(d, family.c_gap)
-    for client in clients:
-        server.register(client.user_id, client.order)
-
-    estimates = np.empty(d, dtype=np.float64)
-    for t in range(1, d + 1):
-        server.advance_to(t)
-        for client in clients:
-            report = client.step(int(matrix[client.user_id, t - 1]))
-            if report is not None:
-                server.receive(report)
-        estimates[t - 1] = server.estimate(t)
-
-    true_counts = matrix.sum(axis=0).astype(np.float64)
-    orders = np.array([client.order for client in clients])
-    return ProtocolResult(
-        estimates=estimates,
-        true_counts=true_counts,
-        c_gap=family.c_gap,
-        family_name=family.name,
-        orders=orders,
-    )

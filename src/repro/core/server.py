@@ -27,7 +27,11 @@ import numpy as np
 
 from repro.core.client import Report
 from repro.dyadic.intervals import DyadicInterval, decompose_prefix
-from repro.dyadic.prefix_matrix import reconstruct_all_prefixes
+from repro.dyadic.prefix_matrix import (
+    reconstruct_all_prefixes,
+    reconstruct_range,
+    reconstruct_window_series,
+)
 from repro.dyadic.tree import DyadicTree
 from repro.utils.validation import check_power_of_two
 
@@ -377,10 +381,28 @@ class Server:
     def estimate_range_change(self, left: int, right: int) -> float:
         """Estimate the net change ``a[right] - a[left - 1]`` over ``[left..right]``.
 
-        Uses the general dyadic decomposition of Section 3; an extension beyond
-        Algorithm 2 enabled by the same reports.
+        Uses the general dyadic decomposition of Section 3 (an extension
+        beyond Algorithm 2 enabled by the same reports): for narrow windows
+        it touches at most ``2 log2 (right - left + 1) + 2`` noisy nodes
+        instead of the ``2 log2 d`` of two differenced prefixes.  Raises
+        ``ValueError`` unless ``1 <= left <= right <= d``.  Post-processing
+        of released values, so it costs no privacy budget.
         """
-        return self._scale * self._tree.range_sum(left, right)
+        return self._scale * reconstruct_range(
+            self._tree.flat_values(), self._d, left, right
+        )
+
+    def window_change_series(self, window: int) -> np.ndarray:
+        """Return the trailing-``window`` net change at every period.
+
+        Entry ``t-1`` estimates ``a[t] - a[t - window]`` (``a[s] = 0`` for
+        ``s <= 0``, so periods inside the first window fall back to the prefix
+        estimate) — a drift detector, in one ``bincount`` over the cached
+        window-decomposition operator.
+        """
+        return self._scale * reconstruct_window_series(
+            self._tree.flat_values(), self._d, window
+        )
 
     def all_estimates(self) -> np.ndarray:
         """Return ``[a_hat[1], ..., a_hat[d]]`` (requires the horizon elapsed).

@@ -1,7 +1,8 @@
 """Vectorized batch execution of the protocol (numerically faithful fast path).
 
-Runs the same protocol as :func:`repro.core.protocol.run_online` but over the
-whole population at once with numpy kernels:
+Runs the same protocol as the per-user object reference (the
+``future_rand_object`` registry entry, one :class:`~repro.core.client.Client`
+per user) but over the whole population at once with numpy kernels:
 
 1. sample every user's order ``h_u`` in one draw;
 2. per order group, compute the ``(n_h, d/2^h)`` matrix of partial sums from
@@ -430,9 +431,9 @@ def run_batch(
     chunk_size: Optional[int] = None,
     kernel=None,
 ) -> ProtocolResult:
-    """Vectorized equivalent of :func:`repro.core.protocol.run_online`.
+    """Vectorized equivalent of the ``future_rand_object`` reference driver.
 
-    Same arguments and same result type; see the module docstring for the
+    Same result type; see the module docstring for the
     execution strategy.  ``order_weights`` is the ablation knob documented on
     :func:`collect_tree_reports`; ``chunk_size`` selects the memory-bounded
     streaming-aggregation mode (see :mod:`repro.sim.chunked`); ``kernel``

@@ -154,7 +154,8 @@ class DyadicTree:
 
         For exact partial sums this is zero; for noisy estimates it measures
         internal inconsistency, which post-processing could reduce (a known
-        refinement for hierarchical mechanisms — see DESIGN.md extensions).
+        refinement for hierarchical mechanisms — see
+        :mod:`repro.postprocess.consistency`).
         """
         worst = 0.0
         for order in range(1, self._orders):

@@ -322,8 +322,7 @@ class UnpicklableRunnerRule(AstRule):
         "The sharded sweep path (PR 3) pickles runners into worker "
         "processes; lambdas and closures only work at workers=1 and then "
         "die mid-sweep with an opaque PicklingError the moment someone "
-        "scales up.  resolve_runner's legacy-class rejection exists for the "
-        "same reason."
+        "scales up."
     )
     hint = (
         "pass a registry name ('future_rand'), a protocol instance, or a "

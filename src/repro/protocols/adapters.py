@@ -24,7 +24,7 @@ from repro.core.basic_randomizer import basic_c_gap
 from repro.core.future_rand import FutureRandFamily
 from repro.core.interfaces import RandomizerFamily
 from repro.core.params import ProtocolParams
-from repro.core.protocol import ProtocolResult, run_online
+from repro.core.protocol import ProtocolResult
 from repro.protocols.base import LongitudinalProtocol, ProtocolSession
 from repro.protocols.sessions import (
     BufferedOfflineSession,
@@ -147,13 +147,8 @@ class FutureRandObjectProtocol(FutureRandProtocol):
     ) -> ProtocolSession:
         return ObjectStreamingSession(params, self.family(params), rng)
 
-    def run(
-        self,
-        states: np.ndarray,
-        params: ProtocolParams,
-        rng: Optional[np.random.Generator] = None,
-    ) -> ProtocolResult:
-        return run_online(states, params, rng)
+    # One-shot runs stream the object session (not the batch engine).
+    run = LongitudinalProtocol.run
 
 
 class BunComposedProtocol(_ComposedFamilyProtocol):

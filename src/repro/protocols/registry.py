@@ -105,44 +105,6 @@ def list_protocols(
     return names
 
 
-#: Retired pre-registry extension classes and the registry entry that
-#: replaced each.  ``resolve_runner`` rejects these up front — a legacy
-#: class smuggled into a sweep used to die deep inside a worker process
-#: with an unpicklable traceback.
-_LEGACY_EXTENSION_ALTERNATIVES: dict[str, str] = {
-    "CategoricalLongitudinalProtocol": "categorical",
-    "HashedFrequencyProtocol": "hashed_frequency",
-    "MedianSketchProtocol": "sketch_median",
-    "HeavyHitterTracker": "heavy_hitters",
-}
-
-
-def _reject_legacy_extension(spec: object) -> None:
-    """Raise ``TypeError`` if ``spec`` is a retired ``repro.extensions`` class.
-
-    Catches the class itself, instances, and bound methods (e.g.
-    ``MedianSketchProtocol(...).run``) — every shape a pre-PR-6 call site
-    would plausibly hand to ``sweep``/``run_trials``.
-    """
-    candidate = getattr(spec, "__self__", spec)  # unwrap bound methods
-    cls = candidate if isinstance(candidate, type) else type(candidate)
-    if cls.__name__ in _LEGACY_EXTENSION_ALTERNATIVES and getattr(
-        cls, "__module__", ""
-    ).startswith("repro.extensions"):
-        alternative = _LEGACY_EXTENSION_ALTERNATIVES[cls.__name__]
-        raise TypeError(
-            f"{cls.__name__} is a legacy extensions class and cannot be used "
-            f"as a protocol runner; use the registry entry "
-            f"{alternative!r} instead (repro.protocols.get_protocol"
-            f"({alternative!r}), optionally .with_domain_size(m)). "
-            f"Registry alternatives for all legacy classes: "
-            + ", ".join(
-                f"{old} -> {new!r}"
-                for old, new in sorted(_LEGACY_EXTENSION_ALTERNATIVES.items())
-            )
-        )
-
-
 def resolve_runner(spec: ProtocolLike) -> tuple[str, Callable]:
     """Normalize ``spec`` into a ``(name, runner)`` pair.
 
@@ -150,19 +112,12 @@ def resolve_runner(spec: ProtocolLike) -> tuple[str, Callable]:
     * a :class:`LongitudinalProtocol` instance is used directly under its
       own name;
     * any other callable (the historical plain-runner path) is passed
-      through under its ``__name__`` — except retired ``repro.extensions``
-      classes, which are rejected with a pointer to their registry
-      replacements.
+      through under its ``__name__``.
     """
     if isinstance(spec, str):
-        protocol = get_protocol(spec)
-        # Defensive: a legacy class smuggled into the registry dict (e.g. by
-        # a test fixture or a fork) still gets the readable rejection.
-        _reject_legacy_extension(protocol)
-        return spec, protocol
+        return spec, get_protocol(spec)
     if isinstance(spec, LongitudinalProtocol):
         return spec.name, spec
-    _reject_legacy_extension(spec)
     if callable(spec):
         return getattr(spec, "__name__", repr(spec)), spec
     raise TypeError(

@@ -34,13 +34,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.core.basic_randomizer import basic_c_gap
-from repro.core.client import Client
+from repro.core.client import Client, Report
 from repro.core.interfaces import RandomizerFamily
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ItemDomainResult, ProtocolResult
 from repro.core.server import Server
 from repro.dyadic.intervals import decompose_prefix
-from repro.extensions.sketch_layer import (
+from repro.protocols.sketch_layer import (
     SIGNS,
     BooleanDyadicStream,
     multiply_shift_bucket,
@@ -122,29 +122,29 @@ class HierarchicalStreamingSession(ProtocolSession):
     def range_change(self, left: int, right: int) -> float:
         """Estimate the net change ``a[right] - a[left - 1]`` (post-processing).
 
-        Answered from the already-received reports via the general dyadic
-        decomposition — no extra privacy budget.  ``right`` must not exceed
-        the latest ingested period (the session is online).
+        Answered from the already-received reports by
+        :meth:`~repro.core.server.Server.estimate_range_change` — no extra
+        privacy budget.  Raises ``ValueError`` unless
+        ``1 <= left <= right <= d``, and :class:`EstimatesNotReady` while
+        period ``right`` has not been ingested (the session is online).
         """
-        from repro.extensions.range_queries import estimate_range_change
-
+        estimate = self._server.estimate_range_change(left, right)  # bounds first
         if right > self._period:
             raise EstimatesNotReady(
                 f"range [{left}..{right}] queries period {right} but only "
                 f"{self._period} periods have been ingested"
             )
-        return estimate_range_change(self._server, left, right)
+        return estimate
 
     def window_change_series(self, window: int) -> np.ndarray:
         """Trailing-``window`` net-change series (requires the full horizon)."""
-        from repro.extensions.range_queries import window_change_series
-
+        series = self._server.window_change_series(window)  # validates window
         if not self.complete:
             raise EstimatesNotReady(
                 f"only {self._period} of {self._params.d} periods ingested; "
                 "the window series requires the full horizon"
             )
-        return window_change_series(self._server, window)
+        return series
 
     def _orders_for_result(self) -> np.ndarray:
         return self._stream.orders.copy()
@@ -156,7 +156,9 @@ class ObjectStreamingSession(ProtocolSession):
     Works for *any* :class:`RandomizerFamily` (only ``spawn`` is required);
     every report goes through ``Server.receive`` with full registration and
     duplicate bookkeeping.  O(n) Python per period — the faithful reference,
-    not the fast path.
+    not the fast path.  This is the one object-form period loop: the
+    ``future_rand_object`` protocol and
+    :class:`~repro.sim.engine.SimulationEngine` both play through it.
     """
 
     def __init__(
@@ -184,14 +186,25 @@ class ObjectStreamingSession(ProtocolSession):
 
     def _ingest(self, values: np.ndarray) -> int:
         self._server.advance_to(self._period)
-        delivered = 0
-        for client in self._clients:
-            report = client.step(int(values[client.user_id]))
-            if report is not None:
-                self._server.receive(report)
-                delivered += 1
+        reports = self._delivered(
+            [
+                report
+                for client in self._clients
+                if (report := client.step(int(values[client.user_id]))) is not None
+            ]
+        )
+        for report in reports:
+            self._server.receive(report)
         self._released.append(self._server.estimate(self._period))
-        return delivered
+        return len(reports)
+
+    def _delivered(self, reports: list[Report]) -> list[Report]:
+        """The emitted reports that reach the server (all of them here).
+
+        The fault-injection seam of :class:`repro.sim.engine.SimulationEngine`,
+        which overrides it to lose reports in transit.
+        """
+        return reports
 
     def _orders_for_result(self) -> np.ndarray:
         return np.array([client.order for client in self._clients])
@@ -517,8 +530,9 @@ class _ItemStreamingSession(ProtocolSession):
 
     Reuses the Boolean session plumbing with three overridden hooks: columns
     hold item ids (validated against ``domain_size``), a user's *initial*
-    item is free under the ``k`` budget (only item-to-item switches are
-    charged, matching the legacy extensions' convention), and scalar ground
+    item is free under the ``k`` budget (a period-1 item is not a change;
+    only a switch from one item to a different item at a later period
+    counts against ``k``), and scalar ground
     truth follows the tracked-item convention — ``true_counts[t-1]`` counts
     the users holding **item 1** — so 0/1 Boolean inputs reproduce the
     Boolean protocols' scalar semantics exactly and every scalar consumer

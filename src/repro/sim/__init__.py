@@ -5,7 +5,9 @@
 * :mod:`repro.sim.runner` — repeated-trial execution, parameter sweeps and
   scaling-exponent extraction on top of any protocol callable.
 * :mod:`repro.sim.engine` — the *object* engine: one Python ``Client`` per
-  user driving a real ``Server`` period by period.
+  user driving a real ``Server`` period by period, through the same
+  :class:`~repro.protocols.sessions.ObjectStreamingSession` step as the
+  ``future_rand_object`` protocol.
 * :mod:`repro.sim.batch_engine` — the *batch* engine: the same online event
   loop vectorized across the whole population.
 * :mod:`repro.sim.service` — the asyncio ingestion *service*: simulated

@@ -1,12 +1,14 @@
 """Instrumented online event loop (deployment-shaped simulation).
 
 ``SimulationEngine`` plays the protocol with real :class:`Client` objects and
-a real :class:`Server`, period by period, invoking a caller-supplied callback
-with a :class:`StepSnapshot` after every period — the hook the examples use to
-print live dashboards, measure online error trajectories, or inject faults
-(e.g. drop a fraction of reports to study robustness).  :func:`replay_online`
-is the same period loop over precomputed per-node reports, shared by both
-modes of :class:`repro.sim.batch_engine.BatchSimulationEngine`.
+a real :class:`Server`, period by period — through the one object-form step,
+:class:`~repro.protocols.sessions.ObjectStreamingSession` — invoking a
+caller-supplied callback with a :class:`StepSnapshot` after every period: the
+hook the examples use to print live dashboards, measure online error
+trajectories, or inject faults (e.g. drop a fraction of reports to study
+robustness).  :func:`replay_online` is the same period loop over precomputed
+per-node reports, shared by both modes of
+:class:`repro.sim.batch_engine.BatchSimulationEngine`.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.core.client import Client
+from repro.core.client import Report
 from repro.core.interfaces import RandomizerFamily
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolResult, default_family
 from repro.core.server import Server
 from repro.core.vectorized import validate_states
-from repro.utils.rng import as_generator, spawn_generators
+from repro.protocols.sessions import ObjectStreamingSession
+from repro.utils.rng import as_generator
 
 __all__ = ["OnlineEngineBase", "SimulationEngine", "StepSnapshot", "replay_online"]
 
@@ -134,43 +137,43 @@ class SimulationEngine(OnlineEngineBase):
         period is played.
         """
         matrix = validate_states(states, self._params)
-        n, d = matrix.shape
-        client_rngs = spawn_generators(self._rng, n)
-        clients = [
-            Client(user_id=u, d=d, family=self._family, rng=client_rngs[u])
-            for u in range(n)
-        ]
-        server = Server(d, self._family.c_gap)
-        for client in clients:
-            server.register(client.user_id, client.order)
-
-        estimates = np.empty(d, dtype=np.float64)
-        for t in range(1, d + 1):
-            server.advance_to(t)
-            delivered = 0
-            for client in clients:
-                report = client.step(int(matrix[client.user_id, t - 1]))
-                if report is None:
-                    continue
-                if self._drop_rate and self._rng.random() < self._drop_rate:
-                    continue
-                server.receive(report)
-                delivered += 1
-            estimates[t - 1] = server.estimate(t)
+        session = _LossyObjectSession(
+            self._params, self._family, self._rng, self._drop_rate
+        )
+        for t in range(1, matrix.shape[1] + 1):
+            delivered = session.ingest(t, matrix[:, t - 1])
             if callback is not None:
                 callback(
                     StepSnapshot(
                         t=t,
-                        estimate=estimates[t - 1],
+                        estimate=session.estimates()[-1],
                         true_count=int(matrix[:, t - 1].sum()),
                         reports_this_period=delivered,
                     )
                 )
+        return session.result()
 
-        return ProtocolResult(
-            estimates=estimates,
-            true_counts=matrix.sum(axis=0).astype(np.float64),
-            c_gap=self._family.c_gap,
-            family_name=self._family.name,
-            orders=np.array([client.order for client in clients]),
-        )
+
+class _LossyObjectSession(ObjectStreamingSession):
+    """The object session with reports lost in transit at ``drop_rate``.
+
+    Clients draw only from their own spawned streams, so filtering after
+    emission takes the drop draws from the shared generator in the same
+    order as an interleaved loop would: one per emitted report, in user
+    order, and none at all when ``drop_rate`` is 0.
+    """
+
+    def __init__(
+        self,
+        params: ProtocolParams,
+        family: RandomizerFamily,
+        rng: np.random.Generator,
+        drop_rate: float,
+    ) -> None:
+        super().__init__(params, family, rng)
+        self._drop_rate = drop_rate
+
+    def _delivered(self, reports: list[Report]) -> list[Report]:
+        if not self._drop_rate:
+            return reports
+        return [report for report in reports if self._rng.random() >= self._drop_rate]

@@ -7,9 +7,12 @@ import pytest
 
 from repro.core.client import Client, Report
 from repro.core.future_rand import FutureRandFamily
+from repro.core.params import ProtocolParams
 from repro.core.server import Server
 from repro.core.simple_randomizer import SimpleRandomizerFamily
-from repro.dyadic.intervals import DyadicInterval
+from repro.dyadic.intervals import DyadicInterval, decompose_prefix, decompose_range
+from repro.dyadic.partial_sums import partial_sums_of_order
+from repro.protocols import EstimatesNotReady, get_protocol
 
 
 @pytest.fixture
@@ -289,6 +292,90 @@ class TestServer:
         server.receive(Report(1, order=0, index=1, bit=1))
         server.receive(Report(0, order=0, index=2, bit=1))
         assert server.reports_received == 3
+
+
+class TestRangeQueries:
+    """Interval-change and sliding-window queries over the server's tree."""
+
+    @staticmethod
+    def _noiseless_server(states) -> Server:
+        """A server holding the exact partial sums of one state sequence.
+
+        The node sums are divided by the estimator scale (c_gap=1, so
+        ``1 + log2 d``), so every reconstruction reads exact counts.
+        """
+        row = np.asarray(states)
+        d = row.size
+        exact = np.concatenate(
+            [partial_sums_of_order(row, order) for order in range(d.bit_length())]
+        )
+        server = Server(d, c_gap=1.0)
+        server.restore_aggregate_state(exact / d.bit_length(), time=d)
+        return server
+
+    def test_range_change_matches_truth(self):
+        states = [0, 1, 1, 0, 0, 1, 1, 1]
+        server = self._noiseless_server(states)
+        for left in range(1, 9):
+            for right in range(left, 9):
+                before = states[left - 2] if left > 1 else 0
+                expected = states[right - 1] - before
+                assert server.estimate_range_change(left, right) == pytest.approx(
+                    expected
+                )
+
+    def test_window_series(self):
+        states = [0, 1, 1, 0, 0, 1, 1, 1]
+        series = self._noiseless_server(states).window_change_series(window=2)
+        # Entry t-1 = st[t] - st[t-2] for t > 2; prefix estimate before that.
+        expected = [states[t] - (states[t - 2] if t >= 2 else 0) for t in range(8)]
+        np.testing.assert_allclose(series, expected, atol=1e-12)
+
+    def test_validation(self):
+        """Bounds are checked against the horizon before anything else: out
+        of ``1 <= left <= right <= d`` is a ``ValueError`` naming the bound,
+        on the server and on a session at any period (never a ``KeyError``
+        or ``EstimatesNotReady``)."""
+        bad_ranges = [(3, 2), (0, 2), (1, 9), (9, 9)]
+        bound = "1 <= left <= right <= 8"
+        server = Server(8, c_gap=1.0)
+        for left, right in bad_ranges:
+            with pytest.raises(ValueError, match=bound):
+                server.estimate_range_change(left, right)
+        params = ProtocolParams(n=20, d=8, k=2, epsilon=1.0)
+        session = get_protocol("future_rand").prepare(
+            params, np.random.default_rng(0)
+        )
+        zeros = np.zeros(params.n, dtype=np.int8)
+        for t in range(1, params.d + 1):
+            session.ingest(t, zeros)
+            if t in (1, params.d):  # mid-stream and complete
+                for left, right in bad_ranges:
+                    with pytest.raises(ValueError, match=bound):
+                        session.range_change(left, right)
+        with pytest.raises(ValueError, match="window"):
+            server.window_change_series(0)
+
+    def test_session_waits_for_the_queried_period(self):
+        params = ProtocolParams(n=20, d=8, k=2, epsilon=1.0)
+        session = get_protocol("future_rand").prepare(
+            params, np.random.default_rng(0)
+        )
+        session.ingest(1, np.zeros(params.n, dtype=np.int8))
+        assert session.range_change(1, 1) == session.server.estimate_range_change(1, 1)
+        with pytest.raises(EstimatesNotReady, match="only 1 periods"):
+            session.range_change(1, 2)
+        with pytest.raises(EstimatesNotReady, match="full horizon"):
+            session.window_change_series(2)
+
+    def test_window_variance_advantage(self):
+        """Narrow windows touch fewer noisy nodes than differencing prefixes:
+        the decomposition of [t-1..t] has at most 2 intervals while two prefix
+        estimates touch up to 2 log2(d)."""
+        t = 255
+        window_nodes = len(decompose_range(t - 1, t))
+        prefix_nodes = len(decompose_prefix(t)) + len(decompose_prefix(t - 2))
+        assert window_nodes < prefix_nodes
 
 
 class TestClientServerLoop:

@@ -8,10 +8,13 @@ from repro.core.annulus import AnnulusLaw
 from repro.core.client import Client
 from repro.core.future_rand import FutureRandFamily
 from repro.core.params import ProtocolParams
-from repro.core.protocol import run_online
 from repro.core.server import Server
 from repro.core.vectorized import run_batch
 from repro.dyadic.intervals import decompose_prefix, interval_set
+from repro.protocols import get_protocol
+
+#: The per-user object reference driver (one Client per user).
+OBJECT_REFERENCE = get_protocol("future_rand_object")
 
 
 class TestHorizonOne:
@@ -47,7 +50,7 @@ class TestHorizonOne:
     def test_online_protocol_runs(self):
         params = ProtocolParams(n=20, d=1, k=1, epsilon=1.0)
         states = np.zeros((20, 1), dtype=np.int8)
-        result = run_online(states, params, np.random.default_rng(0))
+        result = OBJECT_REFERENCE.run(states, params, np.random.default_rng(0))
         assert result.estimates.shape == (1,)
 
 

@@ -7,10 +7,14 @@ import pytest
 
 from repro.analysis.bounds import hoeffding_radius
 from repro.core.params import ProtocolParams
-from repro.core.protocol import ProtocolResult, run_online
+from repro.core.protocol import ProtocolResult
 from repro.core.simple_randomizer import SimpleRandomizerFamily
 from repro.core.vectorized import group_partial_sums, run_batch
 from repro.dyadic.partial_sums import partial_sums_of_order
+from repro.protocols import get_protocol
+
+#: The per-user object reference driver (one Client per user).
+OBJECT_REFERENCE = get_protocol("future_rand_object")
 
 
 class TestProtocolResult:
@@ -29,7 +33,7 @@ class TestProtocolResult:
 class TestInputValidation:
     def test_shape_mismatch(self, small_params, small_states, rng):
         with pytest.raises(ValueError):
-            run_online(small_states[:, :8], small_params, rng)
+            OBJECT_REFERENCE.run(small_states[:, :8], small_params, rng)
         with pytest.raises(ValueError):
             run_batch(small_states[:10], small_params, rng)
 
@@ -44,7 +48,7 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             run_batch(states, small_params, rng)
         with pytest.raises(ValueError):
-            run_online(states, small_params, rng)
+            OBJECT_REFERENCE.run(states, small_params, rng)
 
     def test_rejects_1d(self, small_params, rng):
         with pytest.raises(ValueError):
@@ -80,7 +84,7 @@ class TestStatisticalCorrectness:
         trials = 25
         errors_at_end = []
         for trial in range(trials):
-            result = run_online(states, params, np.random.default_rng(6000 + trial))
+            result = OBJECT_REFERENCE.run(states, params, np.random.default_rng(6000 + trial))
             errors_at_end.append(result.errors[-1])
         mean = float(np.mean(errors_at_end))
         standard_error = float(np.std(errors_at_end, ddof=1) / np.sqrt(trials))
@@ -91,7 +95,7 @@ class TestStatisticalCorrectness:
         deviations must agree within Monte-Carlo tolerance."""
         trials = 15
         online_errors = [
-            run_online(
+            OBJECT_REFERENCE.run(
                 small_states, small_params, np.random.default_rng(100 + t)
             ).errors[-1]
             for t in range(trials)

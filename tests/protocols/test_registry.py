@@ -210,59 +210,6 @@ class TestItemDomainContract:
             session.ingest(1, np.full(TINY_PARAMS.n, 4, dtype=np.int64))
 
 
-class TestLegacyExtensionRejection:
-    """`sweep`/`resolve_runner` refuse the superseded extension classes."""
-
-    @pytest.mark.parametrize(
-        "cls_name, registry_name",
-        [
-            ("CategoricalLongitudinalProtocol", "categorical"),
-            ("HashedFrequencyProtocol", "hashed_frequency"),
-            ("MedianSketchProtocol", "sketch_median"),
-        ],
-    )
-    def test_resolve_runner_rejects_class(self, cls_name, registry_name):
-        import repro.extensions as extensions
-
-        with pytest.raises(TypeError, match=registry_name):
-            resolve_runner(getattr(extensions, cls_name))
-
-    def test_rejects_instances_too(self):
-        from repro.extensions import CategoricalLongitudinalProtocol
-
-        legacy = CategoricalLongitudinalProtocol(m=4, d=8, k=2, epsilon=1.0)
-        with pytest.raises(TypeError, match="categorical"):
-            resolve_runner(legacy)
-
-    def test_sweep_surfaces_readable_error(self):
-        from repro.extensions import HashedFrequencyProtocol
-        from repro.sim.runner import sweep
-
-        params = ProtocolParams(n=150, d=16, k=2, epsilon=1.0)
-        with pytest.raises(TypeError, match="get_protocol"):
-            sweep([HashedFrequencyProtocol], params, "k", [2], trials=1, seed=0)
-
-    def test_cli_sweep_exits_2_with_message(self, capsys):
-        from unittest import mock
-
-        from repro.cli import main
-        from repro.extensions import MedianSketchProtocol
-
-        with mock.patch.dict(
-            "repro.protocols.registry.PROTOCOLS",
-            {"legacy_sketch": MedianSketchProtocol},
-        ):
-            code = main(
-                [
-                    "sweep", "--protocols", "legacy_sketch",
-                    "--parameter", "k", "--values", "1",
-                    "--n", "100", "--d", "8",
-                ]
-            )
-        assert code == 2
-        assert "sketch_median" in capsys.readouterr().err
-
-
 class TestSessionValidation:
     def test_periods_must_advance_in_order(self, tiny_states):
         session = get_protocol("future_rand").prepare(

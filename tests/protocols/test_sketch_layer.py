@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.future_rand import FutureRandFamily
-from repro.extensions.sketch_layer import (
+from repro.protocols.sketch_layer import (
     BooleanDyadicStream,
     multiply_shift_bucket,
     random_odd_multiplier,

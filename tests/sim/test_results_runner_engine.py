@@ -204,7 +204,7 @@ class TestSimulationEngine:
         snapshot = StepSnapshot(t=1, estimate=5.0, true_count=3, reports_this_period=2)
         assert snapshot.error == 2.0
 
-    def test_result_matches_run_online_contract(self, rng):
+    def test_result_matches_protocol_result_contract(self, rng):
         params = ProtocolParams(n=30, d=8, k=2, epsilon=1.0)
         states = np.zeros((30, 8), dtype=np.int8)
         states[:10, 4:] = 1
