@@ -1,8 +1,8 @@
 """Smoke tests for the example scripts: they must compile and expose main().
 
-The examples simulate millions of users (documented deliberately — see
-EXPERIMENTS.md observation 3), so executing them is left to humans/CI jobs;
-these tests catch syntax errors, broken imports and missing entry points.
+The examples simulate millions of users, so executing them is left to the
+nightly ``examples`` CI job (each script run under a timeout); these tests
+catch syntax errors, broken imports and missing entry points.
 """
 
 from __future__ import annotations
