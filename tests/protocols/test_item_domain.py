@@ -35,15 +35,26 @@ def _within_four_standard_errors(values, target) -> bool:
     return abs(mean - target) < 4 * standard_error + 1e-9
 
 
-@pytest.mark.parametrize("name", ["categorical", "hashed_frequency", "sketch_median"])
-def test_estimates_shape(name):
-    """``item_estimates`` is ``(d, m)``; ``true_item_counts`` is exact."""
-    m, d = 4, 8
+def _small_run(name, m=4, d=8):
+    """One run of ``name`` on a static 120-user population over ``m`` items."""
     rng = np.random.default_rng(3)
     items = rng.integers(0, m, size=(120, 1), dtype=np.int64).repeat(d, axis=1)
     protocol = get_protocol(name).with_domain_size(m)
-    result = protocol.run(items, _params(items), np.random.default_rng(4))
-    assert result.item_estimates.shape == (d, m)
+    return items, protocol.run(items, _params(items), np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("name", ["categorical", "hashed_frequency", "sketch_median"])
+def test_estimates_shape(name):
+    """``item_estimates`` is ``(d, m)``: one row per period, one column per item."""
+    _, result = _small_run(name, m=4, d=8)
+    assert result.item_estimates.shape == (8, 4)
+
+
+@pytest.mark.parametrize("name", ["categorical", "hashed_frequency", "sketch_median"])
+def test_true_item_counts(name):
+    """``true_item_counts`` is the exact per-period histogram of the items."""
+    m, d = 4, 8
+    items, result = _small_run(name, m=m, d=d)
     expected = np.stack([np.bincount(items[:, t], minlength=m) for t in range(d)])
     np.testing.assert_array_equal(result.true_item_counts, expected)
 
