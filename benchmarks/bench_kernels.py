@@ -27,6 +27,7 @@ from repro.core.vectorized import run_batch
 from repro.sim.batch_engine import BatchSimulationEngine
 from repro.sim.engine import SimulationEngine
 from repro.sim.parallel import default_workers
+from repro.utils.chunking import DEFAULT_BLOCK_ROWS
 from repro.workloads.generators import BoundedChangePopulation
 
 
@@ -82,6 +83,15 @@ def bench_protocol_run_batch(benchmark):
     )
     benchmark.extra_info["user_periods"] = params.n * params.d
     assert result.estimates.shape == (256,)
+
+
+def bench_population_sample_block(benchmark):
+    """One default 8192-user block at d=256, k=4: a service worker's draw."""
+    population = BoundedChangePopulation(256, 4, exact_k=True)
+    rng = np.random.default_rng(4)
+    states = benchmark(population.sample, DEFAULT_BLOCK_ROWS, rng)
+    assert states.shape == (DEFAULT_BLOCK_ROWS, 256)
+    assert states.dtype == np.int8
 
 
 def bench_composed_sampler_batch_fast(benchmark):

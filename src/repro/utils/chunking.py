@@ -24,9 +24,9 @@ import numpy as np
 __all__ = ["DEFAULT_BLOCK_ROWS", "plan_row_blocks", "iter_row_groups"]
 
 #: Users per randomness block.  Chosen so one block's transient working set
-#: (float64 scores + argsort indices during sampling, report matrices during
-#: randomization) stays in the tens of megabytes even at d=1024, while numpy
-#: kernels still amortize their per-call overhead.
+#: (float64 scores + their row-partitioned copy during sampling, report
+#: matrices during randomization) stays in the tens of megabytes even at
+#: d=1024, while numpy kernels still amortize their per-call overhead.
 DEFAULT_BLOCK_ROWS = 8192
 
 

@@ -33,6 +33,46 @@ __all__ = [
 _CHANGE_TIME_MODES = ("uniform", "early", "late", "bursty")
 
 
+def _check_budget(k: int, d: int) -> int:
+    """Return ``k`` as a per-user change budget, which must lie in ``[1, d]``."""
+    budget = ensure_positive(k, "k")
+    if budget > d:
+        raise ValueError(f"k={k} cannot exceed d={d}")
+    return budget
+
+
+def _smallest_per_row(scores: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Boolean mask of the ``counts[i]`` smallest entries of each row.
+
+    The marked set of row ``i`` is exactly ``argsort(scores[i])[:counts[i]]``
+    (every ``counts[i]`` must be at most the column count), found without
+    sorting whole rows: one ``np.partition`` at the largest count, a sort of
+    only that many leading columns, and a per-row threshold at rank
+    ``counts[i] - 1`` (``-inf`` for a zero count).  Marking ``scores <=
+    threshold`` marks too many cells only where equal scores straddle the
+    threshold; those rows alone are redone with the ``argsort`` scatter, so
+    even tied rows match the rank reference bit for bit.
+    """
+    rows, columns = scores.shape
+    most = int(counts.max(initial=0))
+    if most == 0:
+        return np.zeros((rows, columns), dtype=bool)
+    head = np.sort(np.partition(scores, most - 1, axis=1)[:, :most], axis=1)
+    threshold = np.where(
+        counts > 0, head[np.arange(rows), np.maximum(counts, 1) - 1], -np.inf
+    )
+    mask = scores <= threshold[:, np.newaxis]
+    tied = np.flatnonzero(np.count_nonzero(mask, axis=1) != counts)
+    if tied.size:
+        order = scores[tied].argsort(axis=1)
+        repaired = np.zeros((tied.size, columns), dtype=bool)
+        repaired[np.arange(tied.size)[:, np.newaxis], order] = (
+            np.arange(columns) < counts[tied, np.newaxis]
+        )
+        mask[tied] = repaired
+    return mask
+
+
 class Population:
     """Shared out-of-core sampling surface for every population generator.
 
@@ -127,9 +167,7 @@ class BoundedChangePopulation(Population):
         burst_width: Optional[int] = None,
     ) -> None:
         self._d = check_power_of_two(d, "d")
-        self._k = ensure_positive(k, "k")
-        if self._k > self._d:
-            raise ValueError(f"k={k} cannot exceed d={d}")
+        self._k = _check_budget(k, self._d)
         if mode not in _CHANGE_TIME_MODES:
             raise ValueError(f"mode must be one of {_CHANGE_TIME_MODES}, got {mode!r}")
         self._mode = mode
@@ -228,18 +266,17 @@ class BoundedChangePopulation(Population):
         Each user toggles at ``budget`` uniformly chosen times; a user starting
         at 1 additionally toggles at t=1.  States are the toggle-count parity.
 
-        A user's toggle set is the ``budget`` smallest scores of its row —
-        computed by scattering the sorted column positions back through one
-        ``argsort`` (bit-identical to the historical double-argsort rank
-        test, at roughly half the transient memory), with the parity taken by
-        an in-type xor accumulation instead of an int64 ``cumsum``.
+        A user's toggle set is the ``budget`` smallest scores of its row,
+        marked by :func:`_smallest_per_row`: a partition at the largest
+        budget (at most ``k`` columns are ever sorted) sets a per-row
+        threshold, and only rows with a float tie straddling it are redone
+        by the ``argsort`` scatter — bit-identical to the full-row rank
+        test.  The parity is an in-type xor accumulation rather than an
+        int64 ``cumsum``.
         """
         scores = rng.random((n, self._d))
         scores[starts, 0] = np.inf  # t=1 is reserved for the start toggle
-        order = scores.argsort(axis=1)
-        toggles = np.zeros((n, self._d), dtype=bool)
-        rows = np.arange(n)[:, np.newaxis]
-        toggles[rows, order] = np.arange(self._d)[np.newaxis, :] < budgets[:, np.newaxis]
+        toggles = _smallest_per_row(scores, budgets)
         toggles[starts, 0] = True
         return np.logical_xor.accumulate(toggles, axis=1).astype(np.int8)
 
@@ -269,7 +306,7 @@ class ItemChangePopulation(Population):
         self, d: int, k: int, domain_size: int, *, skew: float = 4.0
     ) -> None:
         self._d = check_power_of_two(d, "d")
-        self._k = ensure_positive(k, "k")
+        self._k = _check_budget(k, self._d)
         self._m = int(domain_size)
         if self._m < 2:
             raise ValueError(f"domain_size must be at least 2, got {domain_size}")
@@ -307,13 +344,7 @@ class ItemChangePopulation(Population):
         segments = self._draw_items(rng, (n, self._k + 1))
         boundaries = self._d - 1
         counts = rng.integers(0, min(self._k, boundaries) + 1, size=n)
-        scores = rng.random((n, boundaries))
-        order = scores.argsort(axis=1)
-        switches = np.zeros((n, boundaries), dtype=bool)
-        rows = np.arange(n)[:, np.newaxis]
-        switches[rows, order] = (
-            np.arange(boundaries)[np.newaxis, :] < counts[:, np.newaxis]
-        )
+        switches = _smallest_per_row(rng.random((n, boundaries)), counts)
         segment_index = np.concatenate(
             [
                 np.zeros((n, 1), dtype=np.int64),
@@ -321,7 +352,7 @@ class ItemChangePopulation(Population):
             ],
             axis=1,
         )
-        return segments[rows, segment_index]
+        return segments[np.arange(n)[:, np.newaxis], segment_index]
 
 
 class TrendPopulation(Population):
@@ -339,7 +370,7 @@ class TrendPopulation(Population):
 
     def __init__(self, d: int, k: int, *, curve: str = "sigmoid") -> None:
         self._d = check_power_of_two(d, "d")
-        self._k = ensure_positive(k, "k")
+        self._k = _check_budget(k, self._d)
         if curve not in ("sigmoid", "linear", "spike"):
             raise ValueError(f"curve must be sigmoid/linear/spike, got {curve!r}")
         self._curve = curve
@@ -370,8 +401,7 @@ class TrendPopulation(Population):
         curve = self.target_curve()
 
         counts = rng.integers(1, self._k + 1, size=n)
-        ranks = rng.random((n, self._d)).argsort(axis=1).argsort(axis=1)
-        opportunity = ranks < counts[:, np.newaxis]
+        opportunity = _smallest_per_row(rng.random((n, self._d)), counts)
         # Draw the trend coin at every cell; only opportunity cells matter.
         draws = (rng.random((n, self._d)) < curve[np.newaxis, :]).astype(np.int8)
         values = np.where(opportunity, draws, np.int8(0))
@@ -395,7 +425,7 @@ class PeriodicPopulation(Population):
 
     def __init__(self, d: int, k: int, *, period: Optional[int] = None) -> None:
         self._d = check_power_of_two(d, "d")
-        self._k = ensure_positive(k, "k")
+        self._k = _check_budget(k, self._d)
         self._period = int(period) if period is not None else max(self._d // 8, 1)
         if self._period < 1:
             raise ValueError(f"period must be positive, got {self._period}")
@@ -459,14 +489,12 @@ class ChurnPopulation(Population):
         mean_lifetime: Optional[int] = None,
     ) -> None:
         self._d = check_power_of_two(d, "d")
-        self._k = ensure_positive(k, "k")
+        self._k = _check_budget(k, self._d)
         if self._k < 2:
             raise ValueError(
                 f"k must be at least 2 for churn (one toggle plus the "
                 f"departure drop), got {k}"
             )
-        if self._k > self._d:
-            raise ValueError(f"k={k} cannot exceed d={d}")
         self._arrival_window = (
             int(arrival_window) if arrival_window is not None else self._d
         )
@@ -519,10 +547,7 @@ class ChurnPopulation(Population):
         # (inactive cells are pushed past every rank with an infinite score).
         scores = rng.random((n, d))
         scores[~active] = np.inf
-        order = scores.argsort(axis=1)
-        toggles = np.zeros((n, d), dtype=bool)
-        rows = np.arange(n)[:, np.newaxis]
-        toggles[rows, order] = columns < counts[:, np.newaxis]
+        toggles = _smallest_per_row(scores, counts)
         states = np.logical_xor.accumulate(toggles, axis=1)
         # Departure: an absent user holds 0.  If the parity was 1 at the last
         # active period this zeroing is the user's reserved k-th change.

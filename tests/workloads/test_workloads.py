@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.workloads.generators import (
     BoundedChangePopulation,
+    ChurnPopulation,
     ItemChangePopulation,
     PeriodicPopulation,
     TrendPopulation,
@@ -179,6 +180,32 @@ class TestPeriodicPopulation:
     def test_invalid_period(self):
         with pytest.raises(ValueError):
             PeriodicPopulation(16, 2, period=0)
+
+
+_POPULATIONS = {
+    "bounded": BoundedChangePopulation,
+    "item": lambda d, k: ItemChangePopulation(d, k, 4),
+    "trend": TrendPopulation,
+    "periodic": PeriodicPopulation,
+    "churn": ChurnPopulation,
+}
+
+
+class TestChangeBudgetValidation:
+    @pytest.mark.parametrize("kind", sorted(_POPULATIONS))
+    def test_budget_above_horizon_rejected_at_construction(self, kind):
+        with pytest.raises(ValueError, match=r"^k=9 cannot exceed d=8$"):
+            _POPULATIONS[kind](8, 9)
+
+    @pytest.mark.parametrize("kind", sorted(_POPULATIONS))
+    def test_budget_equal_to_horizon_samples(self, kind, rng):
+        sample = _POPULATIONS[kind](8, 8).sample(200, rng)
+        assert sample.shape == (200, 8)
+        if kind == "item":  # the initial item is free; only switches count
+            changes = np.count_nonzero(np.diff(sample, axis=1), axis=1)
+        else:
+            changes = _changes(sample)
+        assert changes.max() <= 8
 
 
 class TestScenarios:
