@@ -56,7 +56,7 @@ def _smallest_per_row(scores: np.ndarray, counts: np.ndarray) -> np.ndarray:
     rows, columns = scores.shape
     most = int(counts.max(initial=0))
     if most == 0:
-        return np.zeros((rows, columns), dtype=bool)
+        return np.zeros(scores.shape, dtype=bool)
     head = np.sort(np.partition(scores, most - 1, axis=1)[:, :most], axis=1)
     threshold = np.where(
         counts > 0, head[np.arange(rows), np.maximum(counts, 1) - 1], -np.inf
