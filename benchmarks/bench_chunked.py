@@ -29,12 +29,7 @@ import numpy as np
 import pytest
 
 from repro.core.params import ProtocolParams
-from repro.core.vectorized import run_batch
-from repro.sim.chunked import (
-    protocol_block_seeds,
-    run_batch_chunked,
-    run_chunked_population,
-)
+from repro.core.vectorized import protocol_block_seeds, run_batch
 from repro.workloads.generators import BoundedChangePopulation
 
 #: The acceptance configuration: a million users over the paper's d=256.
@@ -58,11 +53,14 @@ def bench_chunked_million_users_under_one_gigabyte(benchmark):
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
             started = time.perf_counter()
-            result = run_chunked_population(
-                population,
-                params,
-                spec["seed"],
-                chunk_size=spec["chunk_size"],
+            # One root seed: one spawn child for the workload stream, one
+            # for the protocol.
+            workload_seed, protocol_seed = np.random.SeedSequence(spec["seed"]).spawn(2)
+            chunks = population.sample_chunks(
+                spec["n"], spec["chunk_size"], workload_seed
+            )
+            result = run_batch(
+                chunks, params, protocol_seed, chunk_size=spec["chunk_size"]
             )
             seconds = time.perf_counter() - started
             _, peak = tracemalloc.get_traced_memory()
@@ -105,7 +103,7 @@ def bench_chunked_bit_identity(benchmark):
     )
 
     def chunked(chunk_size: int):
-        return run_batch_chunked(
+        return run_batch(
             states,
             params,
             spec["seed"],

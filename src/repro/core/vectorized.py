@@ -16,13 +16,37 @@ The outputs follow exactly the same distribution as the object driver — the
 randomizer kernels are shared — which the integration tests verify
 statistically.  Use this driver for experiments (millions of user-periods per
 second); use the object driver to exercise the deployment-shaped API.
+
+Memory-bounded (chunked) mode
+-----------------------------
+
+With ``chunk_size`` set, :func:`collect_tree_reports` / :func:`run_batch`
+accept a full matrix *or* an iterable of user chunks (e.g.
+``population.sample_chunks(...)``, so the ``(n, d)`` matrix never exists) and
+fold them into O(d log d) running node sums.  FutureRand randomizes the
+future — every report is a fixed function of pre-drawn noise and the input —
+so the population can be randomized one seed block at a time:
+
+* incoming chunks are validated on entry, counted against ``params.n`` (a
+  short or overlong stream is an error, never a rescaled estimate) and
+  re-grouped into fixed blocks of ``block_rows`` consecutive users
+  (:func:`repro.utils.chunking.iter_row_groups`);
+* block ``b`` runs :func:`randomize_block` with a generator seeded from the
+  ``b``-th child of the root ``SeedSequence`` (:func:`protocol_block_seeds`);
+* therefore the result is **bit-identical for any chunk size** at a fixed
+  ``block_rows``, and for ``n <= block_rows`` (a single block) it is
+  bit-identical to the monolithic
+  ``collect_tree_reports(states, params, default_rng(root.spawn(1)[0]))``.
+
+Peak incremental allocation is O(``max(chunk_size, block_rows) * d``) for
+the state buffers plus one block's report matrices.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,7 +54,8 @@ from repro.core.interfaces import RandomizerFamily
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolResult, default_family
 from repro.dyadic.prefix_matrix import reconstruct_all_prefixes
-from repro.utils.rng import as_generator
+from repro.utils.chunking import DEFAULT_BLOCK_ROWS, iter_row_groups, plan_row_blocks
+from repro.utils.rng import SeedLike, as_generator, as_seed_sequence
 
 __all__ = [
     "run_batch",
@@ -41,10 +66,14 @@ __all__ = [
     "node_scales",
     "order_probabilities",
     "partition_rows_by_order",
+    "protocol_block_seeds",
     "randomize_block",
     "validate_states",
     "BatchTreeReports",
 ]
+
+#: A full ``(n, d)`` matrix or an iterable of ``(rows, d)`` user chunks.
+StatesLike = Union[np.ndarray, Iterable[np.ndarray]]
 
 
 def group_partial_sums(states: np.ndarray, order: int) -> np.ndarray:
@@ -170,7 +199,7 @@ def validate_states(
     the implicit ``st_u[0] = 0`` boundary); returns the matrix as an array.
     Shared by the batch drivers.
 
-    ``rows`` overrides the expected row count (the chunked pipeline validates
+    ``rows`` overrides the expected row count (the chunked mode validates
     per-chunk slices of a conceptual ``(params.n, d)`` population).  The scan
     runs in bounded row blocks: peak extra allocation is O(block), never a
     second full-size matrix.
@@ -178,11 +207,15 @@ def validate_states(
     matrix = np.asarray(states)
     if matrix.ndim != 2:
         raise ValueError(f"states must be 2-D (n, d), got shape {matrix.shape}")
-    expected_rows = params.n if rows is None else rows
-    if matrix.shape != (expected_rows, params.d):
+    if rows is None and matrix.shape != (params.n, params.d):
         raise ValueError(
             f"states shape {matrix.shape} disagrees with params "
-            f"(n={expected_rows}, d={params.d})"
+            f"(n={params.n}, d={params.d})"
+        )
+    if rows is not None and matrix.shape != (rows, params.d):
+        raise ValueError(
+            f"states shape {matrix.shape} disagrees with params (d={params.d}): "
+            f"a slice of {rows} users must have shape ({rows}, {params.d})"
         )
     for start in range(0, matrix.shape[0], _VALIDATE_BLOCK_ROWS):
         block = matrix[start : start + _VALIDATE_BLOCK_ROWS]
@@ -353,14 +386,88 @@ def family_randomizer(
     return functools.partial(family.randomize_matrix, kernel=kernel)
 
 
-def collect_tree_reports(
-    states: np.ndarray,
+def protocol_block_seeds(
+    seed: SeedLike, n: int, block_rows: int = DEFAULT_BLOCK_ROWS
+) -> tuple[np.random.SeedSequence, ...]:
+    """The per-block ``SeedSequence`` children of a chunked protocol run.
+
+    Block ``b`` of an ``n``-user run covers users ``[b * block_rows, ...)``
+    and is randomized with ``np.random.default_rng(children[b])``.  Always
+    the *first* children of the root node — a ``SeedSequence`` that has
+    already been spawned from elsewhere is counter-reset first — and the
+    chunked fold draws its seeds through this function, so the two can
+    never drift apart.
+    """
+    root = as_seed_sequence(seed, reset_spawn_counter=True)
+    return tuple(root.spawn(len(plan_row_blocks(n, block_rows))))
+
+
+def _fold_seed_blocks(
+    states: StatesLike,
     params: ProtocolParams,
-    rng: Optional[np.random.Generator] = None,
+    seed: SeedLike,
+    randomize: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+    probabilities: np.ndarray,
+    *,
+    block_rows: int = DEFAULT_BLOCK_ROWS,
+    drop_rate: float = 0.0,
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray]:
+    """Randomize ``states`` one seed block at a time (the chunked mode).
+
+    Returns ``(node_sums, node_counts, true_counts, orders)``; see the
+    module docstring for the seeding contract.
+    """
+    seeds = protocol_block_seeds(seed, params.n, block_rows)
+    received = 0
+
+    def validated(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+        nonlocal received
+        for chunk in chunks:
+            array = np.asarray(chunk)
+            rows = array.shape[0] if array.ndim == 2 else -1
+            if rows == 0:
+                continue
+            validate_states(array, params, rows=rows)
+            received += rows
+            if received > params.n:
+                raise ValueError(
+                    f"received {received} users, more than the declared n={params.n}"
+                )
+            yield array
+
+    d = params.d
+    node_sums = [np.zeros(d >> order) for order in range(probabilities.size)]
+    node_counts = [
+        np.zeros(d >> order, dtype=np.int64) for order in range(probabilities.size)
+    ]
+    true_counts = np.zeros(d)
+    orders = []
+    chunks = [states] if isinstance(states, np.ndarray) else states
+    for index, block in enumerate(iter_row_groups(validated(chunks), block_rows)):
+        matrix = block if block.dtype == np.int8 else block.astype(np.int8)
+        rng = np.random.default_rng(seeds[index])
+        orders.append(
+            randomize_block(
+                matrix, rng, randomize, probabilities, node_sums, node_counts, drop_rate
+            )
+        )
+        true_counts += matrix.sum(axis=0)
+    if received != params.n:
+        raise ValueError(
+            f"received {received} users in total, but params declare n={params.n}"
+        )
+    return node_sums, node_counts, true_counts, np.concatenate(orders)
+
+
+def collect_tree_reports(
+    states: StatesLike,
+    params: ProtocolParams,
+    rng: SeedLike = None,
     *,
     family: Optional[RandomizerFamily] = None,
     order_weights: Optional[Sequence[float]] = None,
     chunk_size: Optional[int] = None,
+    block_rows: Optional[int] = None,
     kernel=None,
 ) -> BatchTreeReports:
     """Run the client side of the protocol and aggregate raw report sums.
@@ -370,44 +477,52 @@ def collect_tree_reports(
     the per-order debias scale becomes ``1 / (Pr[h] * c_gap)``, keeping the
     estimator unbiased).
 
-    ``chunk_size`` switches to the streaming-aggregation mode: ``states`` may
-    then be an iterable of row chunks (or a full matrix, processed in
-    ``chunk_size``-row slices) and the per-node sums are folded into a running
-    accumulator without ever holding full-population report matrices — see
-    :mod:`repro.sim.chunked` for the seeding contract.
+    ``chunk_size`` switches to the memory-bounded chunked mode (see the
+    module docstring): ``states`` may then be an iterable of row chunks,
+    ``rng`` is any seed (it roots the per-block spawn tree; a ``Generator``
+    is reduced via :func:`~repro.utils.rng.as_seed_sequence`), and
+    ``block_rows`` (default :data:`~repro.utils.chunking.DEFAULT_BLOCK_ROWS`)
+    sets the seed blocks.  ``block_rows`` without ``chunk_size`` is an error.
 
     ``kernel`` selects the randomizer backend (:mod:`repro.kernels`):
     ``None``/``"reference"`` is the frozen bit-exact path, ``"fast"`` the
     statistically-identical high-throughput path.
     """
-    if chunk_size is not None:
-        # Imported lazily: repro.sim.chunked is a consumer-layer module that
-        # itself imports this one (a module-level import would be cyclic).
-        from repro.sim.chunked import collect_tree_reports_chunked
-
-        return collect_tree_reports_chunked(
-            states,
-            params,
-            rng,
-            chunk_size=chunk_size,
-            family=family,
-            order_weights=order_weights,
-            kernel=kernel,
-        )
-    matrix = validate_states(states, params)
-    d = matrix.shape[1]
-    rng = as_generator(rng)
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
+    if chunk_size is None and block_rows is not None:
+        raise ValueError("block_rows sets the chunked mode's seed blocks; pass chunk_size")
+    d = params.d
     if family is None:
         family = default_family(params)
-
     num_orders = d.bit_length()
     probabilities = order_probabilities(d, order_weights)
     randomize = family_randomizer(family, kernel)
-    node_sums = [np.zeros(d >> order) for order in range(num_orders)]
-    node_counts = [np.zeros(d >> order, dtype=np.int64) for order in range(num_orders)]
-    orders = randomize_block(
-        matrix, rng, randomize, probabilities, node_sums, node_counts
-    )
+
+    if chunk_size is not None:
+        node_sums, _, true_counts, orders = _fold_seed_blocks(
+            states,
+            params,
+            rng,
+            randomize,
+            probabilities,
+            block_rows=DEFAULT_BLOCK_ROWS if block_rows is None else block_rows,
+        )
+    else:
+        if isinstance(states, Iterator):
+            raise ValueError(
+                "states is an iterable of chunks, which needs chunk_size "
+                "(the chunked mode)"
+            )
+        matrix = validate_states(states, params)
+        node_sums = [np.zeros(d >> order) for order in range(num_orders)]
+        node_counts = [
+            np.zeros(d >> order, dtype=np.int64) for order in range(num_orders)
+        ]
+        orders = randomize_block(
+            matrix, as_generator(rng), randomize, probabilities, node_sums, node_counts
+        )
+        true_counts = matrix.sum(axis=0).astype(np.float64)
 
     return BatchTreeReports(
         node_sums=node_sums,
@@ -416,28 +531,27 @@ def collect_tree_reports(
         order_probabilities=probabilities,
         c_gap=family.c_gap,
         family_name=family.name,
-        true_counts=matrix.sum(axis=0).astype(np.float64),
+        true_counts=true_counts,
         orders=orders,
     )
 
 
 def run_batch(
-    states: np.ndarray,
+    states: StatesLike,
     params: ProtocolParams,
-    rng: Optional[np.random.Generator] = None,
+    rng: SeedLike = None,
     *,
     family: Optional[RandomizerFamily] = None,
     order_weights: Optional[Sequence[float]] = None,
     chunk_size: Optional[int] = None,
+    block_rows: Optional[int] = None,
     kernel=None,
 ) -> ProtocolResult:
     """Vectorized equivalent of the ``future_rand_object`` reference driver.
 
-    Same result type; see the module docstring for the
-    execution strategy.  ``order_weights`` is the ablation knob documented on
-    :func:`collect_tree_reports`; ``chunk_size`` selects the memory-bounded
-    streaming-aggregation mode (see :mod:`repro.sim.chunked`); ``kernel``
-    selects the randomizer backend (:mod:`repro.kernels`).
+    Same result type; see the module docstring for the execution strategy
+    and the chunked mode.  The options are those of
+    :func:`collect_tree_reports`.
     """
     reports = collect_tree_reports(
         states,
@@ -446,6 +560,7 @@ def run_batch(
         family=family,
         order_weights=order_weights,
         chunk_size=chunk_size,
+        block_rows=block_rows,
         kernel=kernel,
     )
     return reports.to_result()

@@ -25,9 +25,9 @@ magnitude less RNG bandwidth and no sorting:
   the ``<= n*k`` non-zero entries (one ``np.nonzero`` + scatter) rather
   than materializing full ``(n, L)`` cumsum/gather/where temporaries.
 * **Preallocated per-chunk buffers.**  The Fisher–Yates permutation scratch
-  is reused across calls of the same shape, which is what repeated
-  fixed-size chunks (:mod:`repro.sim.chunked`) hit; outputs are always
-  freshly allocated, so callers may keep them.
+  is reused across calls of the same shape, which is what the repeated
+  fixed-size seed blocks of the chunked mode (:mod:`repro.core.vectorized`)
+  hit; outputs are always freshly allocated, so callers may keep them.
 
 Determinism: given the same seeded generator the fast kernel is fully
 deterministic, but it consumes the stream differently from the reference

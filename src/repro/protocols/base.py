@@ -245,9 +245,9 @@ class LongitudinalProtocol(abc.ABC):
     online: ClassVar[bool] = True
     sequence_ldp: ClassVar[bool] = True
     description: ClassVar[str] = ""
-    #: Whether ``run`` accepts ``chunk_size`` (memory-bounded chunked
-    #: execution, :mod:`repro.sim.chunked`).  True on the batch-engine-backed
-    #: hierarchical adapters.
+    #: Whether ``run`` accepts ``chunk_size`` (the memory-bounded chunked
+    #: mode of :mod:`repro.core.vectorized`).  True on the
+    #: batch-engine-backed hierarchical adapters.
     supports_chunk_size: ClassVar[bool] = False
     #: Whether ``run``/``prepare`` accept ``kernel`` (randomizer backend
     #: selection, :mod:`repro.kernels`).  True on the composed-randomizer

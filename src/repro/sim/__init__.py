@@ -44,14 +44,15 @@ Memory-bounded (chunked) execution
 ----------------------------------
 
 Monolithic drivers materialize the full ``(n, d)`` population — ~10 GB at
-n=10^7, d=1024 — before randomizing anything.  :mod:`repro.sim.chunked` is
-the out-of-core path: population generators stream user chunks
-(``population.sample_chunks(n, chunk_size, seed)``) and
-:class:`~repro.sim.chunked.ChunkedTreeAccumulator` folds each chunk's dyadic
-node sums into O(d log d) running totals, so peak memory is bounded by a few
-chunk-sized buffers (a million-user, d=256 run fits comfortably under 1 GB —
-pinned by ``benchmarks/bench_chunked.py``).  Chunks are internally re-grouped
-into fixed seed blocks, which makes the output **bit-identical for any chunk
+n=10^7, d=1024 — before randomizing anything.  The chunked mode of
+:func:`repro.core.vectorized.run_batch` (and of the batch engine) is the
+out-of-core path: population generators stream user chunks
+(``population.sample_chunks(n, chunk_size, seed)``) and one seed-block fold
+in :mod:`repro.core.vectorized` randomizes them block by block into
+O(d log d) running node sums, so peak memory is bounded by a few
+block-sized buffers (a million-user, d=256 run fits comfortably under 1 GB —
+pinned by ``benchmarks/bench_chunked.py``).  Chunks are re-grouped into
+fixed seed blocks, which makes the output **bit-identical for any chunk
 size** and, for ``n <= block_rows``, bit-identical to the monolithic driver.
 
 Three knobs, three jobs — reach for them in this order:
@@ -162,12 +163,6 @@ The CLI front-end::
 """
 
 from repro.sim.batch_engine import BatchSimulationEngine, run_batch_engine
-from repro.sim.chunked import (
-    ChunkedTreeAccumulator,
-    collect_tree_reports_chunked,
-    run_batch_chunked,
-    run_chunked_population,
-)
 from repro.sim.engine import SimulationEngine, StepSnapshot
 from repro.sim.parallel import default_workers, plan_shards
 from repro.sim.results import ResultTable, format_markdown_table
@@ -196,10 +191,6 @@ from repro.sim.store import (
 __all__ = [
     "BatchSimulationEngine",
     "run_batch_engine",
-    "ChunkedTreeAccumulator",
-    "collect_tree_reports_chunked",
-    "run_batch_chunked",
-    "run_chunked_population",
     "SimulationEngine",
     "StepSnapshot",
     "AggregateMessage",

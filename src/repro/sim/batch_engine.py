@@ -36,11 +36,12 @@ from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolResult
 from repro.core.server import Server
 from repro.core.vectorized import (
+    _fold_seed_blocks,
     family_randomizer,
     iter_group_reports,
+    order_probabilities,
     validate_states,
 )
-from repro.sim.chunked import ChunkedTreeAccumulator, _iter_chunks
 from repro.sim.engine import OnlineEngineBase, StepSnapshot, replay_online
 from repro.utils.validation import ensure_positive
 
@@ -106,11 +107,10 @@ class BatchSimulationEngine(OnlineEngineBase):
         if self._duplicate_rate and chunk_size is not None:
             raise ValueError(
                 "report_duplicate_rate requires the monolithic engine path; "
-                "the chunked accumulator folds node sums and cannot replay "
+                "the chunked mode folds node sums and cannot replay "
                 "per-report duplication"
             )
         self._chunk_size = chunk_size
-        self._kernel = kernel
         self._randomize = family_randomizer(self._family, kernel)
 
     def run(
@@ -182,29 +182,24 @@ class BatchSimulationEngine(OnlineEngineBase):
     ) -> _Precomputed:
         """Memory-bounded mode: fold user chunks into O(d log d) node sums.
 
-        User chunks stream through a
-        :class:`~repro.sim.chunked.ChunkedTreeAccumulator` (drop injection
-        included, per-node delivered counts tracked), so the replay delivers
-        each node's aggregate without full-population report matrices.
+        User chunks go through the seed-block fold of
+        :mod:`repro.core.vectorized` (drop injection included, per-node
+        delivered counts tracked), so the replay delivers each node's
+        aggregate without full-population report matrices.
         """
-        accumulator = ChunkedTreeAccumulator(
+        node_sums, node_counts, true_counts, orders = _fold_seed_blocks(
+            states,
             self._params,
             self._rng,
-            family=self._family,
-            report_drop_rate=self._drop_rate,
-            kernel=self._kernel,
+            self._randomize,
+            order_probabilities(self._params.d),
+            drop_rate=self._drop_rate,
         )
-        for chunk in _iter_chunks(states, self._chunk_size):
-            accumulator.add(chunk)
-        reports = accumulator.finalize()
 
         def node_reports(order: int, j: int) -> tuple[float, int]:
-            return (
-                accumulator.node_sums[order][j - 1],
-                accumulator.node_counts[order][j - 1],
-            )
+            return node_sums[order][j - 1], node_counts[order][j - 1]
 
-        return node_reports, reports.true_counts, reports.orders
+        return node_reports, true_counts, orders
 
 
 def run_batch_engine(

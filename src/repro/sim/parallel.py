@@ -22,12 +22,7 @@ they *did* finish; results are still returned in submission order.  A worker
 failure is never a raw ``BrokenProcessPool``: every batch that already
 finished is drained through ``on_complete`` first (so its shards persist),
 then a :class:`repro.faults.ShardExecutionError` names the failed shard's
-trial coordinates.  Passing ``faults=`` and/or ``retry=`` opts into the
-supervised executor (:func:`repro.faults.run_supervised`): per-shard
-submission, bounded retries on a simulated backoff clock, per-attempt
-timeouts, and pool respawn — with retried shards bit-identical to the
-fault-free run because every trial seed is a pure function of its spawn-key
-coordinates.
+trial coordinates.
 """
 
 from __future__ import annotations
@@ -42,15 +37,7 @@ import numpy as np
 
 from repro.analysis.accuracy import summarize_errors
 from repro.core.params import ProtocolParams
-from repro.faults import (
-    FaultSchedule,
-    RetryPolicy,
-    ShardExecutionError,
-    get_fault_model,
-    plan_fault_schedule,
-    run_supervised,
-)
-from repro.utils.rng import SeedLike
+from repro.faults import ShardExecutionError
 
 __all__ = [
     "METRIC_NAMES",
@@ -188,14 +175,6 @@ def metrics_from_columns(columns: dict) -> list[TrialMetrics]:
     return [tuple(float(column[i]) for column in series) for i in range(lengths.pop())]
 
 
-def _run_supervised_shard(task: ShardTask) -> tuple[list[TrialMetrics], float]:
-    """Supervised worker entry: one shard per submission (retry granularity)."""
-    started = time.perf_counter()
-    runner = decode_runner(task.runner)
-    metrics = compute_trial_metrics(runner, task.states, task.params, task.seeds)
-    return metrics, time.perf_counter() - started
-
-
 def _runner_label(task: ShardTask) -> str:
     kind, payload = task.runner
     if kind == "registry":
@@ -242,10 +221,6 @@ def execute_shards(
     *,
     workers: int = 1,
     on_complete: Optional[Callable[[int, list[TrialMetrics], float], None]] = None,
-    faults=None,
-    fault_seed: SeedLike = None,
-    retry: Optional[RetryPolicy] = None,
-    on_lost: Optional[Callable[[int, Exception], None]] = None,
 ) -> list[list[TrialMetrics]]:
     """Execute shard tasks, returning their metrics in submission order.
 
@@ -258,44 +233,10 @@ def execute_shards(
     finished (their ``on_complete`` callbacks run, so their shards persist),
     then raises :class:`~repro.faults.ShardExecutionError` naming the failed
     shard's trial coordinates.
-
-    ``faults``/``retry`` opt into supervised execution through
-    :func:`repro.faults.run_supervised`: ``faults`` is a
-    :class:`~repro.faults.FaultModel` (or preset name) whose schedule over
-    the tasks descends from ``fault_seed``; ``retry`` bounds attempts with
-    simulated-clock backoff and optional per-attempt timeouts.  Retried
-    shards recompute bit-identical metrics (seeds are pure functions of
-    spawn-key coordinates).  A shard lost after max attempts raises, unless
-    ``on_lost(index, error)`` is given — then its result slot stays ``None``
-    and the caller degrades gracefully.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     results: list[Optional[list[TrialMetrics]]] = [None] * len(tasks)
-
-    if faults is not None or retry is not None:
-        model = get_fault_model(faults if faults is not None else "none")
-        schedule: Optional[FaultSchedule] = None
-        if model.active:
-            schedule = plan_fault_schedule(model, len(tasks), fault_seed)
-
-        def on_result(index: int, payload) -> None:
-            metrics, seconds = payload
-            results[index] = metrics
-            if on_complete is not None:
-                on_complete(index, metrics, seconds)
-
-        run_supervised(
-            _run_supervised_shard,
-            list(tasks),
-            workers=workers,
-            schedule=schedule,
-            retry=retry,
-            on_result=on_result,
-            on_lost=on_lost,
-            describe=lambda index: _describe_shards(tasks, [index]),
-        )
-        return results  # type: ignore[return-value]
 
     def handle(
         indices: Sequence[int], outcomes: Sequence[tuple[list[TrialMetrics], float]]

@@ -380,10 +380,10 @@ def run_trials(
     as a resumable artifact (``resume=False`` forces recomputation).
     ``chunk_size`` runs each trial in the memory-bounded chunked mode (the
     two knobs compose: shards bound a worker's *task*, chunks bound its
-    *peak memory*); the runner must be chunk-aware — see
-    :mod:`repro.sim.chunked`.  ``kernel`` selects the randomizer backend for
-    kernel-aware runners (:mod:`repro.kernels`); artifact keys record it
-    only when non-default.
+    *peak memory*); the runner must be chunk-aware — see the chunked mode
+    of :mod:`repro.core.vectorized`.  ``kernel`` selects the randomizer
+    backend for kernel-aware runners (:mod:`repro.kernels`); artifact keys
+    record it only when non-default.
     """
     name, runner = _prepare_runner(runner)
     # Captured before option-wrapping: functools.partial hides the instance

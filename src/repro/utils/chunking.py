@@ -1,8 +1,8 @@
 """Row-chunking primitives shared by the out-of-core execution path.
 
-The memory-bounded pipeline (:mod:`repro.sim.chunked`) never materializes an
-``(n, d)`` population matrix: generators yield *chunks* of users and the
-aggregators fold each chunk into O(d log d) running sums.  Two invariants make
+The memory-bounded chunked mode (:mod:`repro.core.vectorized`) never
+materializes an ``(n, d)`` population matrix: generators yield *chunks* of
+users and the seed-block fold turns them into O(d log d) running sums.  Two invariants make
 that path reproducible:
 
 * **fixed blocks** — randomness is always attached to *blocks* of

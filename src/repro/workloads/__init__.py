@@ -26,7 +26,8 @@ introduction's motivating applications (frequently-visited URLs, telemetry):
 Every generator also exposes ``sample_chunks(n, chunk_size, seed)``: an
 out-of-core stream of user chunks whose concatenation is bit-identical for
 any chunk size (fixed per-block seeding from a root ``SeedSequence``) — the
-entry point of the memory-bounded pipeline in :mod:`repro.sim.chunked`.
+entry point of the memory-bounded chunked mode of
+:func:`repro.core.vectorized.run_batch`.
 """
 
 from repro.workloads.adversarial import (

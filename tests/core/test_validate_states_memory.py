@@ -75,6 +75,16 @@ class TestDtypeAwareChecks:
         with pytest.raises(ValueError, match="disagrees with params"):
             validate_states(chunk, _PARAMS)  # default expects params.n rows
 
+    def test_slice_shape_error_names_the_slice_not_n(self):
+        """A wrong-width slice names its expected (rows, d) and params.d; the
+        slice size is never presented as ``n``."""
+        with pytest.raises(ValueError) as error:
+            validate_states(np.zeros((8, 32), dtype=np.int8), _PARAMS, rows=8)
+        message = str(error.value)
+        assert "(8, 16)" in message
+        assert "d=16" in message
+        assert "n=" not in message
+
     def test_rejects_non_2d_input(self):
         with pytest.raises(ValueError, match="2-D"):
             validate_states(np.zeros(16, dtype=np.int8), _PARAMS)

@@ -25,9 +25,8 @@ from repro.core.annulus import AnnulusLaw
 from repro.core.future_rand import FutureRandFamily
 from repro.core.params import ProtocolParams
 from repro.core.simple_randomizer import SimpleRandomizerFamily
-from repro.core.vectorized import run_batch
+from repro.core.vectorized import protocol_block_seeds, run_batch
 from repro.kernels import available_kernels, get_kernel
-from repro.sim.chunked import protocol_block_seeds, run_batch_chunked
 from repro.workloads.generators import BoundedChangePopulation
 
 KERNELS = available_kernels()
@@ -144,7 +143,7 @@ def test_fast_chunked_equals_fast_monolithic_single_block(
     monolithic = run_batch(
         states, params, np.random.default_rng(child), kernel="fast"
     )
-    chunked = run_batch_chunked(
+    chunked = run_batch(
         states,
         params,
         protocol_seed,

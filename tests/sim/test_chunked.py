@@ -1,7 +1,7 @@
-"""Unit tests for the memory-bounded chunked pipeline's plumbing.
+"""Unit tests for the memory-bounded chunked mode's plumbing.
 
-Covers the accumulator's stream-validation errors, the chunked batch engine
-(snapshots, fault injection, aggregate server ingestion), the
+Covers the seed-block fold's stream-validation errors, the chunked batch
+engine (snapshots, fault injection, aggregate server ingestion), the
 ``run_trials``/``sweep`` ``chunk_size`` knob, and
 :meth:`Server.receive_aggregate`.
 """
@@ -14,14 +14,19 @@ import numpy as np
 import pytest
 
 from repro.core.params import ProtocolParams
+from repro.core.protocol import default_family
 from repro.core.server import Server
-from repro.sim.batch_engine import BatchSimulationEngine, run_batch_engine
-from repro.sim.chunked import (
-    ChunkedTreeAccumulator,
-    run_batch_chunked,
-    run_chunked_population,
+from repro.core.vectorized import (
+    _fold_seed_blocks,
+    collect_tree_reports,
+    family_randomizer,
+    order_probabilities,
+    protocol_block_seeds,
+    run_batch,
 )
+from repro.sim.batch_engine import BatchSimulationEngine, run_batch_engine
 from repro.sim.runner import run_trials, sweep
+from repro.utils.chunking import DEFAULT_BLOCK_ROWS
 from repro.workloads.generators import BoundedChangePopulation
 
 _PARAMS = ProtocolParams(n=200, d=16, k=3, epsilon=1.0)
@@ -42,64 +47,89 @@ def states() -> np.ndarray:
     return population.sample(_PARAMS.n, np.random.default_rng(0))
 
 
-class TestAccumulatorStreamValidation:
+class _CountingFamily:
+    """The default family, counting the user rows it randomizes."""
+
+    def __init__(self, params: ProtocolParams) -> None:
+        self._family = default_family(params)
+        self.rows = 0
+
+    def __getattr__(self, name):
+        return getattr(self._family, name)
+
+    def randomize_matrix(self, partials, rng):
+        self.rows += partials.shape[0]
+        return self._family.randomize_matrix(partials, rng)
+
+
+class TestChunkedStreamValidation:
     def test_short_stream_is_an_error(self, states):
-        accumulator = ChunkedTreeAccumulator(_PARAMS, 0)
-        accumulator.add(states[:150])
         with pytest.raises(ValueError, match="150 users in total"):
-            accumulator.finalize()
+            collect_tree_reports([states[:150]], _PARAMS, 0, chunk_size=64)
 
     def test_overlong_stream_fails_fast(self, states):
-        accumulator = ChunkedTreeAccumulator(_PARAMS, 0)
-        accumulator.add(states)
+        family = _CountingFamily(_PARAMS)
         with pytest.raises(ValueError, match="more than the declared"):
-            accumulator.add(states[:1])
+            collect_tree_reports(
+                [states, states[:1]],
+                _PARAMS,
+                0,
+                family=family,
+                chunk_size=64,
+                block_rows=100,
+            )
+        # Both full blocks ran; the extra user was refused on entry, before
+        # a block holding it could be randomized.
+        assert family.rows == _PARAMS.n
 
     def test_invalid_chunk_fails_on_entry(self, states):
-        accumulator = ChunkedTreeAccumulator(_PARAMS, 0)
         bad = states[:10].copy()
         bad[0, 0] = 2
+        family = _CountingFamily(_PARAMS)
         with pytest.raises(ValueError, match="0 or 1"):
-            accumulator.add(bad)
+            collect_tree_reports(
+                [states[:64], bad], _PARAMS, 0, family=family, chunk_size=64
+            )
+        assert family.rows == 0
         over_budget = np.tile(
             np.arange(_PARAMS.d, dtype=np.int8) % 2, (4, 1)
         )
         with pytest.raises(ValueError, match="exceeding k"):
-            accumulator.add(over_budget)
+            collect_tree_reports([over_budget], _PARAMS, 0, chunk_size=64)
 
     def test_wrong_width_chunk_is_rejected(self):
-        accumulator = ChunkedTreeAccumulator(_PARAMS, 0)
-        with pytest.raises(ValueError, match="disagrees with params"):
-            accumulator.add(np.zeros((5, 8), dtype=np.int8))
-
-    def test_cannot_add_after_finalize(self, states):
-        accumulator = ChunkedTreeAccumulator(_PARAMS, 0)
-        accumulator.add(states)
-        accumulator.finalize()
-        with pytest.raises(RuntimeError, match="finalized"):
-            accumulator.add(states[:1])
-
-    def test_finalize_is_idempotent(self, states):
-        accumulator = ChunkedTreeAccumulator(_PARAMS, 0)
-        accumulator.add(states)
-        first = accumulator.finalize()
-        second = accumulator.finalize()
-        np.testing.assert_array_equal(first.true_counts, second.true_counts)
+        with pytest.raises(ValueError, match=r"disagrees with params.*\(5, 16\)"):
+            collect_tree_reports(
+                [np.zeros((5, 8), dtype=np.int8)], _PARAMS, 0, chunk_size=64
+            )
 
     def test_empty_chunks_are_harmless(self, states):
-        accumulator = ChunkedTreeAccumulator(_PARAMS, 0)
-        accumulator.add(states[:0])
-        accumulator.add(states)
-        reports = accumulator.finalize()
+        reports = collect_tree_reports(
+            [states[:0], states[:90], np.zeros((0, 8)), states[90:]],
+            _PARAMS,
+            0,
+            chunk_size=64,
+        )
+        plain = collect_tree_reports([states], _PARAMS, 0, chunk_size=64)
         assert int(reports.group_sizes.sum()) == _PARAMS.n
+        np.testing.assert_array_equal(reports.orders, plain.orders)
 
     def test_rejects_bad_drop_rate(self):
         with pytest.raises(ValueError, match="report_drop_rate"):
-            ChunkedTreeAccumulator(_PARAMS, 0, report_drop_rate=1.0)
+            BatchSimulationEngine(_PARAMS, chunk_size=64, report_drop_rate=1.0)
 
     def test_rejects_bad_chunk_size(self, states):
         with pytest.raises(ValueError, match="chunk_size"):
-            run_batch_chunked(states, _PARAMS, 0, chunk_size=0)
+            run_batch(states, _PARAMS, 0, chunk_size=0)
+
+    def test_block_rows_requires_chunk_size(self, states):
+        with pytest.raises(ValueError, match="pass chunk_size"):
+            run_batch(states, _PARAMS, 0, block_rows=64)
+
+    def test_chunk_iterable_requires_chunk_size(self, states):
+        chunks = (states[start : start + 50] for start in range(0, _PARAMS.n, 50))
+        with pytest.raises(ValueError, match="iterable of chunks, which needs chunk_size"):
+            run_batch(chunks, _PARAMS, 0)
 
 
 class TestChunkedEngine:
@@ -174,14 +204,23 @@ class TestChunkedEngine:
     def test_chunk_size_invariance_under_drops_is_pinned(self, states):
         """Four 64-row seed blocks with drops: every chunk size folds the
         same delivered node sums and counts, and those are pinned exactly."""
+        randomize = family_randomizer(default_family(_PARAMS))
+        probabilities = order_probabilities(_PARAMS.d)
         for chunk_size in (1, 17, 64, 999):
-            accumulator = ChunkedTreeAccumulator(
-                _PARAMS, 3, block_rows=64, report_drop_rate=0.3
+            chunks = [
+                states[start : start + chunk_size]
+                for start in range(0, _PARAMS.n, chunk_size)
+            ]
+            node_sums, node_counts, _, _ = _fold_seed_blocks(
+                chunks,
+                _PARAMS,
+                3,
+                randomize,
+                probabilities,
+                block_rows=64,
+                drop_rate=0.3,
             )
-            for start in range(0, _PARAMS.n, chunk_size):
-                accumulator.add(states[start : start + chunk_size])
-            accumulator.finalize()
-            assert _digest(*accumulator.node_sums, *accumulator.node_counts) == (
+            assert _digest(*node_sums, *node_counts) == (
                 "4e12bd996fb817c3a7b17d98f5afacc08404d2578bdc82c90ac88e08f81ca185"
             ), chunk_size
 
@@ -282,43 +321,51 @@ class TestReceiveAggregate:
         assert server.reports_received == 0
 
 
-class TestRunChunkedPopulation:
+def _run_population(population, params, seed, chunk_size, block_rows=DEFAULT_BLOCK_ROWS):
+    """Generate, randomize and aggregate in chunks from one root seed: one
+    spawn child seeds the workload stream, the other the protocol."""
+    workload_seed, protocol_seed = np.random.SeedSequence(seed).spawn(2)
+    chunks = population.sample_chunks(
+        params.n, chunk_size, workload_seed, block_rows=block_rows
+    )
+    return run_batch(
+        chunks, params, protocol_seed, chunk_size=chunk_size, block_rows=block_rows
+    )
+
+
+class TestChunkedPopulationRun:
     def test_end_to_end_reproducible(self):
         population = BoundedChangePopulation(16, 3)
         params = ProtocolParams(n=300, d=16, k=3, epsilon=1.0)
-        first = run_chunked_population(population, params, 9, chunk_size=64)
-        second = run_chunked_population(population, params, 9, chunk_size=64)
+        first = _run_population(population, params, 9, chunk_size=64)
+        second = _run_population(population, params, 9, chunk_size=64)
         np.testing.assert_array_equal(first.estimates, second.estimates)
         np.testing.assert_array_equal(first.true_counts, second.true_counts)
 
     def test_chunk_size_does_not_change_the_run(self):
         population = BoundedChangePopulation(16, 2, start_prob=0.3)
         params = ProtocolParams(n=150, d=16, k=2, epsilon=1.0)
-        reference = run_chunked_population(
+        reference = _run_population(
             population, params, 4, chunk_size=150, block_rows=40
         )
-        varied = run_chunked_population(
-            population, params, 4, chunk_size=7, block_rows=40
-        )
+        varied = _run_population(population, params, 4, chunk_size=7, block_rows=40)
         np.testing.assert_array_equal(reference.estimates, varied.estimates)
 
     def test_rejects_bad_chunk_size(self):
         population = BoundedChangePopulation(16, 2)
         params = ProtocolParams(n=10, d=16, k=2, epsilon=1.0)
         with pytest.raises(ValueError, match="chunk_size"):
-            run_chunked_population(population, params, 0, chunk_size=0)
+            _run_population(population, params, 0, chunk_size=0)
 
 
 class TestSeedContractRobustness:
     """Review regressions: seeding must not depend on an object's history."""
 
     def test_protocol_block_seeds_ignore_prior_spawns(self, states):
-        from repro.sim.chunked import collect_tree_reports_chunked, protocol_block_seeds
-
         node = np.random.SeedSequence(21)
         node.spawn(3)  # a caller that already used this node elsewhere
-        used = collect_tree_reports_chunked(states, _PARAMS, node, chunk_size=64)
-        fresh = collect_tree_reports_chunked(
+        used = collect_tree_reports(states, _PARAMS, node, chunk_size=64)
+        fresh = collect_tree_reports(
             states, _PARAMS, np.random.SeedSequence(21), chunk_size=64
         )
         np.testing.assert_array_equal(used.orders, fresh.orders)

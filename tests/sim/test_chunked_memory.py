@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.params import ProtocolParams
-from repro.sim.chunked import run_chunked_population
+from repro.core.vectorized import run_batch
 from repro.workloads.generators import BoundedChangePopulation
 
 _D = 512
@@ -37,8 +37,10 @@ def _peak_of_run(n: int) -> tuple[float, np.ndarray]:
     try:
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
-        result = run_chunked_population(
-            population, params, 1234, chunk_size=_CHUNK, block_rows=_CHUNK
+        workload_seed, protocol_seed = np.random.SeedSequence(1234).spawn(2)
+        chunks = population.sample_chunks(n, _CHUNK, workload_seed, block_rows=_CHUNK)
+        result = run_batch(
+            chunks, params, protocol_seed, chunk_size=_CHUNK, block_rows=_CHUNK
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:

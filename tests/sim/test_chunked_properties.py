@@ -3,7 +3,7 @@
 The out-of-core contract (mirroring the sharded-sweep determinism contract):
 chunking changes *where* a user's reports are computed, never *what* they
 are.  With the whole population inside one seed block, the chunked
-accumulator must reproduce the monolithic driver bit for bit — node sums,
+mode must reproduce the monolithic driver bit for bit — node sums,
 orders, group sizes, true counts and prefix estimates — for *any* chunk size
 (1, primes, larger than n), any d/k, and any order-weight ablation.  With
 multiple blocks, any two chunk sizes must agree with each other.
@@ -16,12 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.params import ProtocolParams
-from repro.core.vectorized import collect_tree_reports, run_batch
-from repro.sim.chunked import (
-    collect_tree_reports_chunked,
-    protocol_block_seeds,
-    run_batch_chunked,
-)
+from repro.core.vectorized import collect_tree_reports, protocol_block_seeds, run_batch
 from repro.workloads.generators import BoundedChangePopulation
 
 
@@ -53,7 +48,7 @@ def test_chunked_equals_monolithic_run_batch(
     # monolithic driver's exact randomness, drawn from the first spawn child.
     (child,) = protocol_block_seeds(protocol_seed, n, block_rows=128)
     monolithic = run_batch(states, params, np.random.default_rng(child))
-    chunked = run_batch_chunked(
+    chunked = run_batch(
         states, params, protocol_seed, chunk_size=chunk_size, block_rows=128
     )
     np.testing.assert_array_equal(monolithic.estimates, chunked.estimates)
@@ -81,10 +76,10 @@ def test_chunk_size_is_invariant_across_blocks(
     k = min(k, d)
     params = ProtocolParams(n=n, d=d, k=k, epsilon=1.0)
     states = _workload(n, d, k, seed)
-    first = collect_tree_reports_chunked(
+    first = collect_tree_reports(
         states, params, seed, chunk_size=chunk_a, block_rows=block_rows
     )
-    second = collect_tree_reports_chunked(
+    second = collect_tree_reports(
         states, params, seed, chunk_size=chunk_b, block_rows=block_rows
     )
     for sums_a, sums_b in zip(first.node_sums, second.node_sums, strict=True):
@@ -113,7 +108,7 @@ def test_order_weight_ablation_matches_monolithic(n, seed, chunk_size):
     monolithic = collect_tree_reports(
         states, params, np.random.default_rng(child), order_weights=weights
     )
-    chunked = collect_tree_reports_chunked(
+    chunked = collect_tree_reports(
         states,
         params,
         seed,
@@ -167,13 +162,14 @@ def test_generator_stream_equals_materialized_matrix(
     materialized = np.concatenate(
         list(population.sample_chunks(n, n, seed, block_rows=block_rows))
     )
-    streamed = run_batch_chunked(
+    streamed = run_batch(
         population.sample_chunks(n, chunk_size, seed, block_rows=block_rows),
         params,
         seed + 1,
+        chunk_size=chunk_size,
         block_rows=block_rows,
     )
-    direct = run_batch_chunked(
+    direct = run_batch(
         materialized, params, seed + 1, chunk_size=chunk_size, block_rows=block_rows
     )
     np.testing.assert_array_equal(streamed.estimates, direct.estimates)

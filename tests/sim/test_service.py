@@ -303,3 +303,15 @@ class TestRunnerFailFast:
                 seed=0,
                 chunk_size=64,
             )
+
+    def test_wrong_width_population_names_the_block_shape(self):
+        """Per-block validation reports the block's expected shape and
+        ``params.d``, not the block size as ``n``."""
+        params = ProtocolParams(n=20_000, d=16, k=2, epsilon=1.0)
+        with pytest.raises(ValueError) as error:
+            run_service(BoundedChangePopulation(32, 2), params, 0)
+        message = str(error.value)
+        assert "states shape (8192, 32)" in message
+        assert "(8192, 16)" in message
+        assert "d=16" in message
+        assert "n=8192" not in message
