@@ -18,6 +18,7 @@ ISSUE/README terms:
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 
 import numpy as np
@@ -59,6 +60,33 @@ def _serve(seed=7, **kwargs):
 @functools.lru_cache(maxsize=8)
 def _baseline(seed=7):
     return _serve(seed=seed)
+
+
+#: The soak point the chaos matrix runs at: ~10 supervised blocks of
+#: 2048 users under the ``soak`` traffic preset.
+SOAK_PARAMS = ProtocolParams(n=20_000, d=256, k=4, epsilon=1.0)
+SOAK_BLOCK_ROWS = 2048
+#: sha256 of the fault-free serial estimates (``<f8`` bytes) at the soak
+#: point; every worker count and fault preset must reproduce them.
+SOAK_BASELINE_SHA256 = (
+    "418a16dd1cae0d9055a9cbdcbf2d845c134e810d76d07cfd0cf8603b65bfc713"
+)
+
+
+def _soak(params, block_rows, **kwargs):
+    return run_service(
+        BoundedChangePopulation(params.d, params.k, exact_k=True),
+        params,
+        np.random.SeedSequence(entropy=0, spawn_key=(0, 0)),
+        traffic="soak",
+        block_rows=block_rows,
+        **kwargs,
+    )
+
+
+@functools.lru_cache(maxsize=4)
+def _soak_baseline(params, block_rows):
+    return _soak(params, block_rows)
 
 
 def _assert_bit_identical(result, reference) -> None:
@@ -105,6 +133,14 @@ class TestChaosBitIdentity:
         _assert_bit_identical(
             _serve(seed=seed, faults=ALWAYS_FAULT), _baseline(seed)
         )
+
+
+class TestSoakBaselinePin:
+    def test_fault_free_serial_estimates_are_pinned(self):
+        result = _soak_baseline(SOAK_PARAMS, SOAK_BLOCK_ROWS)
+        estimates = np.ascontiguousarray(result.estimates, dtype="<f8")
+        digest = hashlib.sha256(estimates.tobytes()).hexdigest()
+        assert digest == SOAK_BASELINE_SHA256
 
 
 class TestGracefulDegradation:
