@@ -46,12 +46,9 @@ __all__ = [
     "format_protocol_bench_table",
     "git_sha",
     "headline_speedup",
-    "format_service_bench_table",
     "protocol_bench_grid",
     "run_kernel_bench",
     "run_protocol_bench",
-    "run_service_bench",
-    "service_bench_grid",
     "sparse_sign_matrix",
     "write_bench_report",
 ]
@@ -385,308 +382,6 @@ def format_protocol_bench_table(payload: dict) -> str:
             f"{row['max_abs_error']:>10.1f} {row['mean_abs_error']:>10.1f} "
             f"{row['expected_report_bits']:>10.1f}"
         )
-    return "\n".join(lines)
-
-
-def service_bench_grid(scale: str = "quick") -> list[dict]:
-    """Return the ingestion-service points for ``scale``.
-
-    Every point runs the ``soak`` traffic preset (bursty arrivals, 5%
-    stragglers, 1% retransmit duplicates) through
-    :func:`repro.sim.service.run_service` at each listed worker count; the
-    ``full`` point is the acceptance soak — ``n = 10^5`` users at ``d = 256``
-    with a 1/2/4-worker bit-identity sweep.
-    """
-    if scale not in _SCALES:
-        raise ValueError(f"scale must be one of {_SCALES}, got {scale!r}")
-    if scale == "smoke":
-        return [
-            {
-                "n": 2_000, "d": 64, "k": 4, "epsilon": 1.0,
-                "traffic": "soak", "workers": [1, 2],
-            },
-            {
-                "n": 2_000, "d": 64, "k": 4, "epsilon": 1.0,
-                "traffic": "soak", "workers": [1, 2],
-                "faults": [None, "chaos"], "block_rows": 256,
-            },
-        ]
-    if scale == "quick":
-        return [
-            {
-                "n": 20_000, "d": 256, "k": 4, "epsilon": 1.0,
-                "traffic": "soak", "workers": [1, 2],
-            },
-            {
-                "n": 20_000, "d": 256, "k": 4, "epsilon": 1.0,
-                "traffic": "soak", "workers": [1, 2],
-                "faults": [None, "chaos"], "block_rows": 2_048,
-            },
-        ]
-    return [
-        {
-            "n": 100_000, "d": 256, "k": 4, "epsilon": 1.0,
-            "traffic": "soak", "workers": [1, 2, 4],
-        },
-        {
-            "n": 100_000, "d": 256, "k": 4, "epsilon": 1.0,
-            "traffic": "soak", "workers": [1, 2, 4],
-            "faults": [None, "chaos"], "block_rows": 8_192,
-        },
-    ]
-
-
-def chaos_bench_grid(scale: str = "quick") -> list[dict]:
-    """Return the chaos-matrix points for ``scale`` (``repro chaos``).
-
-    One point per scale, injecting each single-kind fault preset
-    (``crash`` / ``hang`` / ``corrupt``) plus the mixed ``chaos`` preset at
-    every listed worker count, after a fault-free baseline run.  Every
-    injected run must reproduce the baseline estimates bit for bit — the
-    recovery contract the nightly chaos lane gates on.
-    """
-    if scale not in _SCALES:
-        raise ValueError(f"scale must be one of {_SCALES}, got {scale!r}")
-    faults = [None, "crash", "hang", "corrupt", "chaos"]
-    # block_rows shards each run into ~8 supervised units, so the per-unit
-    # fault draws actually fire (one default-sized block would often dodge
-    # the whole schedule).
-    if scale == "smoke":
-        point = {"n": 2_000, "d": 64, "workers": [1, 2], "block_rows": 256}
-    elif scale == "quick":
-        point = {
-            "n": 20_000, "d": 256, "workers": [1, 2, 4], "block_rows": 2_048,
-        }
-    else:
-        point = {
-            "n": 100_000, "d": 256, "workers": [1, 2, 4], "block_rows": 8_192,
-        }
-    return [
-        {
-            **point, "k": 4, "epsilon": 1.0, "traffic": "soak",
-            "faults": faults,
-        }
-    ]
-
-
-def run_service_bench(*, scale: str = "quick", seed: int = 0) -> dict:
-    """Benchmark the asyncio ingestion service; return the ``BENCH_service.json`` payload.
-
-    One row per (grid point, worker count): wall-clock seconds of the full
-    shard/schedule/serve pipeline, sustained delivered reports/sec, the
-    realized fault rates, and the run's max absolute error against the
-    fault-adjusted conformance radius (the ``future_rand`` hierarchical
-    radius widened by the *observed* drop and duplicate rates).  Rows at the
-    same point also pin the sharding contract: every worker count must
-    reproduce the single-process estimates bit for bit, recorded per row as
-    ``bit_identical`` and payload-wide as ``all_bit_identical``.
-    """
-    grid = service_bench_grid(scale)
-    results, all_bit_identical, headline_rate = _run_service_grid(grid, seed)
-    return _service_payload(
-        "service", scale, seed, results, all_bit_identical, headline_rate
-    )
-
-
-def run_chaos_bench(*, scale: str = "quick", seed: int = 0) -> dict:
-    """Run the chaos matrix (``repro chaos``); return the report payload.
-
-    Same row shape as :func:`run_service_bench`, but every point injects
-    the crash/hang/corrupt/chaos fault presets after its fault-free
-    baseline: the ``bit_identical`` column then certifies *recovery* —
-    supervised retries reproduced the exact fault-free released stream —
-    and ``within_radius`` certifies the fault-adjusted accuracy gate.
-    """
-    grid = chaos_bench_grid(scale)
-    results, all_bit_identical, headline_rate = _run_service_grid(grid, seed)
-    return _service_payload(
-        "chaos", scale, seed, results, all_bit_identical, headline_rate
-    )
-
-
-def _run_service_grid(
-    grid: list[dict], seed: int
-) -> tuple[list[dict], bool, Optional[float]]:
-    """Run every (point, fault model, worker count) row of a service grid.
-
-    The first run of each point (fault-free, lowest worker count) is the
-    point's baseline; every other row — higher worker counts *and* runs
-    under injected faults — must reproduce its estimates bit for bit
-    (``bit_identical``).
-    """
-    from repro.analysis.conformance import (
-        fault_adjusted_radius,
-        protocol_radius,
-    )
-    from repro.core.params import ProtocolParams
-    from repro.sim.service import run_service
-    from repro.workloads.generators import BoundedChangePopulation
-
-    results: list[dict] = []
-    all_bit_identical = True
-    headline_rate: Optional[float] = None
-    for point_index, point in enumerate(grid):
-        params = ProtocolParams(
-            n=point["n"], d=point["d"], k=point["k"], epsilon=point["epsilon"]
-        )
-        population = BoundedChangePopulation(
-            point["d"], point["k"], exact_k=True
-        )
-        # One seed-tree node per point (the v2 scheme); run_service spawns
-        # its workload/protocol/traffic/fault streams beneath it, so every
-        # (workers, faults) cell at the point replays the identical run.
-        root = np.random.SeedSequence(
-            entropy=seed, spawn_key=(point_index, _STREAM_INPUT)
-        )
-        baseline: Optional[np.ndarray] = None
-        extra = (
-            {"block_rows": point["block_rows"]} if "block_rows" in point else {}
-        )
-        for faults in point.get("faults", [None]):
-            for workers in point["workers"]:
-                result = run_service(
-                    population,
-                    params,
-                    root,
-                    traffic=point["traffic"],
-                    workers=workers,
-                    faults=faults,
-                    **extra,
-                )
-                if baseline is None:
-                    baseline = result.estimates
-                    bit_identical = True
-                else:
-                    bit_identical = bool(
-                        np.array_equal(baseline, result.estimates)
-                    )
-                all_bit_identical = all_bit_identical and bit_identical
-                bound, _beta = protocol_radius(
-                    "future_rand", params, result.c_gap
-                )
-                radius = fault_adjusted_radius(
-                    bound,
-                    params,
-                    drop_rate=result.stats.effective_drop_rate,
-                    duplicate_rate=result.stats.effective_duplicate_rate,
-                )
-                max_abs_error = result.to_result().max_abs_error
-                if workers == 1 and faults is None:
-                    headline_rate = result.reports_per_second
-                report = result.fault_report or {}
-                results.append(
-                    {
-                        "traffic": point["traffic"],
-                        "faults": faults or "none",
-                        "workers": workers,
-                        "n": point["n"],
-                        "d": point["d"],
-                        "k": point["k"],
-                        "epsilon": point["epsilon"],
-                        "seconds": result.elapsed_seconds,
-                        "reports_per_second": result.reports_per_second,
-                        "delivered_reports": result.stats.delivered_reports,
-                        "dropped_reports": result.stats.dropped_reports,
-                        "duplicates_discarded": (
-                            result.stats.duplicates_discarded
-                        ),
-                        "skew_buffered": result.stats.skew_buffered,
-                        "peak_queue_depth": result.stats.peak_queue_depth,
-                        "effective_drop_rate": (
-                            result.stats.effective_drop_rate
-                        ),
-                        "effective_duplicate_rate": (
-                            result.stats.effective_duplicate_rate
-                        ),
-                        "max_abs_error": max_abs_error,
-                        "fault_adjusted_radius": radius,
-                        "within_radius": bool(max_abs_error <= radius),
-                        "bit_identical": bit_identical,
-                        "blocks": result.blocks,
-                        "degraded": result.degraded,
-                        "faults_recovered": int(
-                            report.get("crashes", 0)
-                            + report.get("hangs", 0)
-                            + report.get("timeouts", 0)
-                            + report.get("corrupt_payloads", 0)
-                        ),
-                        "retries": int(report.get("retries", 0)),
-                        "simulated_backoff_seconds": float(
-                            report.get("backoff_seconds", 0.0)
-                        ),
-                    }
-                )
-    return results, all_bit_identical, headline_rate
-
-
-def _service_payload(
-    benchmark: str,
-    scale: str,
-    seed: int,
-    results: list[dict],
-    all_bit_identical: bool,
-    headline_rate: Optional[float],
-) -> dict:
-    return {
-        "schema": BENCH_SCHEMA_VERSION,
-        "benchmark": benchmark,
-        "scale": scale,
-        "seed": seed,
-        "seed_scheme": BENCH_SEED_SCHEME,
-        "git_sha": git_sha(),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "all_bit_identical": all_bit_identical,
-        "all_within_radius": all(row["within_radius"] for row in results),
-        "headline_reports_per_second": headline_rate,
-        "results": results,
-    }
-
-
-def format_service_bench_table(payload: dict) -> str:
-    """Human-readable summary of a service-mode payload (printed by the CLI)."""
-    kind = (
-        "chaos recovery" if payload.get("benchmark") == "chaos"
-        else "ingestion service"
-    )
-    lines = [
-        f"{kind} trajectory "
-        f"(scale={payload['scale']}, git={payload['git_sha'][:12]})",
-        f"{'traffic':<8} {'faults':<8} {'workers':>7} {'n':>8} {'d':>5} "
-        f"{'seconds':>8} {'reports/s':>12} {'recov':>5} {'max|err|':>10} "
-        f"{'radius':>10} {'ok':>3} {'bits':>5}",
-    ]
-    for row in payload["results"]:
-        lines.append(
-            f"{row['traffic']:<8} {row.get('faults', 'none'):<8} "
-            f"{row['workers']:>7} {row['n']:>8,} "
-            f"{row['d']:>5} {row['seconds']:>8.3f} "
-            f"{row['reports_per_second']:>12,.0f} "
-            f"{row.get('faults_recovered', 0):>5} "
-            f"{row['max_abs_error']:>10.1f} "
-            f"{row['fault_adjusted_radius']:>10.1f} "
-            f"{'yes' if row['within_radius'] else 'NO':>3} "
-            f"{'same' if row['bit_identical'] else 'DIFF':>5}"
-        )
-    headline = payload.get("headline_reports_per_second")
-    if headline is not None:
-        lines.append(
-            f"headline sustained ingest (workers=1): {headline:,.0f} reports/s"
-        )
-    contract = (
-        "recovery contract: "
-        if payload.get("benchmark") == "chaos"
-        else "sharding contract: "
-    )
-    lines.append(
-        contract
-        + (
-            "bit-identical at every worker count and fault model"
-            if payload.get("all_bit_identical")
-            else "BIT-IDENTITY VIOLATION"
-        )
-    )
     return "\n".join(lines)
 
 

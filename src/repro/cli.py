@@ -14,10 +14,8 @@ Usage::
         --values 2 8 32 --workers 4 --out results/ --resume
     repro sweep ... --kernel fast   # high-throughput randomizer backend
     repro bench --scale quick       # emit BENCH_kernels.json (perf trajectory)
-    repro bench --mode service      # emit BENCH_service.json (ingest trajectory)
     repro serve-sim --scenario flash_crowd --workers 2   # asyncio ingestion
     repro serve-sim --faults chaos --journal results/journal   # fault drill
-    repro chaos --scale smoke       # chaos recovery matrix (bit-identity gate)
     repro results show results/     # inspect persisted sweep artifacts
     repro results merge merged.json results/tables/*.json
     repro fuzz --protocol future_rand --budget 48   # evolve worst-case workloads
@@ -82,6 +80,34 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {value}"
         )
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts where 0 means "off" (e.g. progress lines)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        ) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {value}"
+        )
+    return value
+
+
+def _unit_rate(text: str) -> float:
+    """argparse type for per-message traffic rates, which must lie in [0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a rate in [0, 1), got {text!r}"
+        ) from None
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {value}")
     return value
 
 
@@ -257,18 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = subparsers.add_parser(
         "bench",
-        help="benchmark kernel backends (--mode kernels), every registry "
-        "protocol (--mode protocols), or the asyncio ingestion service "
-        "(--mode service) and emit the machine-readable BENCH_*.json "
-        "perf-trajectory point",
+        help="benchmark kernel backends (--mode kernels) or every registry "
+        "protocol (--mode protocols) and emit the machine-readable "
+        "BENCH_*.json perf-trajectory point",
     )
     bench_parser.add_argument(
-        "--mode", choices=("kernels", "protocols", "service"), default="kernels",
+        "--mode", choices=("kernels", "protocols"), default="kernels",
         help="kernels: randomizer backend speedups (default); protocols: "
         "per-protocol error/wall-clock/report-bits over a shared "
-        "n/d/k/eps grid covering every PROTOCOLS entry; service: "
-        "ingestion throughput, worker bit-identity and fault-adjusted "
-        "conformance under soak traffic",
+        "n/d/k/eps grid covering every PROTOCOLS entry",
     )
     bench_parser.add_argument(
         "--scale", choices=("smoke", "quick", "full"), default="quick",
@@ -286,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument(
         "--out", default="BENCH_kernels.json",
         help="output JSON path (default: BENCH_kernels.json, retargeted to "
-        "BENCH_protocols.json / BENCH_service.json when --mode is given "
-        "without --out)",
+        "BENCH_protocols.json when --mode protocols is given without --out)",
     )
     bench_parser.add_argument("--seed", type=int, default=0)
     bench_parser.add_argument(
@@ -339,15 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
         "'uniform' fault-free delivery)",
     )
     serve_parser.add_argument(
-        "--late-rate", type=float, default=None,
+        "--late-rate", type=_unit_rate, default=None,
         help="override the model's straggler rate",
     )
     serve_parser.add_argument(
-        "--duplicate-rate", type=float, default=None,
+        "--duplicate-rate", type=_unit_rate, default=None,
         help="override the model's retransmit-duplicate rate",
     )
     serve_parser.add_argument(
-        "--drop-rate", type=float, default=None,
+        "--drop-rate", type=_unit_rate, default=None,
         help="override the model's outright-loss rate",
     )
     serve_parser.add_argument(
@@ -361,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         "deduplication seam (fault-impact studies)",
     )
     serve_parser.add_argument(
-        "--progress", type=int, default=32,
+        "--progress", type=_non_negative_int, default=32,
         help="print a live estimate line every N closed periods "
         "(0 = summary only)",
     )
@@ -385,32 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="recover an existing --journal instead of refusing to "
         "overwrite it; the resumed stream is bit-identical",
     )
-
-    chaos_parser = subparsers.add_parser(
-        "chaos",
-        help="run the chaos recovery matrix (crash/hang/corrupt/chaos fault "
-        "presets x worker counts) against the fault-free baseline; fails "
-        "on any bit-identity or fault-adjusted-radius violation and "
-        "emits the machine-readable chaos trajectory JSON",
-    )
-    chaos_parser.add_argument(
-        "--scale", choices=("smoke", "quick", "full"), default="quick",
-        help="smoke: tiny CI sanity matrix; quick: n=2e4/d=256 at workers "
-        "1/2/4 (default); full: the n=1e5 acceptance matrix",
-    )
-    chaos_parser.add_argument(
-        "--quick", action="store_const", const="quick", dest="scale",
-        help="shorthand for --scale quick",
-    )
-    chaos_parser.add_argument(
-        "--full", action="store_const", const="full", dest="scale",
-        help="shorthand for --scale full",
-    )
-    chaos_parser.add_argument(
-        "--out", default="BENCH_service.json",
-        help="output JSON path (default: BENCH_service.json)",
-    )
-    chaos_parser.add_argument("--seed", type=int, default=0)
 
     results_parser = subparsers.add_parser(
         "results", help="inspect and merge persisted result artifacts"
@@ -892,10 +888,8 @@ def _command_bench(
         HEADLINE_SPEEDUP_FLOOR,
         format_bench_table,
         format_protocol_bench_table,
-        format_service_bench_table,
         run_kernel_bench,
         run_protocol_bench,
-        run_service_bench,
         write_bench_report,
     )
     from repro.sim.parallel import default_workers
@@ -907,29 +901,6 @@ def _command_bench(
         path = write_bench_report(payload, out)
         print(format_protocol_bench_table(payload))
         print(f"(wrote {path})")
-        return 0
-
-    if mode == "service":
-        if out == "BENCH_kernels.json":  # the --out default; retarget per mode
-            out = "BENCH_service.json"
-        payload = run_service_bench(scale=scale, seed=seed)
-        path = write_bench_report(payload, out)
-        print(format_service_bench_table(payload))
-        print(f"(wrote {path})")
-        if not payload["all_bit_identical"]:
-            print(
-                "error: service estimates differ across worker counts "
-                "(sharding contract violated)",
-                file=sys.stderr,
-            )
-            return 1
-        if not payload["all_within_radius"]:
-            print(
-                "error: service error exceeded the fault-adjusted "
-                "conformance radius",
-                file=sys.stderr,
-            )
-            return 1
         return 0
 
     payload = run_kernel_bench(scale=scale, seed=seed)
@@ -1029,7 +1000,7 @@ def _command_serve_sim(args: argparse.Namespace) -> int:
         f"epsilon={params.epsilon} traffic={traffic.name} "
         f"workers={args.workers} dedup={'off' if args.no_dedup else 'on'}"
     )
-    progress = max(0, args.progress)
+    progress = args.progress
 
     def callback(snapshot) -> None:
         if progress and (
@@ -1114,34 +1085,6 @@ def _command_serve_sim(args: argparse.Namespace) -> int:
         f"conformance radius {radius:.1f}"
     )
     return 0 if max_abs_error <= radius else 1
-
-
-def _command_chaos(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        format_service_bench_table,
-        run_chaos_bench,
-        write_bench_report,
-    )
-
-    payload = run_chaos_bench(scale=args.scale, seed=args.seed)
-    path = write_bench_report(payload, args.out)
-    print(format_service_bench_table(payload))
-    print(f"(wrote {path})")
-    if not payload["all_bit_identical"]:
-        print(
-            "error: a fault-injected run diverged from the fault-free "
-            "baseline (recovery contract violated)",
-            file=sys.stderr,
-        )
-        return 1
-    if not payload["all_within_radius"]:
-        print(
-            "error: service error exceeded the fault-adjusted conformance "
-            "radius",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 def _command_fuzz(args: argparse.Namespace) -> int:
@@ -1407,8 +1350,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     if args.command == "serve-sim":
         return _command_serve_sim(args)
-    if args.command == "chaos":
-        return _command_chaos(args)
     if args.command == "fuzz":
         return _command_fuzz(args)
     if args.command == "lint":

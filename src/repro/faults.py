@@ -222,11 +222,6 @@ class FaultSchedule:
     def __len__(self) -> int:
         return len(self.rows)
 
-    @property
-    def faulted_units(self) -> tuple[int, ...]:
-        """Indices of units with at least one scheduled failure."""
-        return tuple(i for i, row in enumerate(self.rows) if row)
-
     def kind_at(self, unit: int, attempt: int) -> Optional[str]:
         """The failure kind scheduled for ``unit``'s ``attempt``, if any."""
         row = self.rows[unit]
@@ -419,11 +414,6 @@ class SupervisionReport:
     pool_respawns: int = 0
     lost_units: tuple[int, ...] = ()
     backoff_seconds: float = 0.0
-
-    @property
-    def faults_seen(self) -> int:
-        """Total failures observed (recovered or not)."""
-        return self.crashes + self.hangs + self.timeouts + self.corrupt_payloads
 
     @property
     def degraded(self) -> bool:

@@ -89,8 +89,7 @@ mid-stream with an explicit policy (``raise`` or ``clamp``) for periods
 that have not closed yet.  Block randomization shards across worker
 processes on the same seed-tree contract as everything else: any
 ``workers`` count is bit-identical to serial.  ``repro serve-sim`` is the
-CLI front end; ``repro bench --mode service`` records sustained reports/sec
-into ``BENCH_service.json``.
+CLI front end; ``perfbench/`` is the service benchmark.
 
 Fault tolerance: which knob for which failure
 ---------------------------------------------
@@ -118,9 +117,9 @@ three failure classes — pick by what you are defending against:
   released stream is bit-identical to an uninterrupted run.
 * ``faults="chaos"`` (or any :data:`repro.faults.FAULT_MODELS` preset) is
   the **drill**: deterministic, seed-derived fault injection to prove the
-  two mechanisms above actually hold.  ``repro chaos`` runs the full
-  preset-by-workers matrix and exits non-zero on any bit-identity or
-  radius violation.
+  two mechanisms above actually hold.  The test suite runs every preset
+  at worker counts 1/2/4 and requires each run to be bit-identical to the
+  fault-free one and inside the fault-adjusted radius.
 
 ``resume=`` here recovers a *service journal* mid-stream; the sweep-level
 ``resume=`` below reloads finished *result-store shards*.  Same word,

@@ -183,10 +183,6 @@ class ResultStore:
         """Filesystem location of the artifact for ``key``."""
         return self.shards_dir / f"{key.digest}.json"
 
-    def has_shard(self, key: ShardKey) -> bool:
-        """True if a (possibly corrupt) artifact file exists for ``key``."""
-        return self.shard_path(key).exists()
-
     def write_shard(
         self,
         key: ShardKey,

@@ -6,7 +6,8 @@ ISSUE/README terms:
 * **Chaos bit-identity** — a run with injected crashes/hangs/corruptions
   (recovered by supervised retries) releases byte-for-byte the estimates,
   true counts, and delivery stats of the fault-free run, at any worker
-  count.
+  count.  Under ``soak`` traffic every run must also stay inside the
+  fault-adjusted conformance radius at its observed delivery rates.
 * **Journal recovery** — a run killed at *any* point of its write-ahead
   journal and resumed with ``resume=True`` reproduces the uninterrupted
   released stream exactly, including the delivery counters.
@@ -32,6 +33,7 @@ from repro.faults import FaultModel, RetryPolicy
 from repro.sim.journal import JournalError, ServiceJournal, _record_checksum
 from repro.sim.service import run_service
 from repro.sim.store import canonical_json
+from repro.utils.chunking import DEFAULT_BLOCK_ROWS
 from repro.workloads.generators import BoundedChangePopulation
 
 PARAMS = ProtocolParams(n=2000, d=32, k=3, epsilon=1.0)
@@ -95,6 +97,31 @@ def _assert_bit_identical(result, reference) -> None:
     assert result.stats == reference.stats
 
 
+def _check_soak_runs(params, block_rows, faults, workers) -> int:
+    """Run ``faults`` at every worker count against the fault-free serial run.
+
+    Each run must be bit-identical to that baseline, not degraded, and
+    inside the fault-adjusted radius at its observed delivery rates.
+    Returns the total number of supervised retries.
+    """
+    baseline = _soak_baseline(params, block_rows)
+    retries = 0
+    for count in workers:
+        result = _soak(params, block_rows, faults=faults, workers=count)
+        _assert_bit_identical(result, baseline)
+        assert not result.degraded
+        bound, _beta = protocol_radius("future_rand", params, result.c_gap)
+        radius = fault_adjusted_radius(
+            bound,
+            params,
+            drop_rate=result.stats.effective_drop_rate,
+            duplicate_rate=result.stats.effective_duplicate_rate,
+        )
+        assert result.to_result().max_abs_error <= radius
+        retries += (result.fault_report or {}).get("retries", 0)
+    return retries
+
+
 class TestChaosBitIdentity:
     def test_full_fault_coverage_recovers_bit_identically(self):
         result = _serve(faults=ALWAYS_FAULT)
@@ -141,6 +168,35 @@ class TestSoakBaselinePin:
         estimates = np.ascontiguousarray(result.estimates, dtype="<f8")
         digest = hashlib.sha256(estimates.tobytes()).hexdigest()
         assert digest == SOAK_BASELINE_SHA256
+
+
+class TestSoakGates:
+    """Worker and fault-preset bit-identity plus the radius, under soak."""
+
+    @pytest.mark.parametrize(
+        "faults", [None, "crash", "hang", "corrupt", "chaos"]
+    )
+    def test_chaos_matrix_reproduces_the_baseline(self, faults):
+        retries = _check_soak_runs(
+            SOAK_PARAMS, SOAK_BLOCK_ROWS, faults, workers=(1, 2, 4)
+        )
+        assert (retries > 0) == (faults is not None)
+
+    @pytest.mark.parametrize(
+        "block_rows, faults",
+        [(DEFAULT_BLOCK_ROWS, None), (256, None), (256, "chaos")],
+    )
+    def test_small_grid_reproduces_the_baseline(self, block_rows, faults):
+        params = ProtocolParams(n=2_000, d=64, k=4, epsilon=1.0)
+        retries = _check_soak_runs(params, block_rows, faults, workers=(1, 2))
+        assert (retries > 0) == (faults is not None)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("faults", [None, "chaos"])
+    def test_full_point_reproduces_the_baseline(self, faults):
+        params = ProtocolParams(n=100_000, d=256, k=4, epsilon=1.0)
+        retries = _check_soak_runs(params, 8_192, faults, workers=(1, 2, 4))
+        assert (retries > 0) == (faults is not None)
 
 
 class TestGracefulDegradation:

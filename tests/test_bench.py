@@ -13,17 +13,12 @@ from repro.bench import (
     HEADLINE_POINT,
     bench_grid as _bench_grid,  # aliased: pytest.ini collects bench_* names
     bench_rng as _bench_rng,
-    chaos_bench_grid as _chaos_bench_grid,
     format_bench_table,
     format_protocol_bench_table,
-    format_service_bench_table,
     headline_speedup,
     protocol_bench_grid as _protocol_bench_grid,
-    run_chaos_bench,
     run_kernel_bench,
     run_protocol_bench,
-    run_service_bench,
-    service_bench_grid as _service_bench_grid,
     sparse_sign_matrix,
     write_bench_report,
 )
@@ -184,113 +179,20 @@ class TestProtocolBench:
         assert not (tmp_path / "BENCH_kernels.json").exists()
 
 
-class TestServiceBench:
-    def test_grid_scales(self):
-        assert _service_bench_grid("smoke")
-        full = _service_bench_grid("full")
-        assert full[0]["n"] == 100_000 and full[0]["workers"] == [1, 2, 4]
-        with pytest.raises(ValueError, match="scale"):
-            _service_bench_grid("huge")
-
-    def test_smoke_payload_pins_the_sharding_contract(self):
-        payload = run_service_bench(scale="smoke", seed=0)
-        assert payload["schema"] == BENCH_SCHEMA_VERSION
-        assert payload["benchmark"] == "service"
-        assert payload["seed_scheme"] == BENCH_SEED_SCHEME
-        assert payload["all_bit_identical"] is True
-        assert payload["all_within_radius"] is True
-        assert payload["headline_reports_per_second"] > 0
-        expected_rows = sum(
-            len(point["workers"]) * len(point.get("faults", [None]))
-            for point in _service_bench_grid("smoke")
-        )
-        assert len(payload["results"]) == expected_rows
-        for row in payload["results"]:
-            assert row["traffic"] == "soak"
-            assert row["seconds"] > 0
-            assert row["delivered_reports"] > 0
-            assert row["max_abs_error"] <= row["fault_adjusted_radius"]
-            assert row["bit_identical"] is True
-
-    def test_same_seed_reproduces_every_deterministic_field(self):
-        first = run_service_bench(scale="smoke", seed=4)
-        second = run_service_bench(scale="smoke", seed=4)
-        deterministic = (
-            "workers", "delivered_reports", "dropped_reports",
-            "duplicates_discarded", "skew_buffered", "effective_drop_rate",
-            "effective_duplicate_rate", "max_abs_error", "blocks",
-        )
-        for row_a, row_b in zip(first["results"], second["results"]):
-            for field in deterministic:
-                assert row_a[field] == row_b[field], field
-
-    def test_format_table_reports_throughput_and_contract(self):
-        payload = run_service_bench(scale="smoke", seed=2)
-        text = format_service_bench_table(payload)
-        assert "reports/s" in text
-        assert "bit-identical at every worker count" in text
-        assert "headline sustained ingest" in text
-
-    def test_cli_mode_service_emits_json(self, capsys, tmp_path):
-        out = tmp_path / "BENCH_service.json"
-        assert main(
-            ["bench", "--mode", "service", "--scale", "smoke", "--out", str(out)]
-        ) == 0
-        payload = json.loads(out.read_text())
-        assert payload["benchmark"] == "service"
-        assert "sharding contract" in capsys.readouterr().out
-
-    def test_cli_mode_service_retargets_default_out(self, monkeypatch, tmp_path):
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "--mode", "service", "--scale", "smoke"]) == 0
-        assert (tmp_path / "BENCH_service.json").exists()
-        assert not (tmp_path / "BENCH_kernels.json").exists()
-
-
-class TestChaosBench:
-    def test_grid_scales(self):
-        smoke = _chaos_bench_grid("smoke")
-        assert smoke[0]["faults"] == [None, "crash", "hang", "corrupt", "chaos"]
-        assert "block_rows" in smoke[0]
-        with pytest.raises(ValueError, match="scale"):
-            _chaos_bench_grid("huge")
-
-    def test_smoke_payload_recovers_injected_faults(self):
-        payload = run_chaos_bench(scale="smoke", seed=0)
-        assert payload["benchmark"] == "chaos"
-        assert payload["all_bit_identical"] is True
-        assert payload["all_within_radius"] is True
-        rows = payload["results"]
-        faulted = [row for row in rows if row["faults"] != "none"]
-        assert faulted, "the chaos grid must exercise fault models"
-        assert sum(row["faults_recovered"] for row in faulted) > 0
-        assert sum(row["retries"] for row in faulted) > 0
-        for row in rows:
-            assert row["bit_identical"] is True
-            assert row["degraded"] is False
-
-    def test_cli_chaos_emits_json_and_gates_the_contract(self, capsys, tmp_path):
-        out = tmp_path / "BENCH_service.json"
-        assert main(["chaos", "--scale", "smoke", "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["benchmark"] == "chaos"
-        text = capsys.readouterr().out
-        assert "chaos recovery trajectory" in text
-        assert "recovery contract" in text
-
-    def test_cli_chaos_parser_defaults(self):
-        args = build_parser().parse_args(["chaos"])
-        assert args.scale == "quick"
-        assert args.out == "BENCH_service.json"
-        assert args.seed == 0
-
-
 class TestBenchCli:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["bench"])
         assert args.scale == "quick"
         assert args.out == "BENCH_kernels.json"
         assert args.assert_speedup == "auto"
+
+    @pytest.mark.parametrize(
+        "argv", [["chaos"], ["bench", "--mode", "service"]]
+    )
+    def test_retired_service_commands_exit_2(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
     def test_bench_smoke_emits_json(self, capsys, tmp_path):
         out = tmp_path / "BENCH_kernels.json"

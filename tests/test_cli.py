@@ -383,6 +383,25 @@ class TestServeSim:
         assert main([*base, "--resume"]) == 0
         assert "resumed from the journal" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--drop-rate", "1.5"),
+            ("--drop-rate", "1"),
+            ("--late-rate", "-0.1"),
+            ("--duplicate-rate", "nan"),
+            ("--duplicate-rate", "often"),
+            ("--progress", "-3"),
+            ("--progress", "2.5"),
+        ],
+    )
+    def test_bad_flag_values_exit_2_naming_the_flag(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve-sim", "--n", "800", "--d", "16", "--k", "2",
+                  flag, value])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
     def test_unknown_fault_model_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve-sim", "--faults", "nope"])
