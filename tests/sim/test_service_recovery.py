@@ -330,6 +330,58 @@ class TestJournalRecovery:
         again = _serve(journal=journal, resume=True, snapshot_every=8)
         _assert_bit_identical(again, baseline)
 
+    @pytest.mark.parametrize("traffic", ["soak", "skewed"])
+    def test_dedup_memory_and_early_buffer_survive_a_resume(
+        self, tmp_path, traffic
+    ):
+        """Cut around every snapshot of a run with retransmits or skew.
+
+        ``uniform`` traffic leaves the dedup memory and the early-arrival
+        buffer empty, so only these presets carry them through a restore.
+        """
+
+        def serve(journal, **kwargs):
+            return run_service(
+                BoundedChangePopulation(PARAMS.d, PARAMS.k, exact_k=True),
+                PARAMS,
+                7,
+                traffic=traffic,
+                block_rows=BLOCK_ROWS,
+                journal=journal,
+                snapshot_every=8,
+                **kwargs,
+            )
+
+        reference = ServiceJournal(tmp_path / "ref")
+        baseline = serve(reference)
+        records = reference.records()
+        snapshots = [
+            position
+            for position, record in enumerate(records)
+            if record.kind == "snapshot"
+        ]
+        assert [records[p].body["t"] for p in snapshots] == [8, 16, 24]
+        early = [
+            sum(len(group) for group in records[p].body["early"].values())
+            for p in snapshots
+        ]
+        if traffic == "soak":
+            assert baseline.stats.duplicates_discarded == 7
+        else:
+            assert early == [8, 16, 13]
+        lines = _journal_lines(reference)
+        for position in snapshots:
+            for cut in (position, position + 1):
+                journal = ServiceJournal(tmp_path / f"cut-{cut}")
+                journal.root.mkdir(parents=True)
+                journal.path.write_text(
+                    "\n".join(lines[:cut]) + "\n", encoding="utf-8"
+                )
+                resumed = serve(journal, resume=True)
+                _assert_bit_identical(resumed, baseline)
+                restored = [records[p].body["t"] for p in snapshots if p < cut]
+                assert resumed.resumed_from == max(restored, default=0)
+
     def test_resume_under_chaos_is_still_bit_identical(self, tmp_path):
         journal = ServiceJournal(tmp_path / "j")
         _serve(faults=ALWAYS_FAULT, journal=journal, snapshot_every=8)
