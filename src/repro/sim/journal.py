@@ -146,18 +146,27 @@ class ServiceJournal:
         also cut it off the file, because the resumed run appends new
         records — and a record appended after leftover wreckage would turn
         the expected torn tail into mid-file corruption on the next
-        recovery.
+        recovery.  For the same reason a kept final record whose newline
+        the kill cut off is ended here, before anything is appended after
+        it on the same line.
         """
         records = self.records()
         if not self.exists():
             return records
-        lines = self.path.read_text(encoding="utf-8").splitlines()
+        text = self.path.read_text(encoding="utf-8")
+        lines = text.splitlines()
         if len(lines) > len(records):
             kept = "".join(line + "\n" for line in lines[: len(records)])
-            with self.path.open("w", encoding="utf-8") as handle:
-                handle.write(kept)
-                handle.flush()
-                os.fsync(handle.fileno())
+            mode = "w"
+        elif text and not text.endswith("\n"):
+            kept = "\n"
+            mode = "a"
+        else:
+            return records
+        with self.path.open(mode, encoding="utf-8") as handle:
+            handle.write(kept)
+            handle.flush()
+            os.fsync(handle.fileno())
         return records
 
     @staticmethod

@@ -118,3 +118,34 @@ def test_malformed_records_never_parse(journal, line):
     )
     with pytest.raises(ArtifactCorruptedError):
         journal.records()
+
+
+def test_recover_ends_a_final_record_that_lost_its_newline(journal):
+    journal.append("config", {"schema": 1})
+    journal.append("period", {"t": 1, "estimate": 2.0})
+    text = journal.path.read_text(encoding="utf-8")
+    journal.path.write_text(text[:-1], encoding="utf-8")  # kill before "\n"
+    assert [r.kind for r in journal.recover()] == ["config", "period"]
+    assert journal.path.read_text(encoding="utf-8") == text
+    journal.append("period", {"t": 2, "estimate": 3.0})
+    assert [r.body.get("t") for r in journal.records()] == [None, 1, 2]
+
+
+def test_a_cut_anywhere_in_the_last_two_records_recovers_cleanly(journal):
+    bodies = [{"schema": 1}] + [
+        {"t": t, "estimate": t / 3} for t in range(1, 4)
+    ]
+    for position, body in enumerate(bodies):
+        journal.append("config" if position == 0 else "period", body)
+    data = journal.path.read_bytes()
+    ends = [index for index, byte in enumerate(data) if byte == ord("\n")]
+    tail_start = ends[-3] + 1
+    extra = {"t": 4, "estimate": 4 / 3}
+    for cut in range(tail_start, len(data) + 1):
+        journal.path.write_bytes(data[:cut])
+        # A record survives once its last byte before the newline is in.
+        kept = sum(end <= cut for end in ends)
+        recovered = journal.recover()
+        assert [r.body for r in recovered] == bodies[:kept]
+        journal.append("period", extra)
+        assert [r.body for r in journal.records()] == [*bodies[:kept], extra]

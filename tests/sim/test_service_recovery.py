@@ -382,6 +382,24 @@ class TestJournalRecovery:
                 restored = [records[p].body["t"] for p in snapshots if p < cut]
                 assert resumed.resumed_from == max(restored, default=0)
 
+    def test_kill_before_a_newline_resumes_twice(self, tmp_path):
+        """A kill between a record and its ``\\n`` must not corrupt the
+        records the resumed run appends after it."""
+        reference = ServiceJournal(tmp_path / "ref")
+        baseline = _serve(journal=reference, snapshot_every=8)
+        lines = _journal_lines(reference)
+        journal = ServiceJournal(tmp_path / "j")
+        journal.root.mkdir(parents=True)
+        journal.path.write_text(
+            "\n".join(lines[: len(lines) // 2]), encoding="utf-8"
+        )
+        resumed = _serve(journal=journal, resume=True, snapshot_every=8)
+        _assert_bit_identical(resumed, baseline)
+        periods = [r for r in journal.records() if r.kind == "period"]
+        assert [r.body["t"] for r in periods] == list(range(1, PARAMS.d + 1))
+        again = _serve(journal=journal, resume=True, snapshot_every=8)
+        _assert_bit_identical(again, baseline)
+
     def test_resume_under_chaos_is_still_bit_identical(self, tmp_path):
         journal = ServiceJournal(tmp_path / "j")
         _serve(faults=ALWAYS_FAULT, journal=journal, snapshot_every=8)
