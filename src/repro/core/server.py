@@ -125,11 +125,6 @@ class Server:
         """Number of users that announced an order."""
         return len(self._orders)
 
-    @property
-    def seen_aggregates(self) -> frozenset:
-        """The aggregate-deduplication memory (journal snapshot seam)."""
-        return frozenset(self._seen_aggregates)
-
     def register(self, user_id: int, order: int) -> None:
         """Record a user's announced order ``h_u`` (Algorithm 2, line 1)."""
         max_order = self._d.bit_length() - 1
@@ -308,19 +303,16 @@ class Server:
         *,
         time: int,
         reports_received: int = 0,
-        seen_aggregates: Iterable[tuple] = (),
     ) -> None:
         """Restore journaled aggregate-path state onto a *fresh* server.
 
         The ingestion service's write-ahead-journal recovery seam: adopt
         the tree node sums (``flat_offsets`` layout, as produced by
-        :meth:`flat_node_values`), the online clock, the report counter,
-        and the aggregate-deduplication memory that a snapshot recorded.
-        Sources in ``seen_aggregates`` arrive as ``(source, order, index)``
-        rows whose components may be JSON lists; they are re-tupled so
-        membership checks match :meth:`receive_aggregate`'s keys exactly.
-        Node sums are *added* onto the zero tree, so a restored server is
-        bit-identical to one that folded the original aggregates.
+        :meth:`flat_node_values`), the online clock, and the report counter
+        that a snapshot recorded.  The service deduplicates at its own door,
+        so no ``source`` memory is restored here.  Node sums are *added*
+        onto the zero tree, so a restored server is bit-identical to one
+        that folded the original aggregates.
         """
         if (
             self._time
@@ -358,14 +350,6 @@ class Server:
             position += width
         self._time = int(time)
         self._reports_received = int(reports_received)
-        self._seen_aggregates = {
-            (
-                tuple(source) if isinstance(source, (list, tuple)) else source,
-                int(order),
-                int(index),
-            )
-            for source, order, index in seen_aggregates
-        }
 
     def partial_sum_estimate(self, interval: DyadicInterval) -> float:
         """Return ``S_hat(I_{h,j})`` (Algorithm 2, line 5)."""

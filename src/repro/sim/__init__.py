@@ -109,8 +109,10 @@ three failure classes — pick by what you are defending against:
   result is marked ``degraded``.
 * ``journal="results/journal"`` defends against **whole-process death**
   (kill -9, OOM, power loss).  Every released estimate is appended to a
-  checksummed write-ahead journal, with a full state snapshot every
-  ``snapshot_every`` periods.  ``resume=True`` restores the latest
+  checksummed write-ahead journal, with a state snapshot every
+  ``snapshot_every`` periods whose size is bounded by the tree and the
+  block count (node sums plus one dedup bit per node slot), never by the
+  messages folded so far.  ``resume=True`` restores the latest
   snapshot, re-verifies the journaled tail against a replay (divergence
   raises :class:`~repro.sim.journal.JournalError` — it never silently
   serves someone else's journal), and serves the remaining periods; the

@@ -15,16 +15,28 @@ Record kinds, in the order a run writes them:
 * ``period`` — one per closed period: ``{"t": t, "estimate": a_hat[t],
   ...}``.  Floats travel through ``repr`` serialization, so a journaled
   estimate round-trips bit-identically.
-* ``snapshot`` — every ``snapshot_every`` periods: the full service state
-  (tree node sums, dedup memory, early-arrival buffer, counters, released
-  prefix) from :meth:`repro.sim.service.IngestionService.snapshot_state`.
-  Recovery restores the latest snapshot and re-serves only the remaining
-  periods instead of refolding the whole stream.
+* ``snapshot`` — every ``snapshot_every`` periods: the service state from
+  :meth:`repro.sim.service.IngestionService.snapshot_state` — the closed
+  period ``t``, the tree's ``2d - 1`` node sums, the online clock and
+  report counter, the dedup memory (``seen``: base64 of the little-endian
+  packed bits, one per node slot ``block * (2d - 1) + flat_offsets(d)[order]
+  + index - 1``), the early-arrival buffer, and the delivery counters.  Its
+  size is set by the tree and the block count, not by the messages folded
+  so far.  The released prefix ``a_hat[1..t]`` is not repeated: recovery
+  takes it from the period records, restores the latest snapshot, and
+  re-serves only the remaining periods instead of refolding the whole
+  stream.
+
+Schema 2 (this layout) replaced schema 1, whose snapshots carried the
+released prefix and two per-message id lists.  The schema lives in the
+config record, so resuming a schema-1 journal is refused with
+:class:`JournalError` rather than misread.
 
 Durability model: every append is flushed and fsynced before the caller
 proceeds, so a kill can lose at most the record being written.  A torn
 *final* line (the expected wreckage of a kill mid-append) is dropped during
-recovery; a bad record anywhere earlier raises
+recovery, and a final record that lost only its newline is kept and ended;
+a bad record anywhere earlier raises
 :class:`~repro.sim.store.ArtifactCorruptedError` — that is damage, not an
 interrupted write.
 """
@@ -53,7 +65,7 @@ __all__ = [
 
 #: Bump when the record layout changes; lives in the config record so an
 #: incompatible journal is refused, never misread.
-JOURNAL_SCHEMA_VERSION = 1
+JOURNAL_SCHEMA_VERSION = 2
 
 
 class JournalError(ResultStoreError):

@@ -60,6 +60,7 @@ The service survives an imperfect machine on the same determinism budget:
 from __future__ import annotations
 
 import asyncio
+import base64
 import dataclasses
 import hashlib
 import time
@@ -83,6 +84,7 @@ from repro.core.vectorized import (
     randomize_block,
     validate_states,
 )
+from repro.dyadic.prefix_matrix import flat_node_count, flat_offsets
 from repro.faults import (
     FaultSchedule,
     RetryPolicy,
@@ -352,7 +354,10 @@ class IngestionService:
     producers feel backpressure); a consumer task routes each message:
     early arrivals are buffered until their interval closes, retransmits of
     an already-seen ``message_id`` are discarded at the door, and everything
-    admissible is folded when :meth:`close_period` fires.  Folding happens
+    admissible is folded when :meth:`close_period` fires.  The door's memory
+    is one flag per node slot (``block * (2d - 1) + flat_offsets(d)[order] +
+    index - 1``), so it grows with the tree and the block count, never with
+    the number of messages folded.  Folding happens
     in canonical message order per period, so estimates do not depend on
     task interleaving.
 
@@ -379,6 +384,8 @@ class IngestionService:
         # ingestion, and buffering (not bypassing) handles early arrivals.
         self._server = Server(d, c_gap, reject_duplicates=reject_duplicates)
         self._d = d
+        self._nodes = flat_node_count(d)
+        self._offsets = tuple(int(offset) for offset in flat_offsets(d))
         self._dedup = bool(reject_duplicates)
         self._policy = open_interval_policy
         self._queue: asyncio.Queue[AggregateMessage] = asyncio.Queue(
@@ -387,7 +394,7 @@ class IngestionService:
         self._consumer: Optional[asyncio.Task] = None
         self._current: list[AggregateMessage] = []
         self._early: dict[int, list[AggregateMessage]] = {}
-        self._seen_ids: set[tuple[int, int, int]] = set()
+        self._seen = bytearray()  # 1 at the node slot of every folded id
         self._released: list[float] = []
         self.delivered_reports = 0
         self.delivered_messages = 0
@@ -483,21 +490,37 @@ class IngestionService:
             return
         self._current.append(message)
 
+    def _slot(self, message_id: tuple[int, int, int]) -> int:
+        """The dedup-memory slot of a ``(block, order, index)`` id."""
+        block, order, index = message_id
+        if (
+            block < 0
+            or not 0 <= order < len(self._offsets)
+            or not 1 <= index <= self._d >> order
+        ):
+            raise ValueError(
+                f"message id {message_id!r} names no node of a d={self._d} "
+                "tree"
+            )
+        return block * self._nodes + self._offsets[order] + index - 1
+
     def _fold(self, message: AggregateMessage) -> None:
-        if self._dedup and message.message_id in self._seen_ids:
+        slot = self._slot(message.message_id)
+        if slot >= len(self._seen):
+            self._seen.extend(bytes(slot + 1 - len(self._seen)))
+        elif self._dedup and self._seen[slot]:
             self.duplicates_discarded += 1
             return
         if message.copy:
             # A retransmit survived to the fold: only possible with the
             # deduplication seam disabled — these reports double-count.
             self.duplicate_reports += message.count
-        self._seen_ids.add(message.message_id)
+        self._seen[slot] = 1
         delivered = self._server.receive_aggregate(
             message.order,
             message.index,
             message.total,
             message.count,
-            source=message.message_id,
         )
         self.delivered_messages += 1
         self.delivered_reports += delivered
@@ -542,25 +565,24 @@ class IngestionService:
     # -- journaling -------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """Serialize the full service state as a JSON-safe snapshot body.
+        """Serialize the service state as a JSON-safe snapshot body.
 
-        Everything a journal recovery needs to pick up mid-stream: the
-        tree's node sums, the online clock, both deduplication memories,
-        the early-arrival buffer, the released prefix, and the delivery
-        counters.  Floats travel through JSON ``repr`` serialization, so
-        the restored state is bit-identical.
+        Everything a journal recovery needs to pick up mid-stream besides
+        the released prefix (the journal's period records hold that): the
+        tree's node sums, the online clock, the deduplication memory as
+        base64 of its little-endian packed bits, the early-arrival buffer,
+        and the delivery counters.  Its size is bounded by the tree and the
+        block count, not by the messages folded so far.  Floats travel
+        through JSON ``repr`` serialization, so the restored state is
+        bit-identical.
         """
+        seen = np.packbits(np.frombuffer(self._seen, np.uint8), bitorder="little")
         return {
             "t": self.closed_period,
-            "released": list(self._released),
-            "node_values": [float(v) for v in self._server.flat_node_values()],
+            "node_values": self._server.flat_node_values().tolist(),
             "server_time": int(self._server.time),
             "reports_received": int(self._server.reports_received),
-            "seen_aggregates": [
-                [list(source), int(order), int(index)]
-                for source, order, index in sorted(self._server.seen_aggregates)
-            ],
-            "seen_ids": [list(key) for key in sorted(self._seen_ids)],
+            "seen": base64.b64encode(seen.tobytes()).decode("ascii"),
             "early": {
                 str(emitted_at): [dataclasses.asdict(m) for m in messages]
                 for emitted_at, messages in sorted(self._early.items())
@@ -573,21 +595,30 @@ class IngestionService:
             "peak_queue_depth": self.peak_queue_depth,
         }
 
-    def restore_state(self, snapshot: dict) -> None:
-        """Adopt a snapshot onto a *fresh* service (journal recovery)."""
-        if self._released or self._seen_ids or self._current or self._early:
+    def restore_state(self, snapshot: dict, released: Sequence[float]) -> None:
+        """Adopt a snapshot onto a *fresh* service (journal recovery).
+
+        ``released`` is the estimate prefix ``a_hat[1..t]`` up to the
+        snapshot's period ``t``, as the journal's period records hold it.
+        """
+        if self._released or self._seen or self._current or self._early:
             raise ValueError(
                 "restore_state requires a fresh service (nothing ingested "
                 "or released yet)"
+            )
+        if len(released) != int(snapshot["t"]):
+            raise ValueError(
+                f"snapshot at t={snapshot['t']} needs {snapshot['t']} released "
+                f"estimates, got {len(released)}"
             )
         self._server.restore_aggregate_state(
             snapshot["node_values"],
             time=int(snapshot["server_time"]),
             reports_received=int(snapshot["reports_received"]),
-            seen_aggregates=snapshot["seen_aggregates"],
         )
-        self._released = [float(value) for value in snapshot["released"]]
-        self._seen_ids = {tuple(key) for key in snapshot["seen_ids"]}
+        self._released = [float(value) for value in released]
+        packed = np.frombuffer(base64.b64decode(snapshot["seen"]), np.uint8)
+        self._seen = bytearray(np.unpackbits(packed, bitorder="little").tobytes())
         self._early = {
             int(emitted_at): [
                 AggregateMessage(
@@ -836,16 +867,22 @@ def _scan_journal(
 ) -> tuple[int, Optional[dict], list[float]]:
     """Validate journal records against this invocation's ``config``.
 
-    Returns ``(start, snapshot, expected)``: the period to resume from, the
-    snapshot body to restore (``None`` → replay from scratch), and the
-    journaled estimates for periods ``start+1..`` that the replay must
-    reproduce exactly.
+    Returns ``(start, snapshot, estimates)``: the period to resume from,
+    the snapshot body to restore (``None`` → replay from scratch), and
+    every journaled estimate — the prefix up to ``start`` is restored with
+    the snapshot, and the replay must reproduce the rest exactly.
     """
     head = records[0]
     if head.kind != "config":
         raise ArtifactCorruptedError(
             f"journal {path} does not begin with a config record; it cannot "
             "be trusted — delete it to start fresh"
+        )
+    schema = head.body.get("schema")
+    if schema != JOURNAL_SCHEMA_VERSION:
+        raise JournalError(
+            f"journal {path} has schema {schema!r} but this version reads "
+            f"schema {JOURNAL_SCHEMA_VERSION}; delete it to start fresh"
         )
     if head.body != config:
         raise JournalError(
@@ -873,7 +910,7 @@ def _scan_journal(
                 f"{record.kind!r}"
             )
     start = int(snapshot["t"]) if snapshot is not None else 0
-    return start, snapshot, estimates[start:]
+    return start, snapshot, estimates
 
 
 def run_service(
@@ -973,7 +1010,7 @@ def run_service(
             if isinstance(journal, ServiceJournal)
             else ServiceJournal(journal)
         )
-    start, snapshot, expected = 0, None, []
+    start, snapshot, journaled = 0, None, []
     if wal is not None:
         config = _journal_config(
             params,
@@ -996,7 +1033,7 @@ def run_service(
             )
         records = wal.recover() if wal.exists() else []
         if records:
-            start, snapshot, expected = _scan_journal(records, config, wal.path)
+            start, snapshot, journaled = _scan_journal(records, config, wal.path)
         else:
             wal.append("config", config)
 
@@ -1073,7 +1110,7 @@ def run_service(
             by_period.setdefault(period, []).append(period_messages)
 
     if snapshot is not None:
-        service.restore_state(snapshot)
+        service.restore_state(snapshot, journaled[:start])
         # submit_period <= fold period always, so everything the snapshot
         # has not already folded (or buffered) submits strictly after it.
         by_period = {t: groups for t, groups in by_period.items() if t > start}
@@ -1090,7 +1127,7 @@ def run_service(
             start=start,
             journal=wal,
             snapshot_every=snapshot_every,
-            expected=expected,
+            expected=journaled[start:],
         )
     )
     elapsed = time.perf_counter() - started

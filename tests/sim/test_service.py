@@ -264,6 +264,70 @@ class TestMidStreamQueries:
         assert result.blocks == 4  # n=2000 over block_rows=512
 
 
+def _message(block, order, index, *, copy=0):
+    return AggregateMessage(
+        message_id=(block, order, index),
+        order=order,
+        index=index,
+        total=2.0,
+        count=4,
+        emitted_at=index << order,
+        copy=copy,
+    )
+
+
+async def _drive(service, periods, messages):
+    """Open and close ``periods``, submitting ``messages`` in the first."""
+    try:
+        for position, t in enumerate(periods):
+            await service.open_period(t)
+            if not position:
+                for message in messages:
+                    await service.submit(message)
+            await service.close_period(t)
+    finally:
+        await service.shutdown()
+
+
+class TestSnapshotState:
+    def test_dedup_memory_survives_a_restore(self):
+        service = IngestionService(8, 0.5)
+        asyncio.run(
+            _drive(service, [1, 2], [_message(0, 0, 1), _message(3, 1, 1)])
+        )
+        body = service.snapshot_state()
+        assert "released" not in body
+        restored = IngestionService(8, 0.5)
+        restored.restore_state(body, service.released)
+        assert restored.snapshot_state() == body
+        # Retransmits of both folded ids are discarded after the restore;
+        # the same node from another block is new.
+        late = [
+            _message(0, 0, 1, copy=1),
+            _message(3, 1, 1, copy=1),
+            _message(1, 0, 1),
+        ]
+        asyncio.run(_drive(restored, [3], late))
+        assert restored.duplicates_discarded == 2
+        assert restored.delivered_messages == 3
+
+    def test_restore_needs_the_released_prefix(self):
+        service = IngestionService(8, 0.5)
+        asyncio.run(_drive(service, [1, 2], [_message(0, 0, 1)]))
+        with pytest.raises(ValueError, match="needs 2 released"):
+            IngestionService(8, 0.5).restore_state(
+                service.snapshot_state(), service.released[:1]
+            )
+
+    @pytest.mark.parametrize(
+        "message_id", [(-1, 0, 1), (0, 4, 1), (0, 1, 0), (0, 1, 5)]
+    )
+    def test_an_id_outside_the_tree_is_refused(self, message_id):
+        message = dataclasses.replace(_message(0, 0, 1), message_id=message_id)
+        with pytest.raises(ValueError, match="names no node"):
+            asyncio.run(_drive(IngestionService(8, 0.5), [1], [message]))
+
+
 class TestScenarioIntegration:
     def test_flash_crowd_is_registered(self):
         assert "flash_crowd" in SCENARIOS

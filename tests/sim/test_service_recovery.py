@@ -400,6 +400,45 @@ class TestJournalRecovery:
         again = _serve(journal=journal, resume=True, snapshot_every=8)
         _assert_bit_identical(again, baseline)
 
+    def test_snapshot_size_is_bounded_by_the_tree(self, tmp_path):
+        """A snapshot holds the tree and a bit per node slot, never a
+        per-message list, so it does not grow with the periods served."""
+        params = ProtocolParams(n=8192, d=256, k=4, epsilon=1.0)
+        journal = ServiceJournal(tmp_path / "j")
+        result = run_service(
+            BoundedChangePopulation(params.d, params.k, exact_k=True),
+            params,
+            7,
+            traffic="soak",
+            block_rows=1024,
+            journal=journal,
+            snapshot_every=8,
+        )
+        nodes = 2 * params.d - 1
+        sizes = [
+            len(line.encode())
+            for line, record in zip(
+                _journal_lines(journal), journal.records(), strict=True
+            )
+            if record.kind == "snapshot"
+        ]
+        assert len(sizes) == params.d // 8 - 1
+        assert max(sizes) <= 32 * nodes + result.blocks * nodes // 6 + 2048
+        assert sizes[-1] < 2 * sizes[0]
+
+    def test_a_schema_1_journal_is_refused(self, tmp_path):
+        journal = ServiceJournal(tmp_path / "j")
+        _serve(journal=journal, snapshot_every=8)
+        lines = _journal_lines(journal)
+        record = json.loads(lines[0])
+        assert record["kind"] == "config"
+        record["body"]["schema"] = 1
+        record["checksum"] = _record_checksum(record["kind"], record["body"])
+        lines[0] = canonical_json(record)
+        journal.path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(JournalError, match="schema 1"):
+            _serve(journal=journal, resume=True, snapshot_every=8)
+
     def test_resume_under_chaos_is_still_bit_identical(self, tmp_path):
         journal = ServiceJournal(tmp_path / "j")
         _serve(faults=ALWAYS_FAULT, journal=journal, snapshot_every=8)
