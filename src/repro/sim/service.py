@@ -878,12 +878,6 @@ def _scan_journal(
             f"journal {path} does not begin with a config record; it cannot "
             "be trusted — delete it to start fresh"
         )
-    schema = head.body.get("schema")
-    if schema != JOURNAL_SCHEMA_VERSION:
-        raise JournalError(
-            f"journal {path} has schema {schema!r} but this version reads "
-            f"schema {JOURNAL_SCHEMA_VERSION}; delete it to start fresh"
-        )
     if head.body != config:
         raise JournalError(
             f"journal {path} was written by a different run configuration; "

@@ -436,7 +436,7 @@ class TestJournalRecovery:
         record["checksum"] = _record_checksum(record["kind"], record["body"])
         lines[0] = canonical_json(record)
         journal.path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(JournalError, match="schema 1"):
+        with pytest.raises(JournalError, match="different run configuration"):
             _serve(journal=journal, resume=True, snapshot_every=8)
 
     def test_resume_under_chaos_is_still_bit_identical(self, tmp_path):
