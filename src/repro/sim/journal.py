@@ -27,10 +27,9 @@ Record kinds, in the order a run writes them:
   re-serves only the remaining periods instead of refolding the whole
   stream.
 
-Schema 2 (this layout) replaced schema 1, whose snapshots carried the
-released prefix and two per-message id lists.  The schema lives in the
-config record, so resuming a schema-1 journal is refused with
-:class:`JournalError` rather than misread.
+This is schema 2 (:data:`JOURNAL_SCHEMA_VERSION`).  The schema lives in
+the config record, so resuming a journal of another schema fails the
+config gate with :class:`JournalError` rather than being misread.
 
 Durability model: every append is flushed and fsynced before the caller
 proceeds, so a kill can lose at most the record being written.  A torn

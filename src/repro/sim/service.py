@@ -355,11 +355,10 @@ class IngestionService:
     early arrivals are buffered until their interval closes, retransmits of
     an already-seen ``message_id`` are discarded at the door, and everything
     admissible is folded when :meth:`close_period` fires.  The door's memory
-    is one flag per node slot (``block * (2d - 1) + flat_offsets(d)[order] +
-    index - 1``), so it grows with the tree and the block count, never with
-    the number of messages folded.  Folding happens
-    in canonical message order per period, so estimates do not depend on
-    task interleaving.
+    is one flag per node slot of each block, so it grows with the tree and
+    the block count, never with the number of messages folded.  Folding
+    happens in canonical message order per period, so estimates do not
+    depend on task interleaving.
 
     ``open_interval_policy`` governs mid-stream estimates for periods not
     yet closed: ``"raise"`` (default) raises :class:`OpenIntervalError`,
@@ -491,7 +490,8 @@ class IngestionService:
         self._current.append(message)
 
     def _slot(self, message_id: tuple[int, int, int]) -> int:
-        """The dedup-memory slot of a ``(block, order, index)`` id."""
+        """The dedup-memory slot of a ``(block, order, index)`` id:
+        ``block * (2d - 1) + flat_offsets(d)[order] + index - 1``."""
         block, order, index = message_id
         if (
             block < 0
