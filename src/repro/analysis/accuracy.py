@@ -28,16 +28,6 @@ class ErrorSummary:
     p95_abs: float
     final_abs: float
 
-    def as_dict(self) -> dict[str, float]:
-        """Return the summary as a plain dictionary (for tables/JSON)."""
-        return {
-            "max_abs": self.max_abs,
-            "mean_abs": self.mean_abs,
-            "rmse": self.rmse,
-            "p95_abs": self.p95_abs,
-            "final_abs": self.final_abs,
-        }
-
 
 def summarize_errors(
     estimates: np.ndarray, true_counts: np.ndarray

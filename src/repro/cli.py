@@ -1349,6 +1349,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.kernel,
         )
     if args.command == "serve-sim":
+        if args.resume and args.journal is None:
+            parser.error("serve-sim: --resume needs a --journal to resume from")
         return _command_serve_sim(args)
     if args.command == "fuzz":
         return _command_fuzz(args)

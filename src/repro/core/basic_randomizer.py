@@ -75,19 +75,3 @@ class BasicRandomizer:
         if rng.random() < self._p:
             return -zeta
         return zeta
-
-    def randomize_vector(
-        self, values: np.ndarray, rng: Optional[np.random.Generator] = None
-    ) -> np.ndarray:
-        """Apply ``R`` independently to each coordinate of a {-1,+1} array."""
-        array = np.asarray(values)
-        # Single-pass membership test: for real dtypes |x| == 1 iff x is in
-        # {-1, +1} (exact for floats too, and NaN-safe); np.isin built two
-        # comparison temporaries and scanned the array twice on this hot
-        # path.  Complex dtypes need the explicit rejection — any unit-
-        # modulus value would satisfy the abs test.
-        if array.dtype.kind == "c" or not (np.abs(array) == 1).all():
-            raise ValueError("values entries must all be -1 or +1")
-        rng = as_generator(rng)
-        flips = rng.random(array.shape) < self._p
-        return np.where(flips, -array, array).astype(np.int8)

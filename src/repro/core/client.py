@@ -80,11 +80,6 @@ class Client:
         return self._order
 
     @property
-    def report_length(self) -> int:
-        """``L = d / 2^h_u`` — total number of reports this client will send."""
-        return self._length
-
-    @property
     def c_gap(self) -> float:
         """The randomizer's exact gap, needed by the server for debiasing."""
         return self._randomizer.c_gap

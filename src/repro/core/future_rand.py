@@ -156,11 +156,6 @@ class FutureRand(SequenceRandomizer):
         view.flags.writeable = False
         return view
 
-    @property
-    def nonzeros_seen(self) -> int:
-        """How many non-zero inputs have been processed so far (``nnz``)."""
-        return self._nnz
-
     def randomize(self, value: int) -> int:
         """``M^(j)(v_j)`` — perturb the next input value (Algorithm 3, lines 12-17)."""
         if value not in (-1, 0, 1):

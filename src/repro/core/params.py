@@ -89,14 +89,6 @@ class ProtocolParams:
                 f"got {lhs:.3f} > sqrt(n) = {math.sqrt(self.n):.3f}"
             )
 
-    def satisfies_theorem_assumptions(self) -> bool:
-        """Boolean form of :meth:`check_theorem_assumptions`."""
-        try:
-            self.check_theorem_assumptions()
-        except ValueError:
-            return False
-        return True
-
     def with_updates(self, **changes: Any) -> "ProtocolParams":
         """Return a copy with the given fields replaced (re-validated)."""
         return replace(self, **changes)

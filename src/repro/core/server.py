@@ -13,15 +13,14 @@ The server is *online*: ``estimate(t)`` only uses reports whose emission time
 ``j * 2^h`` is at most the latest time advanced to.  The clock gate is
 enforced unconditionally — a report arriving before the first ``advance_to``
 is rejected like any other future report, so a driver cannot accidentally
-pre-load the tree while the clock still reads 0.  Offline ingestion (batch
-replays that fold a finished run into the tree without simulating periods)
-must opt in explicitly with ``enforce_clock=False``.
+pre-load the tree while the clock still reads 0.  The scalar path rejects a
+replayed ``(user, index)`` report; the aggregate paths leave replay
+protection to their caller (the ingestion service deduplicates at its door).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable, Optional
 
 import numpy as np
 
@@ -48,29 +47,13 @@ class Server:
     c_gap:
         The exact coordinate-preservation gap of the randomizer family the
         clients use.  Must be positive.
-    reject_duplicates:
-        Reject replayed ``(user, index)`` pairs on the scalar path and
-        replayed ``(source, order, index)`` aggregates on the batch path
-        (default).  Disable only for drivers that guarantee uniqueness
-        upstream.
-    enforce_clock:
-        Enforce the online clock gate unconditionally (default): any report
-        whose emission time exceeds the current clock is rejected, *including
-        while the clock is still at its initial 0* — a fresh server accepts
-        nothing until the first ``advance_to``.  ``False`` opts into offline
-        ingestion (replaying a finished run into the tree without a period
-        loop); estimates then reflect whatever has been folded, with no
-        online guarantee.
+
+    Any report whose emission time exceeds the current clock is rejected,
+    *including while the clock is still at its initial 0*: a fresh server
+    accepts nothing until the first ``advance_to``.
     """
 
-    def __init__(
-        self,
-        d: int,
-        c_gap: float,
-        *,
-        reject_duplicates: bool = True,
-        enforce_clock: bool = True,
-    ) -> None:
+    def __init__(self, d: int, c_gap: float) -> None:
         self._d = check_power_of_two(d, "d")
         if not c_gap > 0:
             raise ValueError(f"c_gap must be positive, got {c_gap}")
@@ -81,11 +64,8 @@ class Server:
         self._time = 0
         self._reports_received = 0
         # A malicious or buggy client replaying (user, index) pairs would
-        # bias the aggregate; the server de-duplicates by default.
-        self._reject_duplicates = bool(reject_duplicates)
-        self._enforce_clock = bool(enforce_clock)
+        # bias the aggregate; the scalar path de-duplicates them.
         self._seen: set[tuple[int, int]] = set()
-        self._seen_aggregates: set[tuple[Hashable, int, int]] = set()
 
     @property
     def horizon(self) -> int:
@@ -120,11 +100,6 @@ class Server:
         """Total number of reports ingested."""
         return self._reports_received
 
-    @property
-    def registered_users(self) -> int:
-        """Number of users that announced an order."""
-        return len(self._orders)
-
     def register(self, user_id: int, order: int) -> None:
         """Record a user's announced order ``h_u`` (Algorithm 2, line 1)."""
         max_order = self._d.bit_length() - 1
@@ -148,15 +123,14 @@ class Server:
         """Validate an ``I_{order, index}`` report slot against the horizon
         and the online clock (shared by the scalar and batch ingestion paths).
 
-        The clock gate applies unconditionally when ``enforce_clock`` is set
-        (the default) — in particular at the initial ``_time == 0``, where a
-        historical bypass silently accepted reports for *any* future period
-        before the first ``advance_to``.
+        The clock gate applies unconditionally — in particular at the initial
+        ``_time == 0``, where a historical bypass silently accepted reports
+        for *any* future period before the first ``advance_to``.
         """
         emission_time = index << order
         if emission_time > self._d:
             raise ValueError(f"report index {index} exceeds the horizon")
-        if self._enforce_clock and emission_time > self._time:
+        if emission_time > self._time:
             raise ValueError(
                 f"report for time {emission_time} arrived while the clock is at "
                 f"{self._time}; advance_to({emission_time}) first"
@@ -175,36 +149,15 @@ class Server:
         if report.bit not in (-1, 1):
             raise ValueError(f"report bit must be -1 or +1, got {report.bit}")
         self._check_emission(order, report.index)
-        if self._reject_duplicates:
-            key = (report.user_id, report.index)
-            if key in self._seen:
-                raise ValueError(
-                    f"duplicate report from user {report.user_id} for index "
-                    f"{report.index}; replayed reports would bias the aggregate"
-                )
-            self._seen.add(key)
+        key = (report.user_id, report.index)
+        if key in self._seen:
+            raise ValueError(
+                f"duplicate report from user {report.user_id} for index "
+                f"{report.index}; replayed reports would bias the aggregate"
+            )
+        self._seen.add(key)
         self._tree.add(DyadicInterval(order, report.index), float(report.bit))
         self._reports_received += 1
-
-    def receive_all(self, reports: Iterable[Report]) -> None:
-        """Ingest many reports (advancing the clock to each emission time)."""
-        for report in reports:
-            # Validate registration and order consistency *before* touching
-            # the clock: computing the emission time from a defaulted or
-            # mismatched order could advance_to a wrong time and corrupt
-            # server state before receive() raises.
-            if report.user_id not in self._orders:
-                raise KeyError(f"user {report.user_id} never registered an order")
-            order = self._orders[report.user_id]
-            if report.order != order:
-                raise ValueError(
-                    f"user {report.user_id} registered order {order} but "
-                    f"reported order {report.order}"
-                )
-            emission_time = report.index << order
-            if emission_time > self._time:
-                self.advance_to(emission_time)
-            self.receive(report)
 
     def receive_batch(self, order: int, index: int, bits: np.ndarray) -> int:
         """Ingest many ``{-1, +1}`` reports for one dyadic interval at once.
@@ -214,10 +167,8 @@ class Server:
         ``I_{order, index}``, and the whole batch is accumulated into the tree
         with a single addition.  The online clock semantics of :meth:`receive`
         apply unchanged; per-user registration/duplicate bookkeeping is the
-        caller's responsibility (the batch engine tracks orders as an array;
-        drivers that need server-side replay protection deliver through
-        :meth:`receive_aggregate` with a ``source`` id instead).  Returns the
-        number of reports ingested.
+        caller's responsibility (the batch engine tracks orders as an
+        array).  Returns the number of reports ingested.
         """
         max_order = self._d.bit_length() - 1
         if not 0 <= order <= max_order:
@@ -235,13 +186,7 @@ class Server:
         return int(array.size)
 
     def receive_aggregate(
-        self,
-        order: int,
-        index: int,
-        total: float,
-        count: int,
-        *,
-        source: Optional[Hashable] = None,
+        self, order: int, index: int, total: float, count: int
     ) -> int:
         """Ingest ``count`` pre-summed ``{-1, +1}`` reports for one interval.
 
@@ -252,13 +197,9 @@ class Server:
         ``count`` signs (``|total| <= count`` with matching parity) —
         validated in exact integer arithmetic, so non-integral totals are
         rejected rather than coerced and parity survives beyond 2^53.  The
-        online clock semantics of :meth:`receive` apply unchanged.
-
-        ``source`` is the deduplication seam for shard-aggregate retransmits:
-        when given, the ``(source, order, index)`` triple is remembered and a
-        second delivery raises (under ``reject_duplicates``), mirroring the
-        scalar path's ``(user, index)`` bookkeeping.  ``None`` (the default)
-        keeps the historical caller-managed contract.  Returns ``count``.
+        online clock semantics of :meth:`receive` apply unchanged; replay
+        protection is the caller's (the ingestion service deduplicates at its
+        own door).  Returns ``count``.
         """
         max_order = self._d.bit_length() - 1
         if not 0 <= order <= max_order:
@@ -283,15 +224,6 @@ class Server:
                 f"total={total} is not a feasible sum of {count} +-1 reports"
             )
         self._check_emission(order, index)
-        if source is not None and self._reject_duplicates:
-            key = (source, order, index)
-            if key in self._seen_aggregates:
-                raise ValueError(
-                    f"duplicate aggregate from source {source!r} for interval "
-                    f"I_({order}, {index}); replayed aggregates would bias "
-                    "the estimate"
-                )
-            self._seen_aggregates.add(key)
         if count:
             self._tree.add(DyadicInterval(order, index), float(exact_total))
             self._reports_received += count
@@ -310,17 +242,11 @@ class Server:
         the tree node sums (``flat_offsets`` layout, as produced by
         :meth:`flat_node_values`), the online clock, and the report counter
         that a snapshot recorded.  The service deduplicates at its own door,
-        so no ``source`` memory is restored here.  Node sums are *added*
+        so no replay memory is restored here.  Node sums are *added*
         onto the zero tree, so a restored server is bit-identical to one
         that folded the original aggregates.
         """
-        if (
-            self._time
-            or self._reports_received
-            or self._orders
-            or self._seen
-            or self._seen_aggregates
-        ):
+        if self._time or self._reports_received or self._orders or self._seen:
             raise ValueError(
                 "restore_aggregate_state requires a fresh server (nothing "
                 "registered, ingested, or advanced yet)"
@@ -350,10 +276,6 @@ class Server:
             position += width
         self._time = int(time)
         self._reports_received = int(reports_received)
-
-    def partial_sum_estimate(self, interval: DyadicInterval) -> float:
-        """Return ``S_hat(I_{h,j})`` (Algorithm 2, line 5)."""
-        return self._scale * self._tree[interval]
 
     def estimate(self, t: int) -> float:
         """Return ``a_hat[t]`` (Algorithm 2, line 6) from reports seen so far."""

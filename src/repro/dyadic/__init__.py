@@ -7,8 +7,7 @@ This subpackage implements Definitions 3.1–3.4 and Fact 3.8 of the paper:
   (and of general intervals ``[l..r]``).
 * :mod:`repro.dyadic.derivative` — the discrete data derivative ``X_u`` of a
   Boolean value sequence ``st_u`` and its inverse.
-* :mod:`repro.dyadic.partial_sums` — per-user partial sums ``S_u(I_{h,j})``
-  and their population aggregates.
+* :mod:`repro.dyadic.partial_sums` — per-user partial sums ``S_u(I_{h,j})``.
 * :mod:`repro.dyadic.tree` — a dyadic interval tree for hierarchical
   aggregation and range reconstruction.
 * :mod:`repro.dyadic.prefix_matrix` — precomputed prefix-decomposition
@@ -20,7 +19,6 @@ from repro.dyadic.derivative import (
     change_count,
     derivative,
     integrate,
-    random_change_times,
 )
 from repro.dyadic.intervals import (
     DyadicInterval,
@@ -41,7 +39,6 @@ from repro.dyadic.partial_sums import (
     all_partial_sums,
     partial_sum,
     partial_sums_of_order,
-    population_partial_sums,
 )
 from repro.dyadic.tree import DyadicTree
 
@@ -55,11 +52,9 @@ __all__ = [
     "derivative",
     "integrate",
     "change_count",
-    "random_change_times",
     "partial_sum",
     "partial_sums_of_order",
     "all_partial_sums",
-    "population_partial_sums",
     "DyadicTree",
     "flat_node_count",
     "flat_offsets",

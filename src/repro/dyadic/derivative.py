@@ -11,14 +11,11 @@ value at (1-based) time ``t``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.utils.rng import as_generator
-from repro.utils.validation import ensure_positive
-
-__all__ = ["derivative", "integrate", "change_count", "random_change_times"]
+__all__ = ["derivative", "integrate", "change_count"]
 
 
 def derivative(states: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -78,27 +75,3 @@ def change_count(states: Sequence[int] | np.ndarray) -> np.ndarray | int:
     if np.ndim(counts) == 0:
         return int(counts)
     return counts
-
-
-def random_change_times(
-    d: int,
-    k: int,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    exact: bool = True,
-) -> np.ndarray:
-    """Sample time periods (1-based) at which a user's value flips.
-
-    With ``exact=True`` exactly ``k`` distinct change times are drawn uniformly
-    without replacement from ``[1..d]``; otherwise a uniform count in
-    ``[0..k]`` is drawn first.  Used by the workload generators.
-    """
-    d = ensure_positive(d, "d")
-    k = int(k)
-    if not 0 <= k <= d:
-        raise ValueError(f"k must be in [0, d={d}], got {k}")
-    rng = as_generator(rng)
-    count = k if exact else int(rng.integers(0, k + 1))
-    times = rng.choice(d, size=count, replace=False) + 1
-    times.sort()
-    return times

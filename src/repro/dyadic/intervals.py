@@ -23,7 +23,6 @@ __all__ = [
     "interval_set",
     "decompose_prefix",
     "decompose_range",
-    "covering_interval",
 ]
 
 
@@ -186,16 +185,3 @@ def decompose_range(left: int, right: int) -> list[DyadicInterval]:
         result.append(DyadicInterval(order, (cursor - 1) // width + 1))
         cursor += width
     return result
-
-
-def covering_interval(t: int, d: int) -> list[DyadicInterval]:
-    """Return the chain of dyadic intervals containing time ``t`` within ``[1..d]``.
-
-    Ordered from order 0 (the singleton ``{t}``) up to order ``log2 d`` (the
-    whole horizon).  This is the right-hand-side "path" view of Figure 1.
-    """
-    d = check_power_of_two(d, "d")
-    t = ensure_positive(t, "t")
-    if t > d:
-        raise ValueError(f"t must be at most d={d}, got {t}")
-    return [DyadicInterval.containing(t, order) for order in range(d.bit_length())]

@@ -14,15 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.dyadic.intervals import DyadicInterval, decompose_prefix
+from repro.dyadic.intervals import DyadicInterval
 from repro.utils.validation import check_power_of_two, ensure_int
 
 __all__ = [
     "partial_sum",
     "partial_sums_of_order",
     "all_partial_sums",
-    "population_partial_sums",
-    "reconstruct_prefix",
 ]
 
 
@@ -89,33 +87,3 @@ def all_partial_sums(states: Sequence[int] | np.ndarray) -> dict[DyadicInterval,
         for j, value in enumerate(values, start=1):
             result[DyadicInterval(order, j)] = int(value)
     return result
-
-
-def population_partial_sums(states: np.ndarray, order: int) -> np.ndarray:
-    """Return ``S(I_{h,j}) = sum_u S_u(I_{h,j})`` for all ``j``, given an (n, d) matrix.
-
-    Implements Equation (4) vectorized over users and intervals.
-    """
-    array = np.asarray(states)
-    if array.ndim != 2:
-        raise ValueError(f"states must be a 2-D (n, d) matrix, got shape {array.shape}")
-    d = check_power_of_two(array.shape[1], "d")
-    width = 1 << order
-    if width > d:
-        raise ValueError(f"order {order} exceeds log2(d)={d.bit_length() - 1}")
-    boundary = array[:, width - 1 :: width].astype(np.int64)
-    previous = np.zeros_like(boundary)
-    previous[:, 1:] = boundary[:, :-1]
-    return (boundary - previous).sum(axis=0)
-
-
-def reconstruct_prefix(
-    sums: dict[DyadicInterval, float], t: int
-) -> float:
-    """Return ``sum_{I in C(t)} sums[I]`` — Observation 3.9's reconstruction.
-
-    Works with exact integer partial sums or with noisy estimates; missing
-    intervals raise ``KeyError`` because silently treating them as zero would
-    bias the estimate.
-    """
-    return sum(sums[interval] for interval in decompose_prefix(t))

@@ -12,7 +12,7 @@ float estimates and per-node report counts all reuse the same container.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from repro.dyadic.intervals import (
     decompose_prefix,
     decompose_range,
 )
-from repro.dyadic.prefix_matrix import reconstruct_all_prefixes
 from repro.utils.validation import check_power_of_two
 
 __all__ = ["DyadicTree"]
@@ -125,42 +124,8 @@ class DyadicTree:
         """
         return np.concatenate(self._levels)
 
-    def all_prefix_sums(self) -> np.ndarray:
-        """Return ``[prefix_sum(1), ..., prefix_sum(d)]`` in one vectorized pass.
-
-        Uses the precomputed prefix-decomposition index arrays rather than
-        walking ``decompose_prefix`` per prefix in Python.
-        """
-        return reconstruct_all_prefixes(self.flat_values(), self._d)
-
-    def fill_from(
-        self, source: Callable[[DyadicInterval], float], *, orders: Optional[list[int]] = None
-    ) -> None:
-        """Populate every node (or the given orders) from a callable."""
-        targets = orders if orders is not None else range(self._orders)
-        for order in targets:
-            for index in range(1, (self._d >> order) + 1):
-                interval = DyadicInterval(order, index)
-                self[interval] = source(interval)
-
     def intervals(self) -> Iterator[DyadicInterval]:
         """Yield every interval slot, by increasing order then index."""
         for order in range(self._orders):
             for index in range(1, (self._d >> order) + 1):
                 yield DyadicInterval(order, index)
-
-    def consistency_residual(self) -> float:
-        """Return the maximum |parent - (left child + right child)| over the tree.
-
-        For exact partial sums this is zero; for noisy estimates it measures
-        internal inconsistency, which post-processing could reduce (a known
-        refinement for hierarchical mechanisms — see
-        :mod:`repro.postprocess.consistency`).
-        """
-        worst = 0.0
-        for order in range(1, self._orders):
-            parents = self._levels[order]
-            children = self._levels[order - 1]
-            combined = children[0::2] + children[1::2]
-            worst = max(worst, float(np.abs(parents - combined).max(initial=0.0)))
-        return worst

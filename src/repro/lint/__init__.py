@@ -45,10 +45,8 @@ REP108    frozen-reference      ``kernels/reference.py`` is the bit-identity
                                 contract (PR 5); it never imports from the
                                 optimized ``fast``/``alias`` backends
 REP109    clockless-ingest      online drivers open the clock
-                                (``advance_to(t)``) before folding period t;
-                                offline tree-builders opt out explicitly with
-                                ``enforce_clock=False`` (PR 9 clock
-                                enforcement)
+                                (``advance_to(t)``) before folding period t
+                                (PR 9 clock enforcement)
 REP110    wallclock-backoff     retry/backoff loops run on the simulated
                                 clock (``repro.faults.SimulatedClock``), never
                                 ``time.sleep``/``time.monotonic`` — recovery
@@ -77,7 +75,6 @@ from repro.lint.rules import (
     ModuleContext,
     ProjectRule,
     Rule,
-    available_rules,
     get_rule,
     normalize_selection,
     register_rule,
@@ -91,7 +88,6 @@ __all__ = [
     "ProjectRule",
     "RULES",
     "Rule",
-    "available_rules",
     "collect_files",
     "get_rule",
     "lint_paths",

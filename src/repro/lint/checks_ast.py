@@ -530,9 +530,7 @@ class ClocklessIngestRule(AstRule):
     )
     hint = (
         "call server.advance_to(t) before delivering period t's reports "
-        "(see repro.sim.batch_engine / repro.sim.service); offline "
-        "tree-building code must opt out explicitly with "
-        "Server(..., enforce_clock=False)"
+        "(see repro.sim.batch_engine / repro.sim.service)"
     )
     #: The engine/service layers that drive a live Server; core/server.py
     #: itself (receive_batch delegates to receive internally) stays out.
@@ -544,17 +542,9 @@ class ClocklessIngestRule(AstRule):
     def check(self, node: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
         first_ingest: Optional[ast.Call] = None
         advances = False
-        opts_out = False
         for sub in ast.walk(node):
             if not isinstance(sub, ast.Call):
                 continue
-            for keyword in sub.keywords:
-                if (
-                    keyword.arg == "enforce_clock"
-                    and isinstance(keyword.value, ast.Constant)
-                    and keyword.value.value is False
-                ):
-                    opts_out = True
             chain = _dotted_name(sub.func)
             # Only attribute calls (``server.receive(...)``): a bare name is
             # some local helper, not Server ingestion.
@@ -564,7 +554,7 @@ class ClocklessIngestRule(AstRule):
                 advances = True
             elif chain[-1] in self._INGEST and first_ingest is None:
                 first_ingest = sub
-        if first_ingest is not None and not advances and not opts_out:
+        if first_ingest is not None and not advances:
             chain = _dotted_name(first_ingest.func)
             callee = ".".join(chain) if chain else "receive"
             yield self.finding(

@@ -36,7 +36,6 @@ __all__ = [
     "ProjectRule",
     "RULES",
     "Rule",
-    "available_rules",
     "get_rule",
     "normalize_selection",
     "register_rule",
@@ -204,11 +203,6 @@ def get_rule(spec: str) -> Rule:
             return candidate
     known = ", ".join(f"{rule_id} ({RULES[rule_id].slug})" for rule_id in sorted(RULES))
     raise KeyError(f"unknown rule {spec!r}; known rules: {known}")
-
-
-def available_rules() -> list[str]:
-    """Sorted ids of every registered rule."""
-    return sorted(RULES)
 
 
 def normalize_selection(

@@ -9,8 +9,8 @@ privacy.
   generalized to per-level variances).  The raw tree holds ``1 + log2 d``
   independent estimates of overlapping quantities; reconciling them reduces
   the prefix-estimate variance measurably (ablation experiment E11).
-* :mod:`repro.postprocess.smoothing` — temporal smoothing and range clipping
-  for monitoring dashboards.
+* :mod:`repro.postprocess.smoothing` — temporal smoothing for monitoring
+  dashboards.
 """
 
 from repro.postprocess.consistency import (
@@ -19,7 +19,6 @@ from repro.postprocess.consistency import (
     wls_tree_consistency,
 )
 from repro.postprocess.smoothing import (
-    clip_counts,
     exponential_smoothing,
     moving_average,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "consistent_prefix_estimates",
     "consistent_result",
     "wls_tree_consistency",
-    "clip_counts",
     "exponential_smoothing",
     "moving_average",
 ]

@@ -1,4 +1,4 @@
-"""Temporal smoothing and sanity clipping for monitoring dashboards.
+"""Temporal smoothing for monitoring dashboards.
 
 All operations are post-processing of already-private outputs (no budget
 cost).  Smoothing trades temporal resolution for variance: a width-``w``
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["moving_average", "exponential_smoothing", "clip_counts"]
+__all__ = ["moving_average", "exponential_smoothing"]
 
 
 def moving_average(estimates: np.ndarray, window: int) -> np.ndarray:
@@ -48,15 +48,3 @@ def exponential_smoothing(estimates: np.ndarray, alpha: float) -> np.ndarray:
     for index in range(1, series.size):
         result[index] = alpha * series[index] + (1.0 - alpha) * result[index - 1]
     return result
-
-
-def clip_counts(estimates: np.ndarray, n: int) -> np.ndarray:
-    """Clip estimates into the feasible range ``[0, n]``.
-
-    A count of users can never be negative or exceed the population; clipping
-    is the cheapest variance-reducing projection and never hurts.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    series = np.asarray(estimates, dtype=np.float64)
-    return np.clip(series, 0.0, float(n))

@@ -1,7 +1,7 @@
 """Simulation engines and experiment runner.
 
 * :mod:`repro.sim.results` — tabular result containers (rows, tables,
-  JSON/CSV/markdown serialization).
+  JSON/markdown serialization).
 * :mod:`repro.sim.runner` — repeated-trial execution, parameter sweeps and
   scaling-exponent extraction on top of any protocol callable.
 * :mod:`repro.sim.engine` — the *object* engine: one Python ``Client`` per
@@ -84,7 +84,7 @@ TrafficModel` (arrival bursts, stragglers, retransmit duplicates, bounded
 clock skew).  The online :class:`~repro.core.server.Server` clock stays
 strictly enforced — early (skewed) messages are buffered until their
 interval closes, never folded ahead of time — retransmits are discarded at
-the deduplication seam, and live prefix/range estimates are served
+the service's door, and live prefix/range estimates are served
 mid-stream with an explicit policy (``raise`` or ``clamp``) for periods
 that have not closed yet.  Block randomization shards across worker
 processes on the same seed-tree contract as everything else: any

@@ -3,13 +3,11 @@
 Experiments produce small tables (one row per sweep point); benchmarks print
 them in the paper-facing format and EXPERIMENTS.md embeds them.  The container
 is deliberately plain: ordered column names, list-of-dict rows, loss-free JSON
-and CSV, and a fixed-width markdown renderer for terminals.
+and a fixed-width markdown renderer for terminals.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
@@ -99,12 +97,3 @@ class ResultTable:
             rows=[dict(row) for row in payload["rows"]],
             notes=payload.get("notes", ""),
         )
-
-    def to_csv(self) -> str:
-        """CSV with the table's column order."""
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=self.columns, extrasaction="ignore")
-        writer.writeheader()
-        for row in self.rows:
-            writer.writerow(row)
-        return buffer.getvalue()

@@ -101,18 +101,6 @@ class TrialStatistics:
             mean_rmse=float(np.mean(rmses)),
         )
 
-    def as_dict(self) -> dict[str, float]:
-        """Plain-dict view for result tables."""
-        return {
-            "trials": self.trials,
-            "mean_max_abs": self.mean_max_abs,
-            "std_max_abs": self.std_max_abs,
-            "worst_max_abs": self.worst_max_abs,
-            "best_max_abs": self.best_max_abs,
-            "mean_mae": self.mean_mae,
-            "mean_rmse": self.mean_rmse,
-        }
-
 
 def _prepare_runner(runner: Optional[ProtocolLike]) -> tuple[str, Callable]:
     """Resolve any accepted runner spec to its canonical ``(name, callable)``."""

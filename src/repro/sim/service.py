@@ -379,9 +379,9 @@ class IngestionService:
                 "open_interval_policy must be 'raise' or 'clamp', got "
                 f"{open_interval_policy!r}"
             )
-        # The clock gate stays enforced: the service's whole job is online
-        # ingestion, and buffering (not bypassing) handles early arrivals.
-        self._server = Server(d, c_gap, reject_duplicates=reject_duplicates)
+        # Buffering, not bypassing the server's clock gate, handles early
+        # arrivals.
+        self._server = Server(d, c_gap)
         self._d = d
         self._nodes = flat_node_count(d)
         self._offsets = tuple(int(offset) for offset in flat_offsets(d))
@@ -959,6 +959,8 @@ def run_service(
         raise ValueError(
             f"snapshot_every must be at least 1, got {snapshot_every}"
         )
+    if resume and journal is None:
+        raise ValueError("resume=True needs a journal= to resume from")
     if isinstance(traffic, str):
         try:
             traffic = TRAFFIC_MODELS[traffic]

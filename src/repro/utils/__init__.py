@@ -8,13 +8,10 @@ these underflow double precision, so everything here works in log space.
 from repro.utils.numerics import (
     LOG_ZERO,
     log1mexp,
-    log_add,
     log_binom,
     log_binom_range_sum,
-    log_binom_row,
     log_sub,
     logsumexp,
-    logsumexp_pairs,
     stable_exp_diff,
 )
 from repro.utils.rng import RngFactory, as_generator, spawn_generators
@@ -23,7 +20,6 @@ from repro.utils.validation import (
     check_privacy_budget,
     check_probability,
     check_sign_vector,
-    check_sparse_signs,
     ensure_int,
     ensure_positive,
 )
@@ -31,13 +27,10 @@ from repro.utils.validation import (
 __all__ = [
     "LOG_ZERO",
     "log1mexp",
-    "log_add",
     "log_binom",
     "log_binom_range_sum",
-    "log_binom_row",
     "log_sub",
     "logsumexp",
-    "logsumexp_pairs",
     "stable_exp_diff",
     "RngFactory",
     "as_generator",
@@ -46,7 +39,6 @@ __all__ = [
     "check_privacy_budget",
     "check_probability",
     "check_sign_vector",
-    "check_sparse_signs",
     "ensure_int",
     "ensure_positive",
 ]

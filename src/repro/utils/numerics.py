@@ -11,18 +11,15 @@ annulus masses, ``P*_out``, ``c_gap`` — is therefore computed here in log spac
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "LOG_ZERO",
     "log_binom",
-    "log_binom_row",
     "log_binom_range_sum",
     "logsumexp",
-    "logsumexp_pairs",
     "log1mexp",
     "stable_exp_diff",
-    "log_add",
     "log_sub",
 ]
 
@@ -46,22 +43,6 @@ def log_binom(n: int, i: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
 
 
-def log_binom_row(n: int) -> list[float]:
-    """Return ``[log C(n, 0), ..., log C(n, n)]``.
-
-    Uses the multiplicative recurrence, which is both faster and slightly more
-    accurate than repeated ``lgamma`` calls when the whole row is needed.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    row = [0.0] * (n + 1)
-    value = 0.0
-    for i in range(1, n + 1):
-        value += math.log(n - i + 1) - math.log(i)
-        row[i] = value
-    return row
-
-
 def logsumexp(values: Iterable[float]) -> float:
     """Return ``log(sum(exp(v) for v in values))`` stably.
 
@@ -77,46 +58,6 @@ def logsumexp(values: Iterable[float]) -> float:
     return peak + math.log(total)
 
 
-def logsumexp_pairs(pairs: Iterable[tuple[float, float]]) -> tuple[float, float]:
-    """Signed logsumexp: ``pairs`` are ``(log|x|, sign)`` terms.
-
-    Returns ``(log|S|, sign(S))`` where ``S`` is the signed sum.  Used for
-    quantities like ``c_gap`` whose summands change sign across the annulus.
-
-    **Exact-cancellation contract.**  The positive and negative terms are each
-    reduced with :func:`logsumexp` first; whenever the two reductions agree to
-    float precision (``log_pos == log_neg``) the result is reported as an exact
-    zero, ``(LOG_ZERO, 0.0)``, even though the true signed sum may be as large
-    as a few ulps of the total mass ``sum(exp(log_abs))`` (a relative residue
-    of order ``1e-16``).  Conversely, a reported non-zero whose magnitude is
-    at the ulp level of the total mass may be pure rounding residue of the two
-    reductions.  Callers that must distinguish a true zero from
-    cancellation-at-float-precision have to track the terms themselves.
-    """
-    positives = []
-    negatives = []
-    for log_abs, sign in pairs:
-        if log_abs == LOG_ZERO or sign == 0:
-            continue
-        if sign > 0:
-            positives.append(log_abs)
-        else:
-            negatives.append(log_abs)
-    log_pos = logsumexp(positives)
-    log_neg = logsumexp(negatives)
-    if log_pos == LOG_ZERO and log_neg == LOG_ZERO:
-        return LOG_ZERO, 0.0
-    if log_neg == LOG_ZERO:
-        return log_pos, 1.0
-    if log_pos == LOG_ZERO:
-        return log_neg, -1.0
-    if log_pos == log_neg:
-        return LOG_ZERO, 0.0
-    if log_pos > log_neg:
-        return log_pos + log1mexp(log_pos - log_neg), 1.0
-    return log_neg + log1mexp(log_neg - log_pos), -1.0
-
-
 def log1mexp(delta: float) -> float:
     """Return ``log(1 - exp(-delta))`` for ``delta > 0`` stably.
 
@@ -129,15 +70,6 @@ def log1mexp(delta: float) -> float:
         return math.log(-math.expm1(-delta))
     return math.log1p(-math.exp(-delta))
 
-
-def log_add(a: float, b: float) -> float:
-    """Return ``log(exp(a) + exp(b))`` stably."""
-    if a == LOG_ZERO:
-        return b
-    if b == LOG_ZERO:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
 
 def log_sub(a: float, b: float) -> float:
     """Return ``log(exp(a) - exp(b))`` for ``a >= b`` stably."""
@@ -179,13 +111,3 @@ def stable_exp_diff(a: float, b: float) -> float:
     if a >= b:
         return math.exp(b) * math.expm1(a - b)
     return -math.exp(a) * math.expm1(b - a)
-
-
-def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Return the weighted mean of ``values``; weights need not be normalized."""
-    if len(values) != len(weights):
-        raise ValueError("values and weights must have the same length")
-    total = sum(weights)
-    if total <= 0:
-        raise ValueError("weights must have positive sum")
-    return sum(v * w for v, w in zip(values, weights, strict=True)) / total

@@ -101,14 +101,6 @@ class RngFactory:
         self._spawned += 1
         return np.random.default_rng(child)
 
-    def make_many(self, count: int) -> list[np.random.Generator]:
-        """Return ``count`` independent generators in one call."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        children = self._root.spawn(count)
-        self._spawned += count
-        return [np.random.default_rng(child) for child in children]
-
     def stream(self) -> Iterator[np.random.Generator]:
         """Yield an unbounded stream of independent generators."""
         while True:

@@ -16,7 +16,6 @@ __all__ = [
     "check_probability",
     "check_privacy_budget",
     "check_sign_vector",
-    "check_sparse_signs",
     "check_ternary_matrix",
     "ensure_int",
     "ensure_positive",
@@ -128,21 +127,4 @@ def check_sign_vector(values: Sequence[int] | np.ndarray, name: str = "b") -> np
         raise ValueError(f"{name} must be non-empty")
     if not np.isin(array, (-1, 1)).all():
         raise ValueError(f"{name} entries must all be -1 or +1")
-    return array.astype(np.int8)
-
-
-def check_sparse_signs(
-    values: Sequence[int] | np.ndarray, k: int, name: str = "v"
-) -> np.ndarray:
-    """Return ``values`` as int8 after checking entries in {-1,0,1} and k-sparsity."""
-    array = np.asarray(values)
-    if array.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {array.shape}")
-    if not np.isin(array, (-1, 0, 1)).all():
-        raise ValueError(f"{name} entries must all be in {{-1, 0, 1}}")
-    support = int(np.count_nonzero(array))
-    if support > k:
-        raise ValueError(
-            f"{name} has {support} non-zero entries, exceeding the declared bound k={k}"
-        )
     return array.astype(np.int8)

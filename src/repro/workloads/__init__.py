@@ -50,7 +50,7 @@ from repro.workloads.scenarios import (
     telemetry_fleet_scenario,
     url_tracking_scenario,
 )
-from repro.workloads.streams import iterate_periods, population_counts
+from repro.workloads.streams import iterate_periods
 from repro.workloads.traffic import TRAFFIC_MODELS, TrafficModel
 
 __all__ = [
@@ -71,5 +71,4 @@ __all__ = [
     "telemetry_fleet_scenario",
     "url_tracking_scenario",
     "iterate_periods",
-    "population_counts",
 ]

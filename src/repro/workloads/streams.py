@@ -11,7 +11,7 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["iterate_periods", "population_counts"]
+__all__ = ["iterate_periods"]
 
 
 def iterate_periods(states: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -26,11 +26,3 @@ def iterate_periods(states: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         raise ValueError(f"states must be 2-D (n, d), got shape {matrix.shape}")
     for t in range(1, matrix.shape[1] + 1):
         yield t, matrix[:, t - 1]
-
-
-def population_counts(states: np.ndarray) -> np.ndarray:
-    """Return the ground-truth count sequence ``a[t] = sum_u st_u[t]``."""
-    matrix = np.asarray(states)
-    if matrix.ndim != 2:
-        raise ValueError(f"states must be 2-D (n, d), got shape {matrix.shape}")
-    return matrix.sum(axis=0).astype(np.int64)

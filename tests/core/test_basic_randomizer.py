@@ -71,50 +71,3 @@ class TestRandomize:
         outputs = np.array([randomizer.randomize(-1, rng) for _ in range(trials)])
         empirical_gap = float((outputs == -1).mean() - (outputs == 1).mean())
         assert empirical_gap == pytest.approx(randomizer.c_gap, abs=0.02)
-
-
-class TestRandomizeVector:
-    def test_shape_preserved(self, rng):
-        randomizer = BasicRandomizer(1.0)
-        values = np.ones(100, dtype=np.int8)
-        assert randomizer.randomize_vector(values, rng).shape == (100,)
-
-    def test_output_signs_only(self, rng):
-        randomizer = BasicRandomizer(1.0)
-        values = np.array([1, -1] * 50, dtype=np.int8)
-        output = randomizer.randomize_vector(values, rng)
-        assert set(np.unique(output).tolist()) <= {-1, 1}
-
-    def test_rejects_zeros(self, rng):
-        with pytest.raises(ValueError):
-            BasicRandomizer(1.0).randomize_vector(np.array([1, 0]), rng)
-
-    def test_rejects_non_unit_floats_and_nan(self, rng):
-        with pytest.raises(ValueError):
-            BasicRandomizer(1.0).randomize_vector(np.array([1.0, 0.5]), rng)
-        with pytest.raises(ValueError):
-            BasicRandomizer(1.0).randomize_vector(np.array([1.0, np.nan]), rng)
-
-    def test_accepts_exact_unit_floats(self, rng):
-        output = BasicRandomizer(1.0).randomize_vector(np.array([1.0, -1.0]), rng)
-        assert set(np.unique(output).tolist()) <= {-1, 1}
-
-    def test_rejects_complex_unit_modulus(self, rng):
-        # |1j| == 1, so the single-pass abs check alone would admit it; the
-        # dtype guard must keep the {-1,+1} input contract exact.
-        with pytest.raises(ValueError):
-            BasicRandomizer(1.0).randomize_vector(np.array([1j, -1j]), rng)
-
-    def test_matrix_input(self, rng):
-        randomizer = BasicRandomizer(1.0)
-        values = np.ones((10, 5), dtype=np.int8)
-        assert randomizer.randomize_vector(values, rng).shape == (10, 5)
-
-    def test_statistical_flip_rate(self, rng):
-        randomizer = BasicRandomizer(1.0)
-        values = np.ones(50_000, dtype=np.int8)
-        output = randomizer.randomize_vector(values, rng)
-        flip_rate = float((output == -1).mean())
-        expected = randomizer.flip_probability
-        standard_error = math.sqrt(expected * (1 - expected) / values.size)
-        assert abs(flip_rate - expected) < 5 * standard_error

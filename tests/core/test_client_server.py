@@ -10,8 +10,9 @@ from repro.core.future_rand import FutureRandFamily
 from repro.core.params import ProtocolParams
 from repro.core.server import Server
 from repro.core.simple_randomizer import SimpleRandomizerFamily
-from repro.dyadic.intervals import DyadicInterval, decompose_prefix, decompose_range
+from repro.dyadic.intervals import decompose_prefix, decompose_range
 from repro.dyadic.partial_sums import partial_sums_of_order
+from repro.dyadic.prefix_matrix import flat_offsets
 from repro.protocols import EstimatesNotReady, get_protocol
 
 
@@ -51,7 +52,7 @@ class TestClient:
     def test_report_count_is_length(self, family, rng):
         client = Client(3, d=16, family=family, rng=rng)
         reports = client.run(np.zeros(16, dtype=np.int8))
-        assert len(reports) == client.report_length
+        assert len(reports) == 16 >> client.order
         assert all(report.user_id == 3 for report in reports)
 
     def test_rejects_bad_state(self, family, rng):
@@ -90,7 +91,9 @@ class TestServer:
         with pytest.raises(ValueError):
             server.register(0, 4)
         server.register(0, 3)
-        assert server.registered_users == 1
+        server.advance_to(8)
+        server.receive(Report(0, order=3, index=1, bit=1))
+        assert server.reports_received == 1
 
     def test_register_conflicting_order(self):
         server = Server(8, c_gap=0.5)
@@ -139,11 +142,13 @@ class TestServer:
         assert server.estimate(3) == pytest.approx(6.0)
 
     def test_partial_sum_estimate(self):
+        """``S_hat(I_{1,1})`` is the scaled node sum (Algorithm 2, line 5)."""
         server = Server(4, c_gap=0.5)
         server.register(0, 1)
         server.advance_to(2)
         server.receive(Report(0, order=1, index=1, bit=-1))
-        assert server.partial_sum_estimate(DyadicInterval(1, 1)) == pytest.approx(-6.0)
+        node = flat_offsets(4)[1]  # the slot of I_{1,1}
+        assert server.flat_node_values()[node] * server.scale == pytest.approx(-6.0)
 
     def test_estimate_range_validation(self):
         server = Server(4, c_gap=0.5)
@@ -156,52 +161,6 @@ class TestServer:
         with pytest.raises(ValueError):
             Server(4, c_gap=0.0)
 
-    def test_receive_all_advances_clock(self, family):
-        server = Server(4, c_gap=0.5)
-        server.register(0, 1)
-        reports = [Report(0, 1, 1, 1), Report(0, 1, 2, -1)]
-        server.receive_all(reports)
-        assert server.time == 4
-        assert server.reports_received == 2
-
-    def test_receive_all_unregistered_user_leaves_clock_untouched(self):
-        """Regression: the emission time of an unregistered user's report must
-        not be computed from a defaulted order — the clock advanced to a wrong
-        time before receive() raised, corrupting server state."""
-        server = Server(8, c_gap=0.5)
-        server.register(0, 2)
-        server.advance_to(4)
-        # user 7 never registered; with the old `.get(user_id, 0)` default the
-        # emission time would read 3 << 0 = 3 (no advance) or, for a larger
-        # index, advance the clock before the KeyError.
-        with pytest.raises(KeyError):
-            server.receive_all([Report(7, order=0, index=6, bit=1)])
-        assert server.time == 4
-        assert server.reports_received == 0
-
-    def test_receive_all_order_mismatch_leaves_clock_untouched(self):
-        """A registered user reporting a different order must be rejected
-        before the clock moves: the emission time computed from the
-        registered order would be wrong for the report."""
-        server = Server(8, c_gap=0.5)
-        server.register(0, 2)
-        server.advance_to(1)
-        with pytest.raises(ValueError):
-            server.receive_all([Report(0, order=0, index=2, bit=1)])
-        assert server.time == 1
-        assert server.reports_received == 0
-
-    def test_receive_all_mixed_batch_stops_before_mutation(self):
-        server = Server(8, c_gap=0.5)
-        server.register(0, 0)
-        good = Report(0, order=0, index=1, bit=1)
-        bad = Report(9, order=0, index=8, bit=1)
-        with pytest.raises(KeyError):
-            server.receive_all([good, bad])
-        # The good report landed (clock at 1); the bad one mutated nothing.
-        assert server.time == 1
-        assert server.reports_received == 1
-
     def test_receive_batch_accumulates_column_sum(self):
         server = Server(4, c_gap=0.5)
         server.advance_to(2)
@@ -209,7 +168,8 @@ class TestServer:
         assert count == 4
         assert server.reports_received == 4
         # scale = (1 + log2 4) / 0.5 = 6; column sum = 2.
-        assert server.partial_sum_estimate(DyadicInterval(1, 1)) == pytest.approx(
+        node = flat_offsets(4)[1]  # the slot of I_{1,1}
+        assert server.flat_node_values()[node] * server.scale == pytest.approx(
             6.0 * 2.0
         )
 
@@ -274,14 +234,6 @@ class TestServer:
         server.receive(Report(0, order=1, index=1, bit=1))
         with pytest.raises(ValueError):
             server.receive(Report(0, order=1, index=1, bit=-1))
-
-    def test_duplicate_rejection_can_be_disabled(self):
-        server = Server(4, c_gap=0.5, reject_duplicates=False)
-        server.register(0, 1)
-        server.advance_to(2)
-        server.receive(Report(0, order=1, index=1, bit=1))
-        server.receive(Report(0, order=1, index=1, bit=1))
-        assert server.reports_received == 2
 
     def test_distinct_indices_not_flagged_as_duplicates(self):
         server = Server(4, c_gap=0.5)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.core.annulus import AnnulusLaw
 from repro.core.client import Client
@@ -107,7 +108,8 @@ class TestEpsilonExtremes:
         """The protocol executes for eps > 1 (Lemma 5.2's analysis does not
         cover it; the library allows it but Theorem assumptions flag it)."""
         params = ProtocolParams(n=100, d=8, k=2, epsilon=2.0)
-        assert not params.satisfies_theorem_assumptions()
+        with pytest.raises(ValueError):
+            params.check_theorem_assumptions()
         states = np.zeros((100, 8), dtype=np.int8)
         result = run_batch(states, params, np.random.default_rng(0))
         assert result.estimates.shape == (8,)

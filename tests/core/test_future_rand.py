@@ -42,13 +42,6 @@ class TestOnlineBehaviour:
         with pytest.raises(RuntimeError):
             randomizer.randomize(-1)
 
-    def test_nnz_counter(self, law, rng):
-        randomizer = FutureRand(length=10, law=law, rng=rng)
-        randomizer.randomize(0)
-        randomizer.randomize(1)
-        randomizer.randomize(-1)
-        assert randomizer.nonzeros_seen == 2
-
     def test_nonzero_output_is_value_times_precomputed(self, law, rng):
         """The online trick: the i-th non-zero is answered as v * b~_i."""
         randomizer = FutureRand(length=10, law=law, rng=rng)

@@ -56,17 +56,16 @@ class TestTheoremAssumptions:
     def test_satisfied_for_large_n(self):
         params = ProtocolParams(n=10**6, d=16, k=2, epsilon=1.0)
         params.check_theorem_assumptions()
-        assert params.satisfies_theorem_assumptions()
 
     def test_violated_for_tiny_n(self):
         params = ProtocolParams(n=4, d=1024, k=8, epsilon=0.1)
-        assert not params.satisfies_theorem_assumptions()
         with pytest.raises(ValueError):
             params.check_theorem_assumptions()
 
     def test_epsilon_above_one_fails_assumptions(self):
         params = ProtocolParams(n=10**6, d=16, k=2, epsilon=1.5)
-        assert not params.satisfies_theorem_assumptions()
+        with pytest.raises(ValueError):
+            params.check_theorem_assumptions()
 
     def test_boundary_formula(self):
         params = ProtocolParams(n=10**6, d=16, k=2, epsilon=1.0)

@@ -4,8 +4,7 @@ The historical ``Server._check_emission`` read ``if self._time and
 emission_time > self._time``, so a server whose clock was never advanced
 (``_time == 0``) accepted *every* report — the exact gap a driver that
 forgets ``advance_to`` falls into.  These tests pin the fix: the clock is
-enforced unconditionally, offline tree-building opts in explicitly with
-``enforce_clock=False``, and ``receive_aggregate`` validates totals by exact
+enforced unconditionally, and ``receive_aggregate`` validates totals by exact
 integer arithmetic (byte-stable for in-range callers, loud for NaN/inf and
 parity violations).
 """
@@ -45,28 +44,11 @@ class TestUnconditionalClock:
         server.advance_to(2)
         assert server.receive(Report(0, order=1, index=1, bit=1)) is None
 
-    def test_enforce_clock_false_opts_out(self):
-        """Offline tree-building accepts any emission time without advancing."""
-        server = Server(8, c_gap=0.5, enforce_clock=False)
-        server.register(0, 1)
-        server.receive(Report(0, order=1, index=4, bit=1))  # emitted at t=8
-        assert server.time == 0
-
-    def test_enforce_clock_false_still_checks_horizon(self):
-        server = Server(8, c_gap=0.5, enforce_clock=False)
-        with pytest.raises(ValueError):
+    def test_aggregate_beyond_horizon_rejected(self):
+        server = Server(8, c_gap=0.5)
+        server.advance_to(8)
+        with pytest.raises(ValueError, match="exceeds the horizon"):
             server.receive_aggregate(0, 9, total=0, count=2)
-
-    def test_offline_and_online_agree_after_full_horizon(self):
-        """The opt-out changes admission timing, never the estimates."""
-        online = Server(4, c_gap=0.5)
-        offline = Server(4, c_gap=0.5, enforce_clock=False)
-        online.advance_to(4)
-        for index in range(1, 5):
-            online.receive_aggregate(0, index, total=3, count=5)
-            offline.receive_aggregate(0, index, total=3, count=5)
-        offline.advance_to(4)
-        assert np.array_equal(online.all_estimates(), offline.all_estimates())
 
 
 class TestReceiveAggregateValidation:
@@ -128,41 +110,17 @@ class TestReceiveAggregateValidation:
         for other in estimates[1:]:
             assert np.array_equal(other, estimates[0])
 
+    def test_aggregates_are_never_deduplicated(self):
+        """Replay protection is the caller's: a repeated aggregate folds twice."""
+        server = self._server()
+        delivered = server.receive_aggregate(0, 1, total=2, count=4)
+        delivered += server.receive_aggregate(0, 1, total=2, count=4)
+        assert delivered == 8
+        assert server.reports_received == 8
+
     def test_negative_count_rejected_and_zero_count_is_noop(self):
         server = self._server()
         with pytest.raises(ValueError, match="count"):
             server.receive_aggregate(0, 1, total=0, count=-1)
         assert server.receive_aggregate(0, 1, total=0, count=0) == 0
         assert server.reports_received == 0
-
-
-class TestAggregateSourceDedup:
-    def test_duplicate_source_rejected(self):
-        server = Server(8, c_gap=0.5)
-        server.advance_to(8)
-        server.receive_aggregate(0, 1, total=2, count=4, source=("b", 0))
-        with pytest.raises(ValueError, match="duplicate aggregate"):
-            server.receive_aggregate(0, 1, total=2, count=4, source=("b", 0))
-
-    def test_distinct_sources_and_slots_accepted(self):
-        server = Server(8, c_gap=0.5)
-        server.advance_to(8)
-        server.receive_aggregate(0, 1, total=2, count=4, source=("b", 0))
-        server.receive_aggregate(0, 1, total=2, count=4, source=("b", 1))
-        server.receive_aggregate(0, 2, total=2, count=4, source=("b", 0))
-
-    def test_sourceless_calls_never_deduplicated(self):
-        server = Server(8, c_gap=0.5)
-        server.advance_to(8)
-        delivered = server.receive_aggregate(0, 1, total=2, count=4)
-        delivered += server.receive_aggregate(0, 1, total=2, count=4)
-        assert delivered == 8
-
-    def test_reject_duplicates_false_folds_both_copies(self):
-        dedup = Server(8, c_gap=0.5)
-        folding = Server(8, c_gap=0.5, reject_duplicates=False)
-        for server in (dedup, folding):
-            server.advance_to(8)
-            server.receive_aggregate(0, 1, total=4, count=4, source=("b", 0))
-        folding.receive_aggregate(0, 1, total=4, count=4, source=("b", 0))
-        assert folding.all_estimates()[0] > dedup.all_estimates()[0]

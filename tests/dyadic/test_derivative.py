@@ -11,7 +11,6 @@ from repro.dyadic.derivative import (
     change_count,
     derivative,
     integrate,
-    random_change_times,
 )
 
 boolean_sequences = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64)
@@ -88,26 +87,3 @@ class TestChangeCount:
             1 for a, b in zip([0, *states[:-1]], states, strict=True) if a != b
         )
         assert change_count(states) == expected
-
-
-class TestRandomChangeTimes:
-    def test_exact_count(self, rng):
-        times = random_change_times(32, 5, rng)
-        assert times.size == 5
-
-    def test_sorted_unique_in_range(self, rng):
-        times = random_change_times(64, 10, rng)
-        assert np.all(np.diff(times) > 0)
-        assert times.min() >= 1 and times.max() <= 64
-
-    def test_non_exact_bounded(self, rng):
-        for _ in range(20):
-            times = random_change_times(16, 4, rng, exact=False)
-            assert 0 <= times.size <= 4
-
-    def test_k_zero(self, rng):
-        assert random_change_times(8, 0, rng).size == 0
-
-    def test_k_exceeding_d_rejected(self, rng):
-        with pytest.raises(ValueError):
-            random_change_times(4, 5, rng)

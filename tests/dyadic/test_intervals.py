@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.dyadic.intervals import (
     DyadicInterval,
-    covering_interval,
     decompose_prefix,
     decompose_range,
     interval_set,
@@ -182,17 +181,3 @@ class TestDecomposeRange:
         right = left + width
         for interval in decompose_range(left, right):
             assert (interval.start - 1) % (1 << interval.order) == 0
-
-
-class TestCoveringInterval:
-    def test_chain(self):
-        chain = covering_interval(3, 8)
-        assert [(i.order, i.index) for i in chain] == [(0, 3), (1, 2), (2, 1), (3, 1)]
-
-    def test_every_link_contains_t(self):
-        for interval in covering_interval(5, 16):
-            assert 5 in interval
-
-    def test_t_beyond_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            covering_interval(9, 8)

@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dyadic.intervals import DyadicInterval, interval_set
+from repro.dyadic.intervals import DyadicInterval, decompose_prefix, interval_set
 from repro.dyadic.partial_sums import (
     all_partial_sums,
     partial_sum,
     partial_sums_of_order,
-    population_partial_sums,
-    reconstruct_prefix,
 )
 
 EXAMPLE = [0, 1, 1, 0]  # st_u with X_u = (0, 1, 0, -1)
@@ -106,34 +104,4 @@ class TestAllPartialSums:
         """Observation 3.9: prefixes reconstruct from C(t)."""
         sums = all_partial_sums(states)
         for t in range(1, len(states) + 1):
-            assert reconstruct_prefix(sums, t) == states[t - 1]
-
-
-class TestPopulationPartialSums:
-    def test_sums_over_users(self, rng):
-        states = rng.integers(0, 2, size=(20, 8)).astype(np.int8)
-        for order in range(4):
-            expected = np.array(
-                [partial_sums_of_order(row, order) for row in states]
-            ).sum(axis=0)
-            assert np.array_equal(
-                population_partial_sums(states, order), expected
-            )
-
-    def test_rejects_1d(self):
-        with pytest.raises(ValueError):
-            population_partial_sums(np.array([0, 1]), 0)
-
-    def test_rejects_excessive_order(self):
-        with pytest.raises(ValueError):
-            population_partial_sums(np.zeros((2, 4), dtype=np.int8), 3)
-
-
-class TestReconstructPrefix:
-    def test_missing_interval_raises(self):
-        with pytest.raises(KeyError):
-            reconstruct_prefix({}, 3)
-
-    def test_noisy_values_pass_through(self):
-        sums = {interval: 0.5 for interval in interval_set(4)}
-        assert reconstruct_prefix(sums, 3) == pytest.approx(1.0)
+            assert sum(sums[i] for i in decompose_prefix(t)) == states[t - 1]

@@ -196,13 +196,15 @@ class TestWindowOperator:
 
 
 class TestTreeIntegration:
-    def test_tree_all_prefix_sums_uses_same_layout(self):
+    def test_tree_flat_values_feed_the_prefix_operator(self):
         tree = DyadicTree(8)
         rng = np.random.default_rng(3)
         for interval in tree.intervals():
             tree[interval] = float(rng.normal())
         expected = np.array([tree.prefix_sum(t) for t in range(1, 9)])
-        np.testing.assert_allclose(tree.all_prefix_sums(), expected)
+        np.testing.assert_allclose(
+            reconstruct_all_prefixes(tree.flat_values(), 8), expected
+        )
 
     def test_flat_values_layout(self):
         tree = DyadicTree(4)

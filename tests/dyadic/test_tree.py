@@ -68,11 +68,6 @@ class TestPrefixAndRangeSums:
         for t in range(1, 9):
             assert tree.prefix_sum(t) == states[t - 1]
 
-    def test_all_prefix_sums(self):
-        states = [0, 1, 1, 0]
-        tree = self._filled_tree(states)
-        assert tree.all_prefix_sums().tolist() == [0.0, 1.0, 1.0, 0.0]
-
     def test_range_sum_matches_state_difference(self):
         states = [0, 1, 1, 0, 0, 1, 1, 1]
         tree = self._filled_tree(states)
@@ -88,32 +83,6 @@ class TestPrefixAndRangeSums:
 
     def test_require_filled_passes_when_filled(self):
         tree = DyadicTree(4)
-        tree.fill_from(lambda interval: 1.0)
+        for interval in tree.intervals():
+            tree[interval] = 1.0
         assert tree.prefix_sum(3, require_filled=True) == 2.0
-
-
-class TestFillFrom:
-    def test_fill_specific_orders(self):
-        tree = DyadicTree(8)
-        tree.fill_from(lambda interval: float(interval.index), orders=[1])
-        assert tree[DyadicInterval(1, 4)] == 4.0
-        assert not tree.is_filled(DyadicInterval(0, 1))
-
-    def test_fill_everything(self):
-        tree = DyadicTree(4)
-        tree.fill_from(lambda interval: 1.0)
-        assert all(tree.is_filled(interval) for interval in tree.intervals())
-
-
-class TestConsistencyResidual:
-    def test_exact_sums_are_consistent(self):
-        states = [0, 1, 0, 0, 1, 1, 0, 1]
-        tree = DyadicTree(8)
-        for interval, value in all_partial_sums(states).items():
-            tree[interval] = value
-        assert tree.consistency_residual() == 0.0
-
-    def test_noisy_tree_has_residual(self, rng):
-        tree = DyadicTree(8)
-        tree.fill_from(lambda interval: float(rng.normal()))
-        assert tree.consistency_residual() > 0.0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.lint import RULES, available_rules, get_rule, lint_source, register_rule
+from repro.lint import RULES, get_rule, lint_source, register_rule
 from repro.lint.checks_ast import SeedlessRngRule
 
 #: (rule id, rel_path placing the snippet in scope, bad source, good source).
@@ -135,17 +135,6 @@ FIXTURES = [
         "        server.receive_batch(0, t, batch)\n",
     ),
     (
-        "REP109",
-        "src/repro/protocols/fixture.py",
-        "def fold(server, order, index, total, count):\n"
-        "    return server.receive_aggregate(order, index, total, count)\n",
-        "def build(d, c_gap, aggregates):\n"
-        "    server = Server(d, c_gap, enforce_clock=False)\n"
-        "    for order, index, total, count in aggregates:\n"
-        "        server.receive_aggregate(order, index, total, count)\n"
-        "    return server\n",
-    ),
-    (
         "REP110",
         "src/repro/sim/fixture.py",
         "import time\ndef retry(fn, attempts):\n"
@@ -191,7 +180,7 @@ def test_rule_flags_bad_and_passes_good(rule_id, rel_path, bad, good):
 
 
 def test_every_shipped_rule_has_a_fixture():
-    ast_rules = set(available_rules()) - {"REP107"}  # REP107 is introspection
+    ast_rules = set(RULES) - {"REP107"}  # REP107 is introspection
     assert {rule_id for rule_id, *_ in FIXTURES} == ast_rules
 
 

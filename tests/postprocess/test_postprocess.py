@@ -16,7 +16,6 @@ from repro.postprocess.consistency import (
     wls_tree_consistency,
 )
 from repro.postprocess.smoothing import (
-    clip_counts,
     exponential_smoothing,
     moving_average,
 )
@@ -161,11 +160,3 @@ class TestSmoothing:
             exponential_smoothing(np.zeros(3), 0.0)
         with pytest.raises(ValueError):
             exponential_smoothing(np.zeros((2, 2)), 0.5)
-
-    def test_clip_counts(self):
-        result = clip_counts(np.array([-5.0, 3.0, 12.0]), n=10)
-        assert result.tolist() == [0.0, 3.0, 10.0]
-
-    def test_clip_validation(self):
-        with pytest.raises(ValueError):
-            clip_counts(np.zeros(2), n=-1)

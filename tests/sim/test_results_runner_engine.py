@@ -52,15 +52,6 @@ class TestResultTable:
         assert clone.notes == "n"
         assert clone.rows == table.rows
 
-    def test_csv(self):
-        table = ResultTable(title="t", columns=["a", "b"])
-        table.add_row(a=1, b=2)
-        table.add_row(a=3)
-        lines = table.to_csv().strip().splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1] == "1,2"
-        assert lines[2] == "3,"
-
     def test_missing_cells_render_empty(self):
         table = ResultTable(title="t", columns=["a", "b"])
         table.add_row(a=1)
@@ -73,7 +64,6 @@ class TestRunTrials:
         assert stats.trials == 3
         assert stats.best_max_abs <= stats.mean_max_abs <= stats.worst_max_abs
         assert stats.std_max_abs >= 0.0
-        assert set(stats.as_dict()) >= {"mean_max_abs", "mean_mae", "mean_rmse"}
 
     def test_single_trial_zero_std(self, small_params, small_states):
         stats = run_trials(run_batch, small_states, small_params, trials=1, seed=0)

@@ -206,8 +206,10 @@ class TestGracefulDegradation:
         assert result.degraded
         assert result.lost_blocks  # seed 7 loses at least one block
         assert result.fault_report["lost_units"] == list(result.lost_blocks)
-        # Truth is recomputed coordinator-side: still exact.
+        # Truth is recomputed coordinator-side: still exact, and the lost
+        # blocks' orders are re-drawn exactly as the block step drew them.
         assert np.array_equal(result.true_counts, baseline.true_counts)
+        assert np.array_equal(result.orders, baseline.orders)
         stats = result.stats
         assert stats.lost_blocks == len(result.lost_blocks)
         assert stats.lost_users == BLOCK_ROWS * len(result.lost_blocks)
@@ -242,6 +244,7 @@ class TestGracefulDegradation:
         assert np.array_equal(
             result.true_counts, _baseline().true_counts
         )
+        assert np.array_equal(result.orders, _baseline().orders)
 
 
 def _journal_lines(journal: ServiceJournal) -> list[str]:
@@ -455,3 +458,7 @@ class TestJournalRecovery:
     def test_snapshot_every_must_be_positive(self):
         with pytest.raises(ValueError, match="snapshot_every"):
             _serve(snapshot_every=0)
+
+    def test_resume_without_a_journal_is_refused(self):
+        with pytest.raises(ValueError, match="resume=True.*journal="):
+            _serve(resume=True)

@@ -383,6 +383,14 @@ class TestServeSim:
         assert main([*base, "--resume"]) == 0
         assert "resumed from the journal" in capsys.readouterr().out
 
+    def test_resume_without_journal_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve-sim", "--n", "800", "--d", "16", "--k", "2",
+                  "--resume"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--resume" in err and "--journal" in err
+
     @pytest.mark.parametrize(
         "flag, value",
         [

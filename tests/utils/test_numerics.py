@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given
@@ -12,15 +11,11 @@ from hypothesis import strategies as st
 from repro.utils.numerics import (
     LOG_ZERO,
     log1mexp,
-    log_add,
     log_binom,
     log_binom_range_sum,
-    log_binom_row,
     log_sub,
     logsumexp,
-    logsumexp_pairs,
     stable_exp_diff,
-    weighted_mean,
 )
 
 
@@ -52,20 +47,6 @@ class TestLogBinom:
             assert log_binom(n, i) == pytest.approx(log_binom(n, n - i), abs=1e-8)
 
 
-class TestLogBinomRow:
-    def test_matches_per_element(self):
-        row = log_binom_row(40)
-        for i, value in enumerate(row):
-            assert value == pytest.approx(log_binom(40, i), abs=1e-8)
-
-    def test_row_zero(self):
-        assert log_binom_row(0) == [0.0]
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            log_binom_row(-3)
-
-
 class TestLogSumExp:
     def test_empty_is_log_zero(self):
         assert logsumexp([]) == LOG_ZERO
@@ -89,97 +70,6 @@ class TestLogSumExp:
         assert peak <= result <= peak + math.log(len(values)) + 1e-9
 
 
-def _signed_sum_reference(
-    pairs: list[tuple[float, float]],
-) -> tuple[Decimal, Decimal]:
-    """High-precision reference for the signed sum ``S = sum(sign * e^log_abs)``.
-
-    Computed with 60-digit ``Decimal`` arithmetic so the reference neither
-    underflows (the float-space naive sum does, e.g. for the pinned
-    counterexample below) nor loses the tiny residue of a near-total
-    cancellation.  Returns ``(S, mass)`` where ``mass = sum(e^log_abs)``.
-    """
-    with localcontext() as context:
-        context.prec = 60
-        total = Decimal(0)
-        mass = Decimal(0)
-        for log_abs, sign in pairs:
-            term = Decimal(log_abs).exp()
-            total += Decimal(sign) * term
-            mass += term
-        return total, mass
-
-
-class TestLogSumExpPairs:
-    def test_cancellation_to_zero(self):
-        log_abs, sign = logsumexp_pairs([(0.0, 1.0), (0.0, -1.0)])
-        assert sign == 0.0
-        assert log_abs == LOG_ZERO
-
-    def test_underflow_counterexample_regression(self):
-        # Shrunk hypothesis counterexample: the naive float-space reference
-        # sum e^{4.49e-34} - e^0 underflows to exactly 0.0, while the
-        # log-space path correctly resolves log|S| = log(4.49e-34) ~ -76.8.
-        pairs = [(0.0, -1.0), (4.49e-34, 1.0)]
-        log_abs, sign = logsumexp_pairs(pairs)
-        assert sign == 1.0
-        assert log_abs == pytest.approx(math.log(4.49e-34), rel=1e-12)
-
-    def test_equal_mass_cancellation_contract(self):
-        # The documented contract: when the positive and negative logsumexp
-        # reductions agree to float precision, the sum is reported as an
-        # exact zero even though the true sum is a few ulps of the mass.
-        pairs = [(0.0, 1.0), (0.0, 1.0), (math.log(2.0), -1.0)]
-        assert logsumexp_pairs(pairs) == (LOG_ZERO, 0.0)
-
-    def test_positive_dominates(self):
-        log_abs, sign = logsumexp_pairs([(1.0, 1.0), (0.0, -1.0)])
-        assert sign == 1.0
-        expected = math.log(math.e - 1.0)
-        assert log_abs == pytest.approx(expected, abs=1e-10)
-
-    def test_negative_dominates(self):
-        log_abs, sign = logsumexp_pairs([(0.0, 1.0), (1.0, -1.0)])
-        assert sign == -1.0
-
-    def test_empty(self):
-        log_abs, sign = logsumexp_pairs([])
-        assert (log_abs, sign) == (LOG_ZERO, 0.0)
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=-20, max_value=20),
-                st.sampled_from([-1.0, 1.0]),
-            ),
-            min_size=1,
-            max_size=12,
-        )
-    )
-    def test_matches_naive_signed_sum(self, pairs):
-        total, mass = _signed_sum_reference(pairs)
-        log_abs, sign = logsumexp_pairs(pairs)
-        if sign == 0.0:
-            # Documented contract: a reported exact zero means the positive
-            # and negative reductions agreed to float precision, so the true
-            # sum is at most a few ulps of the total mass.
-            assert abs(total) <= Decimal("1e-12") * mass
-        elif total == 0:
-            # The reference cancels exactly but float rounding inside the two
-            # logsumexp reductions (e.g. different summation orders) left a
-            # residue; it must be ulp-sized relative to the mass.
-            assert math.exp(log_abs) <= 1e-12 * float(mass)
-        else:
-            assert sign == (1.0 if total > 0 else -1.0)
-            # Near-total cancellation amplifies relative error by the
-            # condition number mass/|total|; tolerate accordingly.
-            condition = float(mass / abs(total))
-            tolerance = max(1e-9, 1e-13 * condition)
-            assert math.exp(log_abs) == pytest.approx(
-                float(abs(total)), rel=tolerance
-            )
-
-
 class TestLog1mExp:
     def test_small_delta_branch(self):
         delta = 0.1
@@ -197,15 +87,6 @@ class TestLog1mExp:
 
 
 class TestLogAddSub:
-    def test_log_add_identity(self):
-        assert log_add(LOG_ZERO, 1.5) == 1.5
-        assert log_add(1.5, LOG_ZERO) == 1.5
-
-    def test_log_add_matches_naive(self):
-        assert log_add(-1.0, -2.0) == pytest.approx(
-            math.log(math.exp(-1.0) + math.exp(-2.0)), abs=1e-12
-        )
-
     def test_log_sub_matches_naive(self):
         assert log_sub(-1.0, -2.0) == pytest.approx(
             math.log(math.exp(-1.0) - math.exp(-2.0)), abs=1e-12
@@ -262,19 +143,3 @@ class TestLogBinomRangeSum:
 
     def test_empty_range(self):
         assert log_binom_range_sum(10, 7, 3) == LOG_ZERO
-
-
-class TestWeightedMean:
-    def test_basic(self):
-        assert weighted_mean([1.0, 3.0], [1.0, 1.0]) == pytest.approx(2.0)
-
-    def test_weighting(self):
-        assert weighted_mean([1.0, 3.0], [3.0, 1.0]) == pytest.approx(1.5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            weighted_mean([1.0], [1.0, 2.0])
-
-    def test_zero_weights_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_mean([1.0], [0.0])

@@ -58,14 +58,15 @@ class TestSpawnGenerators:
 
 class TestRngFactory:
     def test_reproducible_sequence_of_children(self):
-        first = [g.random() for g in RngFactory(1).make_many(4)]
-        second = [g.random() for g in RngFactory(1).make_many(4)]
-        assert first == second
+        first, second = RngFactory(1), RngFactory(1)
+        assert [first.make().random() for _ in range(4)] == [
+            second.make().random() for _ in range(4)
+        ]
 
     def test_spawned_counter(self):
         factory = RngFactory(0)
-        factory.make()
-        factory.make_many(3)
+        for _ in range(4):
+            factory.make()
         assert factory.spawned == 4
 
     def test_children_independent(self):
@@ -80,7 +81,3 @@ class TestRngFactory:
         second = next(stream)
         assert isinstance(first, np.random.Generator)
         assert first.random() != second.random()
-
-    def test_negative_make_many_rejected(self):
-        with pytest.raises(ValueError):
-            RngFactory(0).make_many(-2)

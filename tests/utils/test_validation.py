@@ -11,7 +11,6 @@ from repro.utils.validation import (
     check_privacy_budget,
     check_probability,
     check_sign_vector,
-    check_sparse_signs,
     check_ternary_matrix,
     ensure_int,
     ensure_positive,
@@ -147,21 +146,3 @@ class TestCheckSignVector:
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
             check_sign_vector(np.ones((2, 2)))
-
-
-class TestCheckSparseSigns:
-    def test_accepts_sparse(self):
-        result = check_sparse_signs([0, 1, 0, -1], k=2)
-        assert result.dtype == np.int8
-
-    def test_rejects_dense(self):
-        with pytest.raises(ValueError):
-            check_sparse_signs([1, 1, -1], k=2)
-
-    def test_rejects_other_values(self):
-        with pytest.raises(ValueError):
-            check_sparse_signs([0, 2, 0], k=2)
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            check_sparse_signs(np.zeros((2, 3)), k=2)

@@ -19,7 +19,7 @@ from repro.workloads.scenarios import (
     telemetry_fleet_scenario,
     url_tracking_scenario,
 )
-from repro.workloads.streams import iterate_periods, population_counts
+from repro.workloads.streams import iterate_periods
 
 
 def _changes(states: np.ndarray) -> np.ndarray:
@@ -273,12 +273,6 @@ class TestStreams:
         assert [t for t, _ in items] == [1, 2]
         assert items[0][1].tolist() == [0, 1]
 
-    def test_population_counts(self):
-        states = np.array([[0, 1], [1, 1]])
-        assert population_counts(states).tolist() == [1, 2]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             list(iterate_periods(np.zeros(3)))
-        with pytest.raises(ValueError):
-            population_counts(np.zeros(3))
