@@ -114,6 +114,17 @@ class TestLawNormalization:
             total = math.exp(law.log_count_inside) + math.exp(law.log_count_outside)
             assert total == pytest.approx(2.0**k, rel=1e-9)
 
+    def test_g_is_the_product_of_basic_randomizers(self):
+        """``g(i)`` is the probability of one output at distance ``i`` when
+        every coordinate flips independently, so ``sum C(k,i) g(i) = 1``."""
+        for k in (1, 4, 12):
+            law = AnnulusLaw.for_future_rand(k, 1.0)
+            q = law.flip_probability
+            for i in range(k + 1):
+                assert law.g(i) == pytest.approx(q**i * (1 - q) ** (k - i), rel=1e-12)
+            total = sum(math.comb(k, i) * law.g(i) for i in range(k + 1))
+            assert total == pytest.approx(1.0, rel=1e-12)
+
     def test_g_is_decreasing(self):
         law = AnnulusLaw.for_future_rand(20, 1.0)
         values = [float(law.log_g(i)) for i in range(21)]

@@ -16,6 +16,9 @@ from repro.core.basic_randomizer import (
 
 
 class TestProbabilities:
+    def test_eps_tilde_exposed(self):
+        assert BasicRandomizer(0.7).eps_tilde == 0.7
+
     def test_flip_probability_formula(self):
         assert flip_probability(1.0) == pytest.approx(1.0 / (math.e + 1.0))
 

@@ -49,6 +49,13 @@ class TestClient:
             else:
                 assert report is None
 
+    def test_time_tracks_observed_periods(self, family, rng):
+        client = Client(0, d=8, family=family, rng=rng)
+        assert client.time == 0
+        for t in range(1, 9):
+            client.step(0)
+            assert client.time == t
+
     def test_report_count_is_length(self, family, rng):
         client = Client(3, d=16, family=family, rng=rng)
         reports = client.run(np.zeros(16, dtype=np.int8))
@@ -157,6 +164,11 @@ class TestServer:
         with pytest.raises(ValueError):
             server.estimate(5)
 
+    def test_horizon_and_scale(self):
+        server = Server(16, c_gap=0.5)
+        assert server.horizon == 16
+        assert server.scale == pytest.approx((1 + 4) / 0.5)
+
     def test_rejects_bad_c_gap(self):
         with pytest.raises(ValueError):
             Server(4, c_gap=0.0)
@@ -244,6 +256,94 @@ class TestServer:
         server.receive(Report(1, order=0, index=1, bit=1))
         server.receive(Report(0, order=0, index=2, bit=1))
         assert server.reports_received == 3
+
+
+def _server_with_history() -> Server:
+    """A server with two registered users, an open clock at 4 and one report."""
+    server = Server(8, c_gap=0.5)
+    server.register(0, 1)
+    server.register(1, 0)
+    server.advance_to(4)
+    server.receive(Report(0, order=1, index=1, bit=1))
+    return server
+
+
+def _state(server: Server) -> tuple:
+    return server.time, server.reports_received, server.flat_node_values().copy()
+
+
+def _assert_state_unchanged(server: Server, before: tuple) -> None:
+    time, received, nodes = before
+    assert server.time == time
+    assert server.reports_received == received
+    assert np.array_equal(server.flat_node_values(), nodes)
+
+
+class TestRejectionMutatesNothing:
+    """Every ingestion path validates completely before it touches state."""
+
+    @pytest.mark.parametrize(
+        "report, error, match",
+        [
+            pytest.param(Report(7, 0, 1, 1), KeyError, "never registered",
+                         id="unregistered-user"),
+            pytest.param(Report(0, 0, 2, 1), ValueError, "registered order",
+                         id="order-mismatch"),
+            pytest.param(Report(1, 0, 1, 0), ValueError, "bit",
+                         id="bit-not-a-sign"),
+            pytest.param(Report(1, 0, 6, 1), ValueError, "advance_to",
+                         id="future-emission"),
+            pytest.param(Report(1, 0, 9, 1), ValueError, "exceeds the horizon",
+                         id="beyond-horizon"),
+            pytest.param(Report(0, 1, 1, -1), ValueError, "duplicate",
+                         id="duplicate"),
+        ],
+    )
+    def test_rejected_report(self, report, error, match):
+        server = _server_with_history()
+        before = _state(server)
+        with pytest.raises(error, match=match):
+            server.receive(report)
+        _assert_state_unchanged(server, before)
+
+    def test_rejected_report_is_not_remembered_as_seen(self):
+        """A report refused by the clock is accepted once the clock allows it."""
+        server = _server_with_history()
+        with pytest.raises(ValueError, match="advance_to"):
+            server.receive(Report(1, order=0, index=6, bit=1))
+        server.advance_to(6)
+        server.receive(Report(1, order=0, index=6, bit=1))
+        assert server.reports_received == 2
+
+    @pytest.mark.parametrize(
+        "method, args, match",
+        [
+            pytest.param("receive_batch", (4, 1, np.array([1])), "order",
+                         id="batch-order-out-of-range"),
+            pytest.param("receive_batch", (0, 0, np.array([1])), "index",
+                         id="batch-index-below-one"),
+            pytest.param("receive_batch", (0, 1, np.ones((2, 2))), "1-D",
+                         id="batch-not-1d"),
+            pytest.param("receive_batch", (0, 1, np.array([1, 0])), "-1 or",
+                         id="batch-bit-not-a-sign"),
+            pytest.param("receive_batch", (0, 6, np.array([1])), "advance_to",
+                         id="batch-future-emission"),
+            pytest.param("receive_aggregate", (0, 1, 3, 2), "feasible",
+                         id="aggregate-total-beyond-count"),
+            pytest.param("receive_aggregate", (0, 1, 1, 2), "feasible",
+                         id="aggregate-parity"),
+            pytest.param("receive_aggregate", (0, 1, 0, -1), "count",
+                         id="aggregate-negative-count"),
+            pytest.param("receive_aggregate", (0, 6, 0, 2), "advance_to",
+                         id="aggregate-future-emission"),
+        ],
+    )
+    def test_rejected_batch_or_aggregate(self, method, args, match):
+        server = _server_with_history()
+        before = _state(server)
+        with pytest.raises(ValueError, match=match):
+            getattr(server, method)(*args)
+        _assert_state_unchanged(server, before)
 
 
 class TestRangeQueries:

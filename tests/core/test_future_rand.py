@@ -9,12 +9,39 @@ import pytest
 
 from repro.analysis.privacy import enumerate_future_rand_report_law
 from repro.core.annulus import AnnulusLaw
-from repro.core.future_rand import FutureRand, FutureRandFamily
+from repro.core.future_rand import (
+    FutureRand,
+    FutureRandFamily,
+    check_sparse_sign_matrix,
+)
 
 
 @pytest.fixture
 def law() -> AnnulusLaw:
     return AnnulusLaw.for_future_rand(k=4, epsilon=1.0)
+
+
+class TestCheckSparseSignMatrix:
+    """The input contract every kernel's matrix path validates first."""
+
+    def test_accepts_rows_at_the_budget(self):
+        matrix = np.array([[0, 1, 0, -1], [0, 0, 0, 0]], dtype=np.int8)
+        result = check_sparse_sign_matrix(matrix, k=2)
+        assert result.dtype == np.int8
+        assert np.array_equal(result, matrix)
+
+    def test_rejects_a_row_over_the_budget(self):
+        matrix = np.array([[0, 1, 0, -1], [1, 1, -1, 0]], dtype=np.int8)
+        with pytest.raises(ValueError, match="3 non-zero values.*k=2"):
+            check_sparse_sign_matrix(matrix, k=2)
+
+    def test_rejects_other_values(self):
+        with pytest.raises(ValueError, match="must all be in"):
+            check_sparse_sign_matrix(np.array([[0, 2, 0]]), k=2)
+
+    def test_rejects_1d(self):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            check_sparse_sign_matrix(np.array([0, 1, 0]), k=2)
 
 
 class TestOnlineBehaviour:

@@ -6,7 +6,9 @@ emission_time > self._time``, so a server whose clock was never advanced
 forgets ``advance_to`` falls into.  These tests pin the fix: the clock is
 enforced unconditionally, and ``receive_aggregate`` validates totals by exact
 integer arithmetic (byte-stable for in-range callers, loud for NaN/inf and
-parity violations).
+parity violations).  ``restore_aggregate_state`` (the journal-recovery seam)
+accepts only a fresh server and restores a bit-identical, still clock-gated
+one.
 """
 
 from __future__ import annotations
@@ -49,6 +51,27 @@ class TestUnconditionalClock:
         server.advance_to(8)
         with pytest.raises(ValueError, match="exceeds the horizon"):
             server.receive_aggregate(0, 9, total=0, count=2)
+
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: Server(8, 0.5, enforce_clock=False),
+                         id="enforce_clock"),
+            pytest.param(lambda: Server(8, 0.5, reject_duplicates=False),
+                         id="reject_duplicates"),
+            pytest.param(
+                lambda: Server(8, 0.5).receive_aggregate(
+                    0, 1, total=0, count=2, source=("b", 0)
+                ),
+                id="source",
+            ),
+        ],
+    )
+    def test_no_option_bypasses_the_gate(self, call):
+        """The clock gate and the scalar dedup have no opt-out keyword."""
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            call()
 
 
 class TestReceiveAggregateValidation:
@@ -124,3 +147,72 @@ class TestReceiveAggregateValidation:
             server.receive_aggregate(0, 1, total=0, count=-1)
         assert server.receive_aggregate(0, 1, total=0, count=0) == 0
         assert server.reports_received == 0
+
+
+def _folded_server(d: int = 8) -> Server:
+    """A server that folded one aggregate per order-0 and order-1 node."""
+    server = Server(d, c_gap=0.5)
+    server.advance_to(d)
+    for index in range(1, d + 1):
+        server.receive_aggregate(0, index, total=index % 3, count=4 + index % 3)
+    for index in range(1, d // 2 + 1):
+        server.receive_aggregate(1, index, total=-2, count=6)
+    return server
+
+
+class TestRestoreAggregateState:
+    def test_restored_server_is_bit_identical(self):
+        folded = _folded_server()
+        restored = Server(8, c_gap=0.5)
+        restored.restore_aggregate_state(
+            folded.flat_node_values(),
+            time=folded.time,
+            reports_received=folded.reports_received,
+        )
+        assert np.array_equal(restored.flat_node_values(), folded.flat_node_values())
+        assert np.array_equal(restored.all_estimates(), folded.all_estimates())
+        assert restored.time == folded.time
+        assert restored.reports_received == folded.reports_received
+
+    def test_restored_clock_still_gates_reports(self):
+        restored = Server(8, c_gap=0.5)
+        restored.restore_aggregate_state(np.zeros(15), time=4)
+        restored.receive_aggregate(2, 1, total=0, count=2)  # emitted at t=4
+        with pytest.raises(ValueError, match="advance_to"):
+            restored.receive_aggregate(0, 5, total=0, count=2)  # t=5 > 4
+
+    @pytest.mark.parametrize(
+        "used",
+        [
+            pytest.param(lambda server: server.advance_to(1), id="advanced"),
+            pytest.param(lambda server: server.register(0, 0), id="registered"),
+            pytest.param(
+                lambda server: (
+                    server.register(0, 0),
+                    server.advance_to(1),
+                    server.receive(Report(0, order=0, index=1, bit=1)),
+                ),
+                id="ingested",
+            ),
+        ],
+    )
+    def test_requires_a_fresh_server(self, used):
+        server = Server(8, c_gap=0.5)
+        used(server)
+        with pytest.raises(ValueError, match="fresh server"):
+            server.restore_aggregate_state(np.zeros(15), time=8)
+
+    def test_rejects_wrong_node_count(self):
+        with pytest.raises(ValueError, match="expected 15 flat node values"):
+            Server(8, c_gap=0.5).restore_aggregate_state(np.zeros(16), time=8)
+
+    @pytest.mark.parametrize("time", [-1, 9])
+    def test_rejects_time_outside_the_horizon(self, time):
+        with pytest.raises(ValueError, match="time must be in"):
+            Server(8, c_gap=0.5).restore_aggregate_state(np.zeros(15), time=time)
+
+    def test_rejects_negative_report_count(self):
+        with pytest.raises(ValueError, match="reports_received"):
+            Server(8, c_gap=0.5).restore_aggregate_state(
+                np.zeros(15), time=8, reports_received=-1
+            )

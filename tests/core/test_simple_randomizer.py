@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from repro.core.simple_randomizer import SimpleRandomizer, SimpleRandomizerFamily
+from repro.kernels import available_kernels
+
+KERNELS = available_kernels()
 
 
 class TestScalar:
@@ -113,3 +116,75 @@ class TestFamily:
         fallback = RandomizerFamily.randomize_matrix(family, values, rng)
         assert fallback.shape == (4, 3)
         assert set(np.unique(fallback).tolist()) <= {-1, 1}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestIndependentMatrixPerKernel:
+    """The vectorized Example 4.2 law, held by every kernel backend.
+
+    Each non-zero entry keeps its sign except with the basic randomizer's
+    flip probability ``1 / (e^(eps/k) + 1)``; each zero gets a fresh
+    uniform sign; the input contract is exactly ``{-1, 0, +1}``.
+    """
+
+    def test_flips_are_independent_within_a_row(self, kernel):
+        """Unlike FutureRand's correlated ``R~``, two non-zeros of one row
+        flip together with probability ``q^2``."""
+        family = SimpleRandomizerFamily(k=2, epsilon=1.0)
+        rows = 50_000
+        values = np.ones((rows, 2), dtype=np.int8)
+        output = family.randomize_matrix(
+            values, np.random.default_rng(12), kernel=kernel
+        )
+        q = 1.0 / (math.exp(0.5) + 1.0)
+        both = float((output == -1).all(axis=1).mean())
+        standard_error = math.sqrt(q * q * (1 - q * q) / rows)
+        assert abs(both - q * q) < 5 * standard_error
+
+    @pytest.mark.parametrize("epsilon", [1.0, 4.0])
+    def test_flip_rate_is_the_basic_randomizer_law(self, kernel, epsilon):
+        family = SimpleRandomizerFamily(k=2, epsilon=epsilon)
+        rows = 50_000
+        values = np.zeros((rows, 3), dtype=np.int8)
+        values[:, 0] = 1
+        values[:, 2] = -1
+        output = family.randomize_matrix(
+            values, np.random.default_rng(11), kernel=kernel
+        )
+        expected = 1.0 / (math.exp(epsilon / 2) + 1.0)
+        standard_error = math.sqrt(expected * (1 - expected) / rows)
+        for column, sign in ((0, 1), (2, -1)):
+            flip_rate = float((output[:, column] == -sign).mean())
+            assert abs(flip_rate - expected) < 5 * standard_error
+
+    def test_zeros_get_uniform_signs(self, kernel):
+        family = SimpleRandomizerFamily(k=2, epsilon=1.0)
+        rows = 40_000
+        values = np.zeros((rows, 2), dtype=np.int8)
+        output = family.randomize_matrix(
+            values, np.random.default_rng(6), kernel=kernel
+        )
+        rate = float((output == 1).mean())
+        assert abs(rate - 0.5) < 4 * (0.5 / math.sqrt(2 * rows))
+
+    def test_rejects_non_unit_floats_and_nan(self, kernel, rng):
+        family = SimpleRandomizerFamily(k=2, epsilon=1.0)
+        for bad in (0.5, np.nan):
+            with pytest.raises(ValueError, match="must all be in"):
+                family.randomize_matrix(
+                    np.array([[1.0, bad]]), rng, kernel=kernel
+                )
+
+    def test_accepts_exact_unit_floats(self, kernel, rng):
+        family = SimpleRandomizerFamily(k=2, epsilon=1.0)
+        output = family.randomize_matrix(
+            np.array([[1.0, -1.0, 0.0]]), rng, kernel=kernel
+        )
+        assert set(np.unique(output).tolist()) <= {-1, 1}
+
+    def test_rejects_complex_unit_modulus(self, kernel, rng):
+        # |1j| == 1, so a modulus check alone would admit it; the entry
+        # check must keep the {-1, 0, +1} input contract exact.
+        family = SimpleRandomizerFamily(k=2, epsilon=1.0)
+        with pytest.raises(ValueError, match="must all be in"):
+            family.randomize_matrix(np.array([[1j, -1j]]), rng, kernel=kernel)

@@ -66,6 +66,22 @@ class TestDyadicInterval:
         assert t in interval
         assert interval.order == order
 
+    def test_containing_chain(self):
+        """The nodes holding t=3 in a d=8 tree, leaf to root."""
+        chain = [DyadicInterval.containing(3, order) for order in range(4)]
+        assert [(i.order, i.index) for i in chain] == [(0, 3), (1, 2), (2, 1), (3, 1)]
+
+    @given(st.integers(min_value=1, max_value=1024), st.integers(min_value=0, max_value=9))
+    def test_containing_chain_climbs_by_parent(self, t, order):
+        assert (
+            DyadicInterval.containing(t, order).parent()
+            == DyadicInterval.containing(t, order + 1)
+        )
+
+    def test_containing_rejects_non_positive_t(self):
+        with pytest.raises(ValueError):
+            DyadicInterval.containing(0, 1)
+
 
 class TestIntervalSets:
     def test_example_33(self):

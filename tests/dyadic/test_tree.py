@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.dyadic.intervals import DyadicInterval, interval_set
 from repro.dyadic.partial_sums import all_partial_sums
@@ -86,3 +88,22 @@ class TestPrefixAndRangeSums:
         for interval in tree.intervals():
             tree[interval] = 1.0
         assert tree.prefix_sum(3, require_filled=True) == 2.0
+
+    def test_filling_one_order_leaves_the_rest_unfilled(self):
+        tree = DyadicTree(8)
+        for interval in tree.intervals():
+            if interval.order == 1:
+                tree[interval] = float(interval.index)
+        assert tree[DyadicInterval(1, 4)] == 4.0
+        assert tree.prefix_sum(6) == 3.0  # I_{2,1} (unfilled, 0) + I_{1,3}
+        with pytest.raises(KeyError):
+            tree.prefix_sum(6, require_filled=True)
+
+    @given(st.lists(st.integers(min_value=0, max_value=1), min_size=16, max_size=16))
+    def test_exact_partial_sums_are_consistent(self, states):
+        """Every parent node of an exact tree equals the sum of its children."""
+        tree = self._filled_tree(states)
+        for interval in tree.intervals():
+            if interval.order:
+                left, right = interval.children()
+                assert tree[interval] == tree[left] + tree[right]

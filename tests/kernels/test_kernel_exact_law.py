@@ -161,6 +161,15 @@ def test_alias_table_matches_pmf():
     assert np.abs(empirical - pmf).max() <= 0.01
 
 
+def test_alias_table_size_counts_zero_mass_outcomes():
+    from repro.kernels import AliasTable
+
+    table = AliasTable(np.array([0.0, 0.7, 0.0, 0.3]))
+    assert table.size == 4
+    draws = table.sample(10_000, np.random.default_rng(3))
+    assert set(np.unique(draws).tolist()) == {1, 3}
+
+
 def test_alias_table_rejects_bad_pmf():
     from repro.kernels import AliasTable
 

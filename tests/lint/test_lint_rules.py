@@ -184,6 +184,25 @@ def test_every_shipped_rule_has_a_fixture():
     assert {rule_id for rule_id, *_ in FIXTURES} == ast_rules
 
 
+def test_clockless_ingest_has_no_keyword_opt_out():
+    """REP109 flags an ingesting module whatever it passes the Server."""
+    builder = (
+        "def build(d, c_gap, aggregates):\n"
+        "    server = Server(d, c_gap, enforce_clock=False)\n"
+        "    for order, index, total, count in aggregates:\n"
+        "        server.receive_aggregate(order, index, total, count)\n"
+        "    return server\n"
+    )
+    findings = lint_source(builder, "src/repro/protocols/fixture.py")
+    assert [f.rule for f in findings] == ["REP109"]
+
+
+def test_rule_repr_names_id_and_slug():
+    assert repr(get_rule("REP109")) == (
+        "ClocklessIngestRule(id='REP109', slug='clockless-ingest')"
+    )
+
+
 def test_scoped_rules_stay_silent_outside_scope():
     bad = "import numpy as np\nrng = np.random.default_rng()\n"
     # REP101 is scoped to sim/kernels/protocols/workloads; the CLI layer may

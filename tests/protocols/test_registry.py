@@ -71,6 +71,12 @@ class TestRegistryShape:
     def test_instances_are_singletons(self):
         assert get_protocol("future_rand") is get_protocol("future_rand")
 
+    def test_repr_names_the_protocol(self):
+        assert repr(get_protocol("future_rand")) == (
+            "FutureRandProtocol(name='future_rand', privacy_model='local', "
+            "online=True)"
+        )
+
     def test_metadata_types(self):
         for protocol in PROTOCOLS.values():
             assert protocol.privacy_model in ("local", "central")
@@ -151,6 +157,20 @@ class TestProtocolContract:
         assert result.estimates.shape == (TINY_PARAMS.d,)
         assert np.isfinite(result.estimates).all()
         assert np.array_equal(result.true_counts, tiny_states.sum(axis=0))
+
+    def test_session_exposes_params_and_clock(self, name, tiny_states):
+        protocol = get_protocol(name)
+        session = protocol.prepare(TINY_PARAMS, np.random.default_rng(4))
+        assert session.params == TINY_PARAMS
+        assert session.horizon == TINY_PARAMS.d
+        assert session.period == 0
+        for t in range(1, TINY_PARAMS.d + 1):
+            session.ingest(t, tiny_states[:, t - 1])
+            assert session.period == t
+        result = session.result()
+        # Offline sessions learn their exact gap from the runner at the end.
+        assert session.c_gap == result.c_gap == protocol.c_gap(TINY_PARAMS)
+        assert session.family_name == result.family_name
 
     def test_c_gap_and_communication_metadata(self, name):
         protocol = get_protocol(name)

@@ -30,6 +30,12 @@ def _estimates_digest(estimates: np.ndarray) -> str:
 
 
 class TestOnlineContract:
+    def test_family_is_the_deployed_one(self, small_params):
+        family = SimpleRandomizerFamily(small_params.k, small_params.epsilon)
+        assert BatchSimulationEngine(small_params, family=family).family is family
+        default = BatchSimulationEngine(small_params).family
+        assert default.k == small_params.k
+
     def test_callback_invoked_every_period(self, rng):
         params = ProtocolParams(n=40, d=8, k=2, epsilon=1.0)
         states = np.zeros((40, 8), dtype=np.int8)

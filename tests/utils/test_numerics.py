@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.utils.numerics import (
@@ -59,6 +60,10 @@ class TestLogSumExp:
         expected = math.log(sum(math.exp(v) for v in values))
         assert logsumexp(values) == pytest.approx(expected, abs=1e-12)
 
+    def test_log_zero_is_the_identity(self):
+        assert logsumexp([LOG_ZERO, 1.5]) == 1.5
+        assert logsumexp([1.5, LOG_ZERO]) == 1.5
+
     def test_extreme_values_no_overflow(self):
         assert logsumexp([1000.0, 1000.0]) == pytest.approx(1000.0 + math.log(2))
         assert logsumexp([-2000.0, -2000.0]) == pytest.approx(-2000.0 + math.log(2))
@@ -102,6 +107,27 @@ class TestLogAddSub:
     def test_log_sub_log_zero_subtrahend(self):
         assert log_sub(3.0, LOG_ZERO) == 3.0
 
+    def test_log_sub_underflow_regression(self):
+        # Linear space, e^(4.49e-34) - e^0 rounds to exactly 0.0; the
+        # log-space path still resolves log(4.49e-34) ~ -76.8.
+        assert log_sub(4.49e-34, 0.0) == pytest.approx(
+            math.log(4.49e-34), rel=1e-12
+        )
+
+    @given(
+        st.floats(min_value=-20, max_value=20),
+        st.floats(min_value=1e-12, max_value=40),
+    )
+    def test_log_sub_matches_high_precision_reference(self, a, delta):
+        """``log(e^a - e^b)`` against 60-digit ``Decimal`` arithmetic, which
+        neither underflows nor loses the residue of a near cancellation."""
+        b = a - delta
+        assume(b < a)
+        with localcontext() as context:
+            context.prec = 60
+            reference = (Decimal(a).exp() - Decimal(b).exp()).ln()
+        assert log_sub(a, b) == pytest.approx(float(reference), abs=1e-12)
+
 
 class TestStableExpDiff:
     def test_both_log_zero(self):
@@ -143,3 +169,13 @@ class TestLogBinomRangeSum:
 
     def test_empty_range(self):
         assert log_binom_range_sum(10, 7, 3) == LOG_ZERO
+
+    def test_zero_n_has_one_subset(self):
+        assert log_binom_range_sum(0, 0, 0) == 0.0
+
+    @given(st.integers(min_value=0, max_value=200), st.data())
+    def test_single_term_is_log_binom(self, n, data):
+        i = data.draw(st.integers(min_value=0, max_value=n))
+        assert log_binom_range_sum(n, i, i) == pytest.approx(
+            log_binom(n, i), abs=1e-9
+        )

@@ -36,6 +36,11 @@ class TestCheckTernaryMatrix:
         with pytest.raises(ValueError, match="must all be in"):
             check_ternary_matrix(matrix)
 
+    def test_rejects_complex_unit_modulus(self):
+        # |1j| == 1: only an exact membership test keeps complex entries out.
+        with pytest.raises(ValueError, match="must all be in"):
+            check_ternary_matrix(np.array([[1j, 0, -1j]]))
+
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError, match="must be 2-D"):
             check_ternary_matrix(np.array([0, 1, 0]))

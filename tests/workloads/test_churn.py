@@ -59,6 +59,12 @@ class TestChurnPopulation:
         _, active_lasting = lasting.sample_with_activity(1500, rng_b)
         assert active_brief.mean() < active_lasting.mean()
 
+    def test_exposes_horizon_and_budget(self):
+        population = ChurnPopulation(16, 3)
+        assert (population.d, population.k) == (16, 3)
+        states = population.sample(50, np.random.default_rng(0))
+        assert states.shape == (50, population.d)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="k must be at least 2"):
             ChurnPopulation(d=16, k=1)
