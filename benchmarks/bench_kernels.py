@@ -138,6 +138,8 @@ def bench_kernel_speedup(benchmark):
         iterations=1,
     )
     assert result.shape == (n, d)
+    if benchmark.stats is None:  # --benchmark-disable: nothing was timed
+        return
 
     start = time.perf_counter()
     family.randomize_matrix(matrix, np.random.default_rng(4))
@@ -189,6 +191,8 @@ def bench_online_engine_speedup(benchmark):
 
     result = benchmark.pedantic(run_batch_engine, rounds=3, iterations=1)
     assert result.estimates.shape == (params.d,)
+    if benchmark.stats is None:  # --benchmark-disable: nothing was timed
+        return
 
     start = time.perf_counter()
     SimulationEngine(params, rng=np.random.default_rng(10)).run(states)

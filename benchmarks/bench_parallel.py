@@ -55,6 +55,14 @@ def bench_parallel_sweep_speedup(benchmark):
     start = time.perf_counter()
     serial_table = _run_grid(workers=1)
     serial_seconds = time.perf_counter() - start
+
+    # Correctness is asserted unconditionally: sharding must never change
+    # a single bit of the result table.
+    assert table.to_json() == serial_table.to_json(), (
+        "parallel sweep output differs from the serial path"
+    )
+    if benchmark.stats is None:  # --benchmark-disable: nothing was timed
+        return
     parallel_seconds = benchmark.stats.stats.min
     speedup = serial_seconds / parallel_seconds
 
@@ -69,11 +77,6 @@ def bench_parallel_sweep_speedup(benchmark):
         f"(target >= {_SPEEDUP_TARGET}x with >= 4 CPUs)"
     )
 
-    # Correctness is asserted unconditionally: sharding must never change
-    # a single bit of the result table.
-    assert table.to_json() == serial_table.to_json(), (
-        "parallel sweep output differs from the serial path"
-    )
     if default_workers() >= _WORKERS:
         assert speedup >= _SPEEDUP_TARGET, (
             f"sharded sweep only {speedup:.2f}x faster than serial at "

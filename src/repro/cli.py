@@ -1038,7 +1038,7 @@ def _command_serve_sim(args: argparse.Namespace) -> int:
             f"resumed from the journal at period {result.resumed_from} "
             f"({params.d - result.resumed_from} periods replayed or served)"
         )
-    if result.fault_report is not None:
+    if args.faults is not None:
         report = result.fault_report
         recovered = (
             report["crashes"] + report["hangs"] + report["timeouts"]

@@ -15,13 +15,17 @@ failures *first-class, deterministic inputs* instead of flaky accidents:
   ``SeedSequence`` node of the caller's spawn tree.  The schedule is a pure
   function of ``(model, units, seed)``, so a chaos run is exactly as
   replayable as a fault-free one.
-* :func:`run_supervised` executes module-level worker functions under that
-  schedule with bounded retries, per-shard wallclock timeouts, pool respawn
-  after ``BrokenProcessPool``, and preservation of already-completed
-  results.  Backoff accumulates on a :class:`SimulatedClock` — never
-  ``time.sleep`` — so supervision adds *zero* wallclock stalls and the
-  retry accounting itself is deterministic (the REP110 lint rule enforces
-  this repo-wide).
+* :func:`run_supervised` is the repo's one executor: every fan-out of
+  units to worker processes (sweep shards, fuzzer evaluations, service
+  blocks) and its in-process counterpart runs through it, with or without
+  a schedule.  It runs module-level worker functions with bounded retries,
+  per-shard wallclock timeouts, pool respawn after ``BrokenProcessPool``,
+  and preservation of already-completed results — a non-retryable error
+  first delivers every unit that already finished, then propagates as its
+  own type with the failed unit named in a note.  Backoff accumulates on a
+  :class:`SimulatedClock` — never ``time.sleep`` — so supervision adds
+  *zero* wallclock stalls and the retry accounting itself is deterministic
+  (the REP110 lint rule enforces this repo-wide).
 
 Because every shard/block seed is a pure function of its spawn-key
 coordinates, a retried unit recomputes *bit-identical* output: supervision
@@ -100,11 +104,12 @@ class ShardTimeoutError(RuntimeError):
 
 
 class ShardExecutionError(RuntimeError):
-    """Terminal shard failure, naming the failed unit's coordinates.
+    """A unit was lost after exhausting its retries and nobody took the loss.
 
-    Replaces the raw ``BrokenProcessPool`` / bare worker exception surface:
-    the message says *which* unit failed (shard trial range, service block
-    user range) and chains the original error as ``__cause__``.
+    Raised by :func:`run_supervised` only when no ``on_lost`` callback is
+    given: the message says *which* unit failed (shard trial range, service
+    block user range) and chains the last infrastructure error as
+    ``__cause__``.  Application errors never turn into this type.
     """
 
 
@@ -438,8 +443,8 @@ class SupervisionReport:
 #: Failures worth retrying: injected faults, checksum mismatches, worker
 #: process death, and deadline overruns.  Anything else is an application
 #: error — the computation is a pure function of its seeds, so re-running
-#: it can only fail identically; those surface immediately as
-#: :class:`ShardExecutionError`.
+#: it can only fail identically; those propagate at once as their own type,
+#: with a note naming the unit.
 _RETRYABLE = (
     InjectedCrash,
     InjectedHang,
@@ -447,12 +452,6 @@ _RETRYABLE = (
     BrokenProcessPool,
     ShardTimeoutError,
 )
-
-
-@dataclass
-class _UnitState:
-    attempts: int = 0
-    done: bool = False
 
 
 def _default_describe(unit: int) -> str:
@@ -481,8 +480,14 @@ def run_supervised(
     ``None`` and the caller degrades gracefully; without it a
     :class:`ShardExecutionError` names the unit via ``describe``.
 
+    Any other exception is an application error: it is not retried, and it
+    propagates as its own type with a note naming the unit.  Before it
+    does, every other unit that already finished is delivered.
+
     ``on_result(index, payload)`` streams completions (in completion
     order), so callers can persist progress that survives a later failure.
+    ``workers == 1`` runs in-process (nothing is pickled); more workers run
+    in a process pool, shut down and reaped when the run completes.
     Returns ``(results, report)``.
     """
     if workers < 1:
@@ -512,7 +517,13 @@ def run_supervised(
         if on_result is not None:
             on_result(index, payload)
 
-    def lose(index: int, error: Exception) -> None:
+    def charge(index: int, attempts: int, error: Exception) -> bool:
+        """Account a failed attempt; True if the unit may run again."""
+        count_failure(error)
+        if attempts < policy.max_attempts:
+            report.retries += 1
+            clock.advance(policy.backoff(attempts))
+            return True
         if on_lost is None:
             raise ShardExecutionError(
                 f"{label(index)} permanently failed after "
@@ -520,24 +531,20 @@ def run_supervised(
             ) from error
         report.lost_units = (*report.lost_units, index)
         on_lost(index, error)
+        return False
 
     if workers == 1:
-        _run_supervised_serial(
-            fn, items, schedule, policy, report, clock, label, finish, lose,
-            count_failure,
-        )
+        _run_supervised_serial(fn, items, schedule, report, label, finish, charge)
     else:
         _run_supervised_pool(
-            fn, items, workers, schedule, policy, report, clock, label,
-            finish, lose, count_failure,
+            fn, items, workers, schedule, policy, report, label, finish, charge
         )
     report.backoff_seconds = clock.now
     return results, report
 
 
 def _run_supervised_serial(
-    fn, items, schedule, policy, report, clock, label, finish, lose,
-    count_failure,
+    fn, items, schedule, report, label, finish, charge
 ) -> None:
     """The in-process supervision loop (soft crash flavor, no pool)."""
     for index, item in enumerate(items):
@@ -547,81 +554,89 @@ def _run_supervised_serial(
                 schedule.injector(index, attempt) if schedule is not None else None
             )
             report.attempts += 1
+            attempt += 1
             try:
                 payload = unseal(_supervised_call(fn, item, injector))
             except _RETRYABLE as error:
-                count_failure(error)
-                attempt += 1
-                if attempt >= policy.max_attempts:
-                    lose(index, error)
-                    break
-                report.retries += 1
-                clock.advance(policy.backoff(attempt))
-                continue
+                if charge(index, attempt, error):
+                    continue
+                break
             except Exception as error:
-                raise ShardExecutionError(
-                    f"{label(index)} failed with a non-retryable error: "
-                    f"{error!r}"
-                ) from error
+                error.add_note(f"{label(index)} failed with a non-retryable error")
+                raise
             finish(index, payload)
             break
 
 
 def _run_supervised_pool(
-    fn, items, workers, schedule, policy, report, clock, label,
-    finish, lose, count_failure,
+    fn, items, workers, schedule, policy, report, label, finish, charge
 ) -> None:
     """The pool supervision loop: timeouts, retries, and pool respawn."""
     max_workers = min(workers, max(len(items), 1))
-    states = [_UnitState() for _ in items]
+    attempts = [0] * len(items)
     ready: deque[int] = deque(range(len(items)))
     in_flight: dict[Future, int] = {}
     deadlines: dict[Future, float] = {}
     pool = ProcessPoolExecutor(max_workers=max_workers)
 
-    def submit(index: int) -> None:
+    def submit(index: int) -> bool:
         injector = (
-            schedule.injector(index, states[index].attempts, hard=True)
+            schedule.injector(index, attempts[index], hard=True)
             if schedule is not None
             else None
         )
-        states[index].attempts += 1
+        attempts[index] += 1
         report.attempts += 1
-        future = pool.submit(_supervised_call, fn, items[index], injector)
+        try:
+            future = pool.submit(_supervised_call, fn, items[index], injector)
+        except BrokenProcessPool:
+            # A worker died since the last wait.  The break surfaces through
+            # the in-flight futures, or, with none left, an empty wait.
+            requeue_uncharged(index)
+            return False
         in_flight[future] = index
         if policy.timeout_seconds is not None:
             deadlines[future] = time.perf_counter() + policy.timeout_seconds
+        return True
+
+    def requeue_uncharged(index: int) -> None:
+        # Collateral victims of a pool break or an abandoned hung worker did
+        # not themselves fail: resubmit without charging an attempt (their
+        # charge was already taken at submit time, so roll it back).
+        attempts[index] -= 1
+        report.attempts -= 1
+        ready.appendleft(index)
 
     def retry_or_lose(index: int, error: Exception) -> None:
-        count_failure(error)
-        if states[index].attempts >= policy.max_attempts:
-            lose(index, error)
-            return
-        report.retries += 1
-        clock.advance(policy.backoff(states[index].attempts))
-        ready.append(index)
+        if charge(index, attempts[index], error):
+            ready.append(index)
 
-    def respawn_pool(requeue: bool) -> None:
+    def respawn_pool() -> None:
         nonlocal pool
         report.pool_respawns += 1
-        if requeue:
-            # Collateral victims of a pool break or an abandoned hung
-            # worker did not themselves fail: resubmit without charging
-            # an attempt (their charge was already taken at submit time,
-            # so roll it back).
-            for victim in in_flight.values():
-                states[victim].attempts -= 1
-                report.attempts -= 1
-                ready.appendleft(victim)
+        for victim in in_flight.values():
+            requeue_uncharged(victim)
         in_flight.clear()
         deadlines.clear()
         pool.shutdown(wait=False, cancel_futures=True)
         pool = ProcessPoolExecutor(max_workers=max_workers)
 
+    def drain() -> None:
+        # A non-retryable failure ends the run: first deliver every unit
+        # that has finished meanwhile, so its result persists.
+        finished, _ = wait(set(in_flight), timeout=0)
+        for future in finished:
+            try:
+                payload = unseal(future.result())
+            except Exception:
+                continue
+            finish(in_flight[future], payload)
+
     try:
         while ready or in_flight:
             while ready and len(in_flight) < max_workers:
-                submit(ready.popleft())
+                if not submit(ready.popleft()):
+                    break
             timeout = None
             if deadlines:
                 timeout = max(
@@ -631,10 +646,11 @@ def _run_supervised_pool(
                 set(in_flight), timeout=timeout, return_when=FIRST_COMPLETED
             )
             if not done:
-                # At least one shard blew its deadline.  The pool cannot
-                # reclaim a running worker, so the hung attempts are charged
-                # a timeout and the whole pool is abandoned and respawned;
-                # unexpired in-flight work is requeued uncharged.
+                # At least one shard blew its deadline (or the pool broke
+                # with nothing in flight).  The pool cannot reclaim a
+                # running worker, so the hung attempts are charged a timeout
+                # and the whole pool is abandoned and respawned; unexpired
+                # in-flight work is requeued uncharged.
                 now = time.perf_counter()
                 expired = [f for f, dl in deadlines.items() if dl <= now]
                 for future in expired:
@@ -647,10 +663,11 @@ def _run_supervised_pool(
                             f"{policy.timeout_seconds}s deadline"
                         ),
                     )
-                respawn_pool(requeue=True)
+                respawn_pool()
                 continue
             broken: Optional[BrokenProcessPool] = None
             victims: list[int] = []
+            failure: Optional[tuple[int, Exception]] = None
             for future in done:
                 index = in_flight.pop(future)
                 deadlines.pop(future, None)
@@ -664,12 +681,14 @@ def _run_supervised_pool(
                     retry_or_lose(index, error)
                     continue
                 except Exception as error:
-                    raise ShardExecutionError(
-                        f"{label(index)} failed with a non-retryable "
-                        f"error: {error!r}"
-                    ) from error
-                states[index].done = True
+                    failure = failure or (index, error)
+                    continue
                 finish(index, payload)
+            if failure is not None:
+                drain()
+                index, error = failure
+                error.add_note(f"{label(index)} failed with a non-retryable error")
+                raise error
             if broken is not None:
                 # A worker process died; every in-flight future collapsed
                 # with it.  Charge the failure only to units the schedule
@@ -680,17 +699,17 @@ def _run_supervised_pool(
                     i
                     for i in victims
                     if schedule is not None
-                    and schedule.kind_at(i, states[i].attempts - 1) == "crash"
+                    and schedule.kind_at(i, attempts[i] - 1) == "crash"
                 ]
                 if not charged:
                     charged = victims
                 for index in victims:
                     if index not in charged:
-                        states[index].attempts -= 1
-                        report.attempts -= 1
-                        ready.appendleft(index)
+                        requeue_uncharged(index)
                 for index in charged:
                     retry_or_lose(index, broken)
-                respawn_pool(requeue=True)
-    finally:
+                respawn_pool()
+    except BaseException:
         pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    pool.shutdown(wait=True)

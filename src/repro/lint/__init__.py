@@ -31,9 +31,10 @@ REP104    wallclock-entropy     sim/kernel/protocol/core modules are pure
                                 functions of (inputs, seed tree); timestamps
                                 and ``os.urandom`` belong in the bench/CLI
                                 provenance layer only
-REP105    unpicklable-runner    ``run_trials``/``sweep``/executor fan-out
-                                pickles runners into workers (PR 3); lambdas
-                                and nested functions die at workers>1
+REP105    unpicklable-runner    ``run_trials``/``sweep``/``run_supervised``/
+                                executor fan-out pickles runners into
+                                workers (PR 3); lambdas and nested
+                                functions die at workers>1
 REP106    set-order             set iteration order is hash-salted; sorted()
                                 pins every accumulation/emission order
                                 (byte-stable artifacts, PR 6)

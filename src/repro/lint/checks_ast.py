@@ -315,8 +315,8 @@ class UnpicklableRunnerRule(AstRule):
     id = "REP105"
     slug = "unpicklable-runner"
     summary = (
-        "lambda or nested function passed to run_trials/sweep/executor "
-        "fan-out (unpicklable under workers>1)"
+        "lambda or nested function passed to run_trials/sweep/"
+        "run_supervised/executor fan-out (unpicklable under workers>1)"
     )
     rationale = (
         "The sharded sweep path (PR 3) pickles runners into worker "
@@ -331,8 +331,10 @@ class UnpicklableRunnerRule(AstRule):
     )
     node_types: ClassVar[tuple[type, ...]] = (ast.Call,)
 
-    #: Callee names that fan work out across processes.
-    _SEAMS = frozenset({"run_trials", "sweep", "execute_shards"})
+    #: Callee names that fan work out across processes.  ``run_supervised``
+    #: is the one executor every fan-out goes through; the others hand it
+    #: their runners.
+    _SEAMS = frozenset({"run_trials", "sweep", "execute_shards", "run_supervised"})
     #: Attribute callees (``pool.submit``/``pool.map``) with the same contract.
     _EXECUTOR_ATTRS = frozenset({"submit"})
     #: Keyword names whose value crosses the pickle boundary.  Coordinator

@@ -332,7 +332,9 @@ class OfflineTreeProtocol(LongitudinalProtocol):
         *,
         chunk_size: Optional[int] = None,
     ) -> ProtocolSession:
-        return BufferedOfflineSession(params, run_offline_tree, "offline_tree", rng)
+        return BufferedOfflineSession(
+            params, run_offline_tree, "offline_tree", rng, c_gap=self.c_gap(params)
+        )
 
     def run(
         self,

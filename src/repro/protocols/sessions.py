@@ -410,7 +410,8 @@ class BufferedOfflineSession(ProtocolSession):
     Buffers the population columns; once the horizon has elapsed, hands the
     reassembled ``(n, d)`` matrix to the wrapped runner.  Querying estimates
     earlier raises :class:`EstimatesNotReady` — that *is* the offline
-    capability, surfaced through the session API.
+    capability, surfaced through the session API.  ``c_gap`` is the
+    protocol's exact constant, reported from the first period on.
     """
 
     def __init__(
@@ -420,12 +421,13 @@ class BufferedOfflineSession(ProtocolSession):
         family_name: str,
         rng: Optional[np.random.Generator] = None,
         *,
+        c_gap: float,
         enforce_k_changes: bool = True,
     ) -> None:
         super().__init__(
             params,
             rng,
-            c_gap=1.0,  # provisional; replaced by the runner's exact value
+            c_gap=c_gap,
             family_name=family_name,
             enforce_k_changes=enforce_k_changes,
         )
@@ -440,7 +442,6 @@ class BufferedOfflineSession(ProtocolSession):
     def _finalize(self) -> ProtocolResult:
         if self._final is None:
             self._final = self._runner(self._columns, self._params, self._rng)
-            self._c_gap = self._final.c_gap
             self._family_name = self._final.family_name
         return self._final
 

@@ -99,14 +99,17 @@ three failure classes — pick by what you are defending against:
 
 * ``workers=N`` + ``retry=RetryPolicy(...)`` defend against **transient
   shard failures** (a worker process crashing, hanging past its timeout, or
-  returning a corrupt payload).  Supervision retries the shard with
-  simulated — never wallclock — backoff, respawns a broken process pool,
-  and preserves already-finished shards; because block randomness is a pure
-  function of seed-tree coordinates, the retried run stays bit-identical to
-  a fault-free one.  A shard that exhausts its retries is *degraded*, not
-  fatal: the service keeps serving, the loss is folded into
-  :class:`TrafficStats` and the fault-adjusted conformance radius, and the
-  result is marked ``degraded``.
+  returning a corrupt payload).  Supervision
+  (:func:`repro.faults.run_supervised`, which runs every run's blocks;
+  ``retry`` defaults to :data:`~repro.faults.DEFAULT_RETRY_POLICY`) retries
+  the shard with simulated — never wallclock — backoff, respawns a broken
+  process pool, and preserves already-finished shards; because block
+  randomness is a pure function of seed-tree coordinates, the retried run
+  stays bit-identical to a fault-free one.  Bad input is not retried: its
+  error propagates as its own type.  A shard that exhausts its retries is
+  *degraded*, not fatal: the service keeps serving, the loss is folded
+  into :class:`TrafficStats` and the fault-adjusted conformance radius, and
+  the result is marked ``degraded``.
 * ``journal="results/journal"`` defends against **whole-process death**
   (kill -9, OOM, power loss).  Every released estimate is appended to a
   checksummed write-ahead journal, with a state snapshot every
@@ -135,12 +138,15 @@ experiment into a persisted, resumable grid run (see :mod:`repro.sim.parallel`
 and :mod:`repro.sim.store`):
 
 * ``workers=N`` — trial chunks from every sweep point and protocol fan out
-  across a ``ProcessPoolExecutor``.  Seeding is sharding-invariant: each
-  trial's generator descends from the same root ``SeedSequence`` node no
-  matter where it executes, so the output is **bit-identical for any worker
-  count** (``workers=4`` equals ``workers=1`` equals the historical serial
-  loop).  Registry protocols cross the process boundary by name; plain
-  callables must be picklable (module-level functions are).
+  across a process pool run by :func:`repro.faults.run_supervised`: a chunk
+  whose worker died is retried, and a runner's error propagates as its own
+  type once every finished chunk is persisted.  Seeding is
+  sharding-invariant: each trial's generator descends from the same root
+  ``SeedSequence`` node no matter where it executes, so the output is
+  **bit-identical for any worker count** (``workers=4`` equals
+  ``workers=1`` equals the historical serial loop).  Registry protocols
+  cross the process boundary by name; plain callables must be picklable
+  (module-level functions are).
 * ``store=ResultStore("results/")`` — every (protocol, sweep point, trial
   chunk) is persisted as a content-addressed JSON artifact under
   ``results/shards/``, keyed by a SHA-256 of the protocol name, parameters,

@@ -27,7 +27,7 @@ Record kinds, in the order a run writes them:
   re-serves only the remaining periods instead of refolding the whole
   stream.
 
-This is schema 2 (:data:`JOURNAL_SCHEMA_VERSION`).  The schema lives in
+This is schema 3 (:data:`JOURNAL_SCHEMA_VERSION`).  The schema lives in
 the config record, so resuming a journal of another schema fails the
 config gate with :class:`JournalError` rather than being misread.
 
@@ -64,7 +64,7 @@ __all__ = [
 
 #: Bump when the record layout changes; lives in the config record so an
 #: incompatible journal is refused, never misread.
-JOURNAL_SCHEMA_VERSION = 2
+JOURNAL_SCHEMA_VERSION = 3
 
 
 class JournalError(ResultStoreError):

@@ -16,20 +16,18 @@ Runners cross the process boundary in one of two forms:
 * any other callable is pickled directly, which works for module-level
   functions such as ``run_batch`` — lambdas/closures require ``workers=1``.
 
-``execute_shards`` streams an ``on_complete`` callback as each shard finishes
-(in completion order), which is how interrupted sweeps persist the shards
-they *did* finish; results are still returned in submission order.  A worker
-failure is never a raw ``BrokenProcessPool``: every batch that already
-finished is drained through ``on_complete`` first (so its shards persist),
-then a :class:`repro.faults.ShardExecutionError` names the failed shard's
-trial coordinates.
+``execute_shards`` runs shard batches through :func:`repro.faults.run_supervised`
+and streams an ``on_complete`` callback as each shard finishes (in
+completion order), which is how interrupted sweeps persist the shards they
+*did* finish; results are still returned in submission order.  A dead
+worker is retried; any other failure first delivers every finished batch,
+then propagates as its own type with a note naming the shard's trials.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -37,7 +35,7 @@ import numpy as np
 
 from repro.analysis.accuracy import summarize_errors
 from repro.core.params import ProtocolParams
-from repro.faults import ShardExecutionError
+from repro.faults import run_supervised
 
 __all__ = [
     "METRIC_NAMES",
@@ -224,70 +222,37 @@ def execute_shards(
 ) -> list[list[TrialMetrics]]:
     """Execute shard tasks, returning their metrics in submission order.
 
-    ``workers <= 1`` runs in-process (no pool, no pickling — closures and
-    counting test doubles work) and fires ``on_complete`` after every single
-    shard.  With a pool, shards are submitted in workload-sharing batches
-    (:func:`plan_batches`) and ``on_complete(task_index, metrics, seconds)``
-    fires per shard as each batch finishes, so callers can persist progress
-    incrementally.  A worker failure first drains every batch that already
-    finished (their ``on_complete`` callbacks run, so their shards persist),
-    then raises :class:`~repro.faults.ShardExecutionError` naming the failed
-    shard's trial coordinates.
+    ``workers == 1`` runs one shard per unit in-process (no pool, no
+    pickling — closures and counting test doubles work) and fires
+    ``on_complete`` after every single shard.  With more workers, shards
+    are submitted in workload-sharing batches (:func:`plan_batches`) and
+    ``on_complete(task_index, metrics, seconds)`` fires per shard as each
+    batch finishes, so callers can persist progress incrementally.  Both
+    run through :func:`repro.faults.run_supervised`: a dead worker is
+    retried, and any other failure first drains every batch that already
+    finished through ``on_complete``, then propagates as its own type with
+    a note naming the failed shard's trial coordinates.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    units = (
+        [[index] for index in range(len(tasks))]
+        if workers == 1
+        else plan_batches(tasks, workers)
+    )
     results: list[Optional[list[TrialMetrics]]] = [None] * len(tasks)
 
-    def handle(
-        indices: Sequence[int], outcomes: Sequence[tuple[list[TrialMetrics], float]]
+    def on_result(
+        unit: int, outcomes: Sequence[tuple[list[TrialMetrics], float]]
     ) -> None:
-        for index, (metrics, seconds) in zip(indices, outcomes, strict=True):
+        for index, (metrics, seconds) in zip(units[unit], outcomes, strict=True):
             results[index] = metrics
             if on_complete is not None:
                 on_complete(index, metrics, seconds)
 
-    if workers == 1 or len(tasks) <= 1:
-        for index, task in enumerate(tasks):
-            handle([index], _execute_shard_batch([task]))
-        return results  # type: ignore[return-value]
-
-    batches = plan_batches(tasks, workers)
-    with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
-        future_indices = {
-            pool.submit(
-                _execute_shard_batch, [tasks[index] for index in batch]
-            ): batch
-            for batch in batches
-        }
-        pending = set(future_indices)
-        try:
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                failure: Optional[tuple[list[int], BaseException]] = None
-                for future in done:
-                    try:
-                        outcomes = future.result()
-                    except Exception as error:
-                        if failure is None:
-                            failure = (future_indices[future], error)
-                        continue
-                    handle(future_indices[future], outcomes)
-                if failure is not None:
-                    # Before surfacing the failure, sweep once more for
-                    # batches that finished in the meantime so their shards
-                    # persist through on_complete too.
-                    done, pending = wait(pending, timeout=0)
-                    for future in done:
-                        try:
-                            outcomes = future.result()
-                        except Exception:
-                            continue
-                        handle(future_indices[future], outcomes)
-                    indices, error = failure
-                    raise ShardExecutionError(
-                        f"{_describe_shards(tasks, indices)} failed: {error!r}"
-                    ) from error
-        finally:
-            for future in pending:
-                future.cancel()
+    run_supervised(
+        _execute_shard_batch,
+        [[tasks[index] for index in unit] for unit in units],
+        workers=min(workers, max(len(units), 1)),
+        on_result=on_result,
+        describe=lambda unit: _describe_shards(tasks, units[unit]),
+    )
     return results  # type: ignore[return-value]

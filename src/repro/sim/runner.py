@@ -19,7 +19,7 @@ a sequence of names/protocols — ``sweep(["future_rand", "erlingsson"], ...)``
 — alongside the historical ``{name: runner}`` dict.
 
 Scaling knobs (see :mod:`repro.sim.parallel` and :mod:`repro.sim.store`):
-``workers=N`` fans trial shards across a ``ProcessPoolExecutor`` with
+``workers=N`` fans trial shards across a supervised process pool with
 bit-identical output for any worker count; ``store=ResultStore(...)``
 persists every (protocol, sweep point, trial chunk) as a content-addressed
 artifact, and ``resume=True`` (the default when a store is given) skips

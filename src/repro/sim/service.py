@@ -40,15 +40,17 @@ Fault tolerance
 ---------------
 The service survives an imperfect machine on the same determinism budget:
 
-* ``run_service(..., faults=, retry=)`` executes block randomization under
-  :func:`repro.faults.run_supervised` — a deterministic fault schedule
-  (drawn from the root seed's dedicated fault stream) injects crashes,
-  hangs, and corrupt payloads; bounded retries on a *simulated* backoff
-  clock recover them with bit-identical aggregates, because block seeds are
-  pure functions of their spawn-key coordinates.  A block lost after max
-  attempts degrades the run gracefully: the result is marked ``degraded``,
-  the loss lands in :class:`TrafficStats` (``lost_blocks``/``lost_users``),
-  and ``effective_drop_rate`` widens the fault-adjusted radius accordingly.
+* Block randomization always runs under :func:`repro.faults.run_supervised`,
+  so a real worker death is retried under the default policy.
+  ``run_service(..., faults=, retry=)`` adds a deterministic fault schedule
+  (drawn from the root seed's dedicated fault stream) that injects crashes,
+  hangs, and corrupt payloads, and sets the retry policy; bounded retries
+  on a *simulated* backoff clock recover them with bit-identical
+  aggregates, because block seeds are pure functions of their spawn-key
+  coordinates.  A block lost after max attempts degrades the run
+  gracefully: the result is marked ``degraded``, the loss lands in
+  :class:`TrafficStats` (``lost_blocks``/``lost_users``), and
+  ``effective_drop_rate`` widens the fault-adjusted radius accordingly.
 * ``run_service(..., journal=, resume=)`` writes a write-ahead journal
   (:class:`repro.sim.journal.ServiceJournal`) of released estimates plus
   periodic full-state snapshots.  After a kill, ``resume=True`` restores
@@ -64,7 +66,9 @@ import base64
 import dataclasses
 import hashlib
 import time
-from concurrent.futures import ProcessPoolExecutor
+
+# Unused here; perfbench/tracer.py patches this name on this module.
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -86,9 +90,7 @@ from repro.core.vectorized import (
 )
 from repro.dyadic.prefix_matrix import flat_node_count, flat_offsets
 from repro.faults import (
-    FaultSchedule,
     RetryPolicy,
-    SupervisionReport,
     get_fault_model,
     plan_fault_schedule,
     run_supervised,
@@ -215,10 +217,11 @@ class ServiceResult:
 
     ``degraded`` is True when any seed block was permanently lost (its ids
     in ``lost_blocks``); the estimates are still served, with the loss
-    accounted in ``stats``.  ``fault_report`` carries the supervision
-    payload when fault injection or retries were active, and
-    ``resumed_from`` is the period a journal recovery restarted at (0 for
-    an uninterrupted run).
+    accounted in ``stats``.  ``fault_report`` is the supervision payload
+    (:meth:`repro.faults.SupervisionReport.as_payload`) of the block
+    randomization — every run is supervised, so a fault-free run reports
+    its attempts with zero retries — and ``resumed_from`` is the period a
+    journal recovery restarted at (0 for an uninterrupted run).
     """
 
     estimates: np.ndarray
@@ -233,7 +236,7 @@ class ServiceResult:
     elapsed_seconds: float
     degraded: bool = False
     lost_blocks: tuple[int, ...] = ()
-    fault_report: Optional[dict] = None
+    fault_report: dict = dataclasses.field(default_factory=dict)
     resumed_from: int = 0
 
     @property
@@ -760,46 +763,6 @@ def _plan_blocks(
     return specs
 
 
-def _describe_block(specs: Sequence[_BlockSpec], index: int) -> str:
-    spec = specs[index]
-    return f"service block {spec.block} (users [{spec.start}, {spec.stop}))"
-
-
-def _execute_blocks(
-    specs: Sequence[_BlockSpec],
-    workers: int,
-    *,
-    schedule: Optional[FaultSchedule] = None,
-    retry: Optional[RetryPolicy] = None,
-    on_lost: Optional[Callable[[int, Exception], None]] = None,
-) -> tuple[list[Optional[_BlockAggregates]], Optional[SupervisionReport]]:
-    """Randomize every block, in block order, at any worker count.
-
-    With ``schedule``/``retry`` the work runs under
-    :func:`repro.faults.run_supervised` — injected faults and real worker
-    deaths are retried on the simulated backoff clock, and a block lost for
-    good leaves ``None`` in its slot (graceful degradation) when ``on_lost``
-    is given.  Block seeds are pure functions of their spawn-key
-    coordinates, so a retried block's aggregates are bit-identical.
-    """
-    if schedule is None and retry is None:
-        if workers <= 1 or len(specs) <= 1:
-            return [_randomize_service_block(spec) for spec in specs], None
-        pool_workers = min(workers, len(specs))
-        with ProcessPoolExecutor(max_workers=pool_workers) as pool:
-            return list(pool.map(_randomize_service_block, specs)), None
-    results, report = run_supervised(
-        _randomize_service_block,
-        list(specs),
-        workers=workers,
-        schedule=schedule,
-        retry=retry,
-        on_lost=on_lost,
-        describe=lambda index: _describe_block(specs, index),
-    )
-    return results, report
-
-
 def _block_truth(spec: _BlockSpec) -> tuple[np.ndarray, np.ndarray]:
     """A lost block's ground truth, recomputed coordinator-side.
 
@@ -826,7 +789,6 @@ def _journal_config(
     kernel: Optional[str],
     workload: Union[np.ndarray, Population],
     reject_duplicates: bool,
-    open_interval_policy: str,
     fault_model,
     retry: Optional[RetryPolicy],
 ) -> dict:
@@ -854,7 +816,6 @@ def _journal_config(
         "kernel": kernel,
         "workload": workload_fp,
         "reject_duplicates": bool(reject_duplicates),
-        "open_interval_policy": open_interval_policy,
         "faults": (
             dataclasses.asdict(fault_model) if fault_model is not None else None
         ),
@@ -918,7 +879,6 @@ def run_service(
     family: Optional[RandomizerFamily] = None,
     kernel: Optional[str] = None,
     reject_duplicates: bool = True,
-    open_interval_policy: str = "raise",
     callback: Optional[Callable[[StepSnapshot], None]] = None,
     faults=None,
     retry: Optional[RetryPolicy] = None,
@@ -937,12 +897,15 @@ def run_service(
     result is bit-identical for any ``workers`` (the sharding contract)
     and, fault-free, consumes no traffic randomness.
 
-    ``faults`` (a :class:`~repro.faults.FaultModel` or preset name) and
-    ``retry`` (a :class:`~repro.faults.RetryPolicy`) run block
-    randomization under supervision: injected crashes/hangs/corruptions and
-    real worker deaths are retried on the simulated backoff clock, with
-    recovered runs bit-identical to fault-free ones.  A block permanently
-    lost degrades the run instead of failing it — see
+    Block randomization always runs under
+    :func:`repro.faults.run_supervised`.  ``faults`` (a
+    :class:`~repro.faults.FaultModel` or preset name) injects crashes,
+    hangs and corruptions, and ``retry`` (a
+    :class:`~repro.faults.RetryPolicy`, default
+    :data:`~repro.faults.DEFAULT_RETRY_POLICY`) bounds the retries: injected
+    faults and real worker deaths are retried on the simulated backoff
+    clock, with recovered runs bit-identical to fault-free ones.  A block
+    permanently lost degrades the run instead of failing it — see
     :class:`ServiceResult.degraded`.
 
     ``journal`` names a write-ahead journal directory.  A fresh run writes
@@ -972,7 +935,6 @@ def run_service(
     if isinstance(workload, np.ndarray):
         validate_states(workload, params)
     fault_model = get_fault_model(faults) if faults is not None else None
-    supervised = fault_model is not None or retry is not None
 
     started = time.perf_counter()
     d = params.d
@@ -1018,7 +980,6 @@ def run_service(
             kernel,
             workload,
             reject_duplicates,
-            open_interval_policy,
             fault_model,
             retry,
         )
@@ -1034,22 +995,21 @@ def run_service(
             wal.append("config", config)
 
     lost: list[int] = []
-    if supervised:
-        block_results, report = _execute_blocks(
-            specs,
-            workers,
-            schedule=schedule,
-            retry=retry,
-            on_lost=lambda index, error: lost.append(index),
-        )
-    else:
-        block_results, report = _execute_blocks(specs, workers)
+    block_results, report = run_supervised(
+        _randomize_service_block,
+        specs,
+        workers=min(workers, len(specs)),
+        schedule=schedule,
+        retry=retry,
+        on_lost=lambda index, error: lost.append(index),
+        describe=lambda index: (
+            f"service block {index} "
+            f"(users [{specs[index].start}, {specs[index].stop}))"
+        ),
+    )
 
     service = IngestionService(
-        d,
-        resolved_family.c_gap,
-        reject_duplicates=reject_duplicates,
-        open_interval_policy=open_interval_policy,
+        d, resolved_family.c_gap, reject_duplicates=reject_duplicates
     )
     by_period: dict[int, list[list[AggregateMessage]]] = {}
     true_counts = np.zeros(d, dtype=np.int64)
@@ -1159,6 +1119,6 @@ def run_service(
         elapsed_seconds=elapsed,
         degraded=bool(lost),
         lost_blocks=tuple(sorted(lost)),
-        fault_report=report.as_payload() if report is not None else None,
+        fault_report=report.as_payload(),
         resumed_from=start,
     )

@@ -82,6 +82,20 @@ FIXTURES = [
         "def outer(pool, job):\n    return pool.submit(work, job)\n",
     ),
     (
+        "REP105",
+        "src/repro/sim/fixture.py",
+        "from repro.faults import run_supervised\n"
+        "def f(items):\n"
+        "    def work(item):\n        return item\n"
+        "    return run_supervised(work, items, workers=2)\n",
+        "from repro.faults import run_supervised\n"
+        "def work(item):\n    return item\n"
+        "def f(items, lost):\n"
+        "    return run_supervised(\n"
+        "        work, items, workers=2, on_lost=lambda i, e: lost.append(i)\n"
+        "    )\n",
+    ),
+    (
         "REP106",
         "src/repro/sim/fixture.py",
         "def f(values):\n"
@@ -165,10 +179,19 @@ FIXTURES = [
 ]
 
 
+def _fixture_ids(fixtures) -> list[str]:
+    """``REP105-1``, ``REP105-2``, ...: a per-rule counter, so adding or
+    retiring one rule's fixture never renames another rule's tests."""
+    seen: dict[str, int] = {}
+    ids = []
+    for rule_id, *_ in fixtures:
+        seen[rule_id] = seen.get(rule_id, 0) + 1
+        ids.append(f"{rule_id}-{seen[rule_id]}")
+    return ids
+
+
 @pytest.mark.parametrize(
-    "rule_id, rel_path, bad, good",
-    FIXTURES,
-    ids=[f"{rule_id}-{index}" for index, (rule_id, *_) in enumerate(FIXTURES)],
+    "rule_id, rel_path, bad, good", FIXTURES, ids=_fixture_ids(FIXTURES)
 )
 def test_rule_flags_bad_and_passes_good(rule_id, rel_path, bad, good):
     bad_findings = lint_source(bad, rel_path)

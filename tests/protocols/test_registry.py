@@ -168,9 +168,21 @@ class TestProtocolContract:
             session.ingest(t, tiny_states[:, t - 1])
             assert session.period == t
         result = session.result()
-        # Offline sessions learn their exact gap from the runner at the end.
+        # Offline sessions know their exact gap from prepare on, too.
         assert session.c_gap == result.c_gap == protocol.c_gap(TINY_PARAMS)
         assert session.family_name == result.family_name
+
+    def test_session_c_gap_is_exact_at_every_period(self, name, tiny_states):
+        """A caller may debias mid-run with ``session.c_gap``, so every
+        session reports the protocol's exact gap before its horizon closes."""
+        protocol = get_protocol(name)
+        expected = protocol.c_gap(TINY_PARAMS)
+        session = protocol.prepare(TINY_PARAMS, np.random.default_rng(5))
+        assert session.c_gap == expected
+        for t in range(1, TINY_PARAMS.d + 1):
+            session.ingest(t, tiny_states[:, t - 1])
+            assert session.c_gap == expected, f"period {t}"
+        assert session.result().c_gap == expected
 
     def test_c_gap_and_communication_metadata(self, name):
         protocol = get_protocol(name)

@@ -10,13 +10,17 @@ a simulated clock, never the wallclock.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.faults
 from repro.faults import (
     FAULT_KINDS,
     FAULT_MODELS,
@@ -47,8 +51,40 @@ def _stall(item: int) -> int:
     return item
 
 
+#: Items ``_boom`` was called with (in-process calls only).
+_BOOM_CALLS: list[int] = []
+
+
 def _boom(item: int) -> int:
+    _BOOM_CALLS.append(item)
     raise KeyError(f"application bug on {item}")
+
+
+def _boom_or_square(item: int) -> int:
+    """Item 1 fails after 0.2 s; items 2 and 3 succeed after 0.1 and 0.3 s."""
+    time.sleep({1: 0.2, 2: 0.1, 3: 0.3}.get(item, 0.0))
+    if item == 1:
+        raise KeyError("application bug on 1")
+    return item * item
+
+
+class _BreaksAfterTwoSubmits(ProcessPoolExecutor):
+    """The first pool refuses every submit after its second, as a pool does
+    once a worker died between two waits; a respawned pool is sound."""
+
+    pools = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        type(self).pools += 1
+        self._breaks = type(self).pools == 1
+        self._submits = 0
+
+    def submit(self, *args, **kwargs):
+        self._submits += 1
+        if self._breaks and self._submits > 2:
+            raise BrokenProcessPool("a worker died between two waits")
+        return super().submit(*args, **kwargs)
 
 
 class TestFaultModel:
@@ -208,8 +244,13 @@ class TestSupervisedSerial:
         assert isinstance(info.value.__cause__, InjectedCrash)
 
     def test_application_errors_are_not_retried(self):
-        with pytest.raises(ShardExecutionError, match="non-retryable"):
+        _BOOM_CALLS.clear()
+        with pytest.raises(KeyError) as info:
             run_supervised(_boom, [0])
+        assert info.value.__notes__ == [
+            "unit 0 failed with a non-retryable error"
+        ]
+        assert _BOOM_CALLS == [0]  # exactly one attempt
 
     def test_schedule_length_must_match_items(self):
         with pytest.raises(ValueError, match="schedule covers"):
@@ -235,6 +276,49 @@ class TestSupervisedSerial:
 
 
 class TestSupervisedPool:
+    def test_application_error_keeps_its_type_in_the_pool(self):
+        with pytest.raises(KeyError) as info:
+            run_supervised(
+                _boom, [0, 1], workers=2, describe=lambda i: f"shard {i}"
+            )
+        (note,) = info.value.__notes__
+        assert note.endswith("failed with a non-retryable error")
+        assert note.startswith("shard ")
+
+    def test_units_finished_before_the_failure_propagates_are_delivered(self):
+        """Delivering units 0 and 2 takes 1 s each.  Unit 1 fails while unit
+        0 is delivered, so its failure is seen together with unit 2; unit 3
+        finishes while unit 2 is delivered.  Both 2 and 3 must be delivered
+        before the failure propagates."""
+        delivered = []
+
+        def on_result(index, payload):
+            delivered.append(index)
+            if index in (0, 2):
+                time.sleep(1.0)
+
+        with pytest.raises(KeyError):
+            run_supervised(
+                _boom_or_square, [0, 1, 2, 3], workers=3, on_result=on_result
+            )
+        assert sorted(delivered) == [0, 2, 3]
+
+    def test_pool_broken_at_submit_is_respawned(self, monkeypatch):
+        monkeypatch.setattr(_BreaksAfterTwoSubmits, "pools", 0)
+        monkeypatch.setattr(
+            repro.faults, "ProcessPoolExecutor", _BreaksAfterTwoSubmits
+        )
+        results, report = run_supervised(_square, list(range(6)), workers=2)
+        assert results == [_square(i) for i in range(6)]
+        assert report.pool_respawns == 1
+        assert report.attempts == 6  # a refused submit charges nothing
+
+    def test_pool_is_reaped_on_success(self):
+        before = set(multiprocessing.active_children())
+        results, _ = run_supervised(_square, list(range(4)), workers=2)
+        assert results == [0, 1, 4, 9]
+        assert set(multiprocessing.active_children()) - before == set()
+
     def test_hard_crashes_break_the_pool_and_still_recover(self):
         items = list(range(6))
         schedule = _crash_schedule(len(items), {1, 4})

@@ -10,6 +10,10 @@ table.
 
 from __future__ import annotations
 
+import functools
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -313,3 +317,49 @@ def test_run_trials_store_roundtrip_is_bit_identical(tmp_path, states):
     assert reloaded == computed
     plain = run_trials(None, states, _PARAMS, trials=_TRIALS, seed=13)
     assert plain == computed
+
+
+# -- the supervised pool: worker deaths and application errors --------------
+
+
+def _dies_once(marker, states, params, rng=None):
+    """Kill the calling worker process on the first call ever (the marker
+    file records it), then behave like the batch engine."""
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return run_batch_engine(states, params, rng)
+    os._exit(1)
+
+
+def test_sweep_survives_a_worker_death_bit_identically(tmp_path):
+    runner = functools.partial(_dies_once, tmp_path / "died")
+    kwargs = dict(trials=_TRIALS, seed=17)
+    pooled = sweep({"dies": runner}, _PARAMS, "k", _SWEEP_KS, workers=2, **kwargs)
+    assert (tmp_path / "died").exists()
+    serial = sweep({"dies": runner}, _PARAMS, "k", _SWEEP_KS, workers=1, **kwargs)
+    assert pooled.to_json() == serial.to_json()
+
+
+class _ShardBug(RuntimeError):
+    """The runner's own error type (module-level, so it crosses processes)."""
+
+
+def _fails_at_k2(states, params, rng=None):
+    if params.k == 2:
+        time.sleep(2.0)
+        raise _ShardBug("shards at k=2 are broken")
+    return run_batch_engine(states, params, rng)
+
+
+def test_failed_parallel_sweep_keeps_finished_shards_and_its_error(tmp_path):
+    store = ResultStore(tmp_path / "results")
+    with pytest.raises(_ShardBug) as info:
+        sweep(
+            {"k2bug": _fails_at_k2}, _PARAMS, "k", _SWEEP_KS,
+            trials=_TRIALS, seed=11, workers=2, store=store,
+        )
+    assert store.shard_count() == _TRIALS  # every k == 1 shard persisted
+    (note,) = info.value.__notes__
+    assert note.startswith("protocol '_fails_at_k2' shard(s) at trials [")
+    assert note.endswith("failed with a non-retryable error")

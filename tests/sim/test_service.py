@@ -379,3 +379,16 @@ class TestRunnerFailFast:
         assert "(8192, 16)" in message
         assert "d=16" in message
         assert "n=8192" not in message
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_wrong_width_population_fails_the_same_under_faults(self, workers):
+        """Bad input is a ValueError at any worker count, with or without a
+        fault schedule; a note names the block."""
+        params = ProtocolParams(n=20_000, d=16, k=2, epsilon=1.0)
+        with pytest.raises(ValueError, match=r"states shape \(8192, 32\)") as error:
+            run_service(
+                BoundedChangePopulation(32, 2), params, 0,
+                workers=workers, faults="crash",
+            )
+        (note,) = error.value.__notes__
+        assert note.startswith("service block ")

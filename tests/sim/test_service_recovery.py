@@ -442,6 +442,21 @@ class TestJournalRecovery:
         with pytest.raises(JournalError, match="different run configuration"):
             _serve(journal=journal, resume=True, snapshot_every=8)
 
+    def test_a_schema_2_journal_is_refused(self, tmp_path):
+        """Schema 2 also fingerprinted ``open_interval_policy``."""
+        journal = ServiceJournal(tmp_path / "j")
+        _serve(journal=journal, snapshot_every=8)
+        lines = _journal_lines(journal)
+        record = json.loads(lines[0])
+        assert "open_interval_policy" not in record["body"]
+        record["body"]["schema"] = 2
+        record["body"]["open_interval_policy"] = "raise"
+        record["checksum"] = _record_checksum(record["kind"], record["body"])
+        lines[0] = canonical_json(record)
+        journal.path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(JournalError, match="different run configuration"):
+            _serve(journal=journal, resume=True, snapshot_every=8)
+
     def test_resume_under_chaos_is_still_bit_identical(self, tmp_path):
         journal = ServiceJournal(tmp_path / "j")
         _serve(faults=ALWAYS_FAULT, journal=journal, snapshot_every=8)

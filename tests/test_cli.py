@@ -369,6 +369,13 @@ class TestServeSim:
         assert "simulated backoff" in out
         assert "within the fault-adjusted conformance radius" in out
 
+    def test_fault_free_run_prints_no_supervision_line(self, capsys):
+        assert main(
+            ["serve-sim", "--n", "800", "--d", "16", "--k", "2",
+             "--progress", "0"]
+        ) == 0
+        assert "supervision:" not in capsys.readouterr().out
+
     def test_journal_kill_resume_round_trip(self, capsys, tmp_path):
         journal = tmp_path / "journal"
         # d=32 so the default snapshot cadence (16) leaves a mid-run
