@@ -25,7 +25,6 @@ registry.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 from repro.analysis.bounds import central_tree_error_bound, hoeffding_radius
@@ -34,15 +33,11 @@ from repro.core.params import ProtocolParams
 __all__ = [
     "RADIUS_BY_PROTOCOL",
     "assert_error_within_bound",
-    "categorical_radius",
     "central_shape_radius",
     "fault_adjusted_radius",
-    "hashed_oracle_radius",
-    "heavy_hitters_radius",
     "hierarchical_radius",
     "protocol_radius",
     "single_level_radius",
-    "sketch_median_radius",
     "slot_sampled_radius",
 ]
 
@@ -132,107 +127,6 @@ def single_level_radius(
     return bound, params.beta
 
 
-def _bounded_sum_radius(
-    n_block: int, per_user_bound: float, beta_block: float
-) -> float:
-    """Hoeffding radius for a sum of ``n_block`` terms in ``[-B, +B]``."""
-    return (
-        2.0
-        * per_user_bound
-        * math.sqrt(n_block * math.log(2.0 / beta_block) / 2.0)
-    )
-
-
-def _item_budget_orders(params: ProtocolParams) -> float:
-    """``1 + log2 d`` for the binary family the item protocols deploy.
-
-    The item-domain reduction runs each user's Boolean sub-protocol with a
-    change budget of ``min(k + 1, d)``; the dyadic inverse-propensity factor
-    stays the horizon's ``num_orders`` regardless.
-    """
-    return float(params.num_orders)
-
-
-def categorical_radius(
-    params: ProtocolParams, c_gap: float, *, domain_size: int = 16
-) -> tuple[float, float]:
-    """Radius for the one-hot coordinate-sampling oracle (tracked item).
-
-    Each user's debiased contribution to one item's count estimate is
-    bounded by ``B = m * num_orders / c_gap`` (coordinate sampling inflates
-    by ``m``, the dyadic debiasing by ``num_orders / c_gap``); Hoeffding
-    over the ``n`` independent users, union-bounded over the ``d`` periods.
-    """
-    beta_prime = params.beta / params.d
-    per_user = domain_size * _item_budget_orders(params) / c_gap
-    return _bounded_sum_radius(params.n, per_user, beta_prime), params.beta
-
-
-def hashed_oracle_radius(
-    params: ProtocolParams, c_gap: float
-) -> tuple[float, float]:
-    """Radius for the sign-hash frequency oracle (tracked item).
-
-    Per-user estimator term ``sign_u(v) * (2 * st_hat_u - 1)`` with
-    ``|st_hat_u| <= num_orders / c_gap``, so ``B = 1 + 2 num_orders / c_gap``;
-    Hoeffding over ``n`` users, union bound over ``d`` periods.
-    """
-    beta_prime = params.beta / params.d
-    per_user = 1.0 + 2.0 * _item_budget_orders(params) / c_gap
-    return _bounded_sum_radius(params.n, per_user, beta_prime), params.beta
-
-
-def sketch_median_radius(
-    params: ProtocolParams, c_gap: float, *, repetitions: int = 3
-) -> tuple[float, float]:
-    """Radius for the median of ``R`` independent sign-hash repetitions.
-
-    Each repetition runs the hashed oracle on ``n_c = floor(n / R)`` users
-    and is rescaled by ``n / n_c``; the median is within the bound whenever
-    every repetition is (union bound: ``beta'' = beta' / (2R)`` per side and
-    repetition).  The collision mass other items hash onto the tracked
-    item's coordinate is part of each repetition's estimand, not noise, so
-    one extra per-user unit of slack absorbs it.
-    """
-    beta_prime = params.beta / params.d
-    beta_rep = beta_prime / (2 * repetitions)
-    n_c = params.n // repetitions
-    per_user = 1.0 + 2.0 * _item_budget_orders(params) / c_gap
-    radius = (params.n / n_c) * _bounded_sum_radius(
-        n_c, per_user + 0.5, beta_rep
-    )
-    return radius, params.beta
-
-
-def heavy_hitters_radius(
-    params: ProtocolParams,
-    c_gap: float,
-    *,
-    repetitions: int = 3,
-    domain_size: int = 1024,
-    width: int = 64,
-) -> tuple[float, float]:
-    """Radius for the sketch-row median of the heavy-hitters protocol.
-
-    The tracked item's estimate is a median over ``R`` sketch rows, each a
-    bucket-count estimate from ``n_g = floor(n / (R * (1 + log2 m)))`` users
-    rescaled by ``n / n_g``.  Bucket collisions with *other* populated items
-    add one-sided mass up to ``n``; the median discards them unless at least
-    ``(R+1)/2`` rows collide, which for pairwise-independent bucket hashing
-    (collision probability ``2/w`` per row) happens with probability at most
-    ``binom(R, 2) * (2/w)^2 <= R^2 * 2 / w^2`` — accounted in the per-trial
-    failure probability instead of the radius.
-    """
-    beta_prime = params.beta / params.d
-    beta_rep = beta_prime / (2 * repetitions)
-    channels = max(1, (domain_size - 1).bit_length()) + 1
-    n_g = params.n // (repetitions * channels)
-    per_user = 1.0 + 2.0 * _item_budget_orders(params) / c_gap
-    radius = (params.n / n_g) * _bounded_sum_radius(n_g, per_user, beta_rep)
-    collision_failure = repetitions**2 * 2.0 / width**2
-    return radius, params.beta + collision_failure
-
-
 def central_shape_radius(
     params: ProtocolParams, c_gap: float
 ) -> tuple[float, float]:
@@ -250,9 +144,7 @@ def central_shape_radius(
 #: Registry-name -> radius shape.  Keys deliberately mirror
 #: :data:`repro.protocols.PROTOCOLS` (string keys only — no protocols import
 #: here, so the analysis layer stays below the protocol layer); the
-#: ``tests/statistical/`` meta-test pins the two key sets equal.  Item-domain
-#: entries rely on the helpers' keyword defaults matching the registry
-#: singletons' sketch configuration.
+#: ``tests/statistical/`` meta-test pins the two key sets equal.
 RADIUS_BY_PROTOCOL: dict[str, RadiusFn] = {
     "future_rand": hierarchical_radius,
     "future_rand_object": hierarchical_radius,
@@ -263,10 +155,6 @@ RADIUS_BY_PROTOCOL: dict[str, RadiusFn] = {
     "naive_unsplit": single_level_radius,
     "memoization": single_level_radius,
     "central_tree": central_shape_radius,
-    "categorical": categorical_radius,
-    "hashed_frequency": hashed_oracle_radius,
-    "sketch_median": sketch_median_radius,
-    "heavy_hitters": heavy_hitters_radius,
 }
 
 

@@ -311,8 +311,7 @@ def run_protocol_bench(*, scale: str = "quick", seed: int = 0) -> dict:
     the run's max/mean absolute error, the expected per-user report bits,
     and the deployed ``c_gap`` — the accuracy/cost counterpart of the kernel
     trajectory.  All protocols at a point share the same generated Boolean
-    workload (item-domain protocols consume 0/1 columns natively, tracking
-    item 1), so rows are directly comparable within a point.
+    workload, so rows are directly comparable within a point.
     """
     from repro.core.params import ProtocolParams
     from repro.protocols import PROTOCOLS
@@ -349,7 +348,6 @@ def run_protocol_bench(*, scale: str = "quick", seed: int = 0) -> dict:
                     "mean_abs_error": result.mean_abs_error,
                     "expected_report_bits": protocol.expected_report_bits(params),
                     "c_gap": protocol.c_gap(params),
-                    "domain_size": protocol.domain_size,
                 }
             )
     return {

@@ -219,12 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         "online estimate trajectory)",
     )
     run_protocol_parser.add_argument(
-        "--domain-size", type=_positive_int, default=None,
-        help="item domain size m for the item-domain protocols "
-        "(categorical/hashed_frequency/sketch_median/heavy_hitters); the "
-        "workload becomes an item population over [0, m)",
-    )
-    run_protocol_parser.add_argument(
         "--chunk-size", type=_positive_int, default=None,
         help="bound the randomness pre-draw transients by processing users "
         "in chunks of this size (chunk-aware protocols only)",
@@ -331,9 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--scenario",
-        # heavy_domain holds item ids, not Boolean states; the service's
-        # dyadic-tree fold only accepts the Boolean scenarios.
-        choices=sorted(set(SCENARIOS) - {"heavy_domain"}),
+        choices=sorted(SCENARIOS),
         default=None,
         help="named scenario preset; unset -> a bounded-change population "
         "from --n/--d/--k/--epsilon",
@@ -435,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz_parser.add_argument(
         "--protocol", choices=FUZZ_TARGETS, default="future_rand",
-        help="Boolean-domain registry protocol to fuzz (default: future_rand)",
+        help="registry protocol to fuzz (default: future_rand)",
     )
     fuzz_parser.add_argument(
         "--budget", type=_positive_int, default=48,
@@ -575,7 +567,7 @@ def _command_simulate(
 ) -> int:
     import numpy as np
 
-    from repro.analysis.bounds import hoeffding_radius
+    from repro.analysis.conformance import protocol_radius
     from repro.core.params import ProtocolParams
     from repro.core.vectorized import collect_tree_reports, run_batch
     from repro.postprocess.consistency import consistent_result
@@ -631,12 +623,12 @@ def _command_simulate(
             extras["kernel"] = kernel
         result = instance.run(states, params, protocol_rng, **extras)
 
-    radius = hoeffding_radius(params, result.c_gap, params.beta / params.d)
+    radius, failure = protocol_radius(protocol, params, result.c_gap)
     print(f"protocol:     {result.family_name}")
     print(f"parameters:   n={n:,} d={d} k={k} epsilon={epsilon}")
     print(f"max |error|:  {result.max_abs_error:,.1f}  ({result.max_abs_error / n:.2%} of n)")
     print(f"mean |error|: {result.mean_abs_error:,.1f}")
-    print(f"Eq.13 radius: {radius:,.1f}")
+    print(f"radius:       {radius:,.1f}  (exceeded w.p. <= {failure:g})")
     return 0
 
 
@@ -674,14 +666,6 @@ def _command_protocols(
     return 0
 
 
-def _item_domain_protocols() -> list[str]:
-    return sorted(
-        name
-        for name, protocol in PROTOCOLS.items()
-        if protocol.domain_size is not None
-    )
-
-
 def _command_run_protocol(
     name: str,
     n: int,
@@ -690,7 +674,6 @@ def _command_run_protocol(
     epsilon: float,
     seed: int,
     streaming: bool,
-    domain_size: Optional[int] = None,
     chunk_size: Optional[int] = None,
     kernel: Optional[str] = None,
 ) -> int:
@@ -698,24 +681,11 @@ def _command_run_protocol(
 
     from repro.core.params import ProtocolParams
     from repro.utils.rng import spawn_generators
-    from repro.workloads.generators import (
-        BoundedChangePopulation,
-        ItemChangePopulation,
-    )
+    from repro.workloads.generators import BoundedChangePopulation
 
     params = ProtocolParams(n=n, d=d, k=k, epsilon=epsilon)
     workload_rng, protocol_rng = spawn_generators(np.random.SeedSequence(seed), 2)
     protocol = get_protocol(name)
-    if domain_size is not None:
-        if protocol.domain_size is None:
-            print(
-                f"error: protocol {name!r} does not track an item domain, so "
-                f"--domain-size does not apply (item-domain protocols: "
-                f"{', '.join(_item_domain_protocols())})",
-                file=sys.stderr,
-            )
-            return 2
-        protocol = protocol.with_domain_size(domain_size)
     if kernel is not None and not protocol.supports_kernel:
         print(
             f"error: protocol {name!r} does not support --kernel "
@@ -730,16 +700,7 @@ def _command_run_protocol(
             file=sys.stderr,
         )
         return 2
-    if protocol.domain_size is not None:
-        # Item-domain workload: items from [0, m), power-law skewed so the
-        # sketch decoders have natural heavy hitters to find.
-        states = ItemChangePopulation(d, k, protocol.domain_size).sample(
-            n, workload_rng
-        )
-    else:
-        states = BoundedChangePopulation(d, k, start_prob=0.3).sample(
-            n, workload_rng
-        )
+    states = BoundedChangePopulation(d, k, start_prob=0.3).sample(n, workload_rng)
     extras = {}
     if kernel is not None:
         extras["kernel"] = kernel
@@ -774,24 +735,12 @@ def _command_run_protocol(
         f"online={protocol.online} sequence_ldp={protocol.sequence_ldp}"
     )
     print(f"parameters:   n={n:,} d={d} k={k} epsilon={epsilon}")
-    if protocol.domain_size is not None:
-        print(f"item domain:  m={protocol.domain_size:,}")
     print(
         f"max |error|:  {result.max_abs_error:,.1f}  "
         f"({result.max_abs_error / n:.2%} of n)"
     )
     print(f"mean |error|: {result.mean_abs_error:,.1f}")
     print(f"exp. bits/user: {protocol.expected_report_bits(params):,.1f}")
-    decoded = getattr(result, "heavy_hitters", None)
-    if decoded:
-        final = decoded[-1]
-        if final:
-            listing = ", ".join(
-                f"{item} (~{estimate:,.0f})" for item, estimate in final
-            )
-        else:
-            listing = "(none decoded)"
-        print(f"top items @ t={d}: {listing}")
     return 0
 
 
@@ -1344,7 +1293,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.epsilon,
             args.seed,
             args.streaming,
-            args.domain_size,
             args.chunk_size,
             args.kernel,
         )

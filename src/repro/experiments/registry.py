@@ -24,7 +24,6 @@ from repro.experiments import (
     e12_order_allocation,
     e13_microstructure,
     e14_calibration,
-    e15_heavy_hitters,
 )
 from repro.sim.results import ResultTable
 
@@ -130,13 +129,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "Replacing the 5*sqrt(k) split with the exact privacy check "
             "buys 2-4.6x c_gap at identical epsilon.",
             e14_calibration.run,
-        ),
-        ExperimentSpec(
-            "E15",
-            "Huge-domain heavy hitters",
-            "Sketch + per-bit channels decode planted heavies at m=2^18-2^20 "
-            "with O(R log m) servers; recall/precision@r vs d, k, epsilon.",
-            e15_heavy_hitters.run,
         ),
     )
 }

@@ -61,12 +61,11 @@ __all__ = [
     "target_protocol",
 ]
 
-#: Boolean-domain registry protocols the fuzzer targets (plus ``service``,
-#: the asyncio ingestion front end — not a registry protocol, but the same
-#: estimator behind a faulty delivery layer).  The item-domain protocols
-#: consume Boolean sub-streams through a reduction the workload generators
-#: do not speak, and ``future_rand_object`` is the O(n*d) object reference —
-#: far too slow for an evolutionary inner loop.
+#: Registry protocols the fuzzer targets (plus ``service``, the asyncio
+#: ingestion front end — not a registry protocol, but the same estimator
+#: behind a faulty delivery layer).  ``future_rand_object``, the O(n*d)
+#: object reference, is left out: far too slow for an evolutionary inner
+#: loop.
 FUZZ_TARGETS = (
     "future_rand",
     "bun_composed",

@@ -2,11 +2,10 @@
 mechanism.
 
 Every protocol this repository implements — the paper's FutureRand (batch
-and object drivers), all six baselines, the Bun et al. randomizer, the
-central-model reference, and the item-domain sketch protocols
-(``categorical``, ``hashed_frequency``, ``sketch_median``,
-``heavy_hitters``) — is exposed behind one interface with two execution
-modes:
+and object drivers), the Bun et al. randomizer, the Erlingsson et al.
+protocol, the randomized-response and offline-tree baselines, and the
+central-model reference — is exposed behind one interface with two
+execution modes:
 
 One-shot (the classic runner signature, now discoverable by name)::
 
@@ -36,18 +35,14 @@ changes needed.
 
 from repro.protocols.adapters import (
     BunComposedProtocol,
-    CategoricalItemProtocol,
     CentralTreeProtocol,
     ErlingssonProtocol,
     FutureRandObjectProtocol,
     FutureRandProtocol,
-    HashedFrequencyItemProtocol,
-    HeavyHittersProtocol,
     MemoizationProtocol,
     NaiveSplitProtocol,
     NaiveUnsplitProtocol,
     OfflineTreeProtocol,
-    SketchMedianProtocol,
 )
 from repro.protocols.base import (
     EstimatesNotReady,
@@ -63,16 +58,12 @@ from repro.protocols.registry import (
 )
 from repro.protocols.sessions import (
     BufferedOfflineSession,
-    CategoricalStreamingSession,
     CentralTreeStreamingSession,
     ErlingssonStreamingSession,
-    HashedFrequencyStreamingSession,
-    HeavyHittersStreamingSession,
     HierarchicalStreamingSession,
     MemoizationSession,
     ObjectStreamingSession,
     RepeatedRRSession,
-    SketchMedianStreamingSession,
 )
 
 __all__ = [
@@ -96,10 +87,6 @@ __all__ = [
     "MemoizationProtocol",
     "OfflineTreeProtocol",
     "CentralTreeProtocol",
-    "CategoricalItemProtocol",
-    "HashedFrequencyItemProtocol",
-    "SketchMedianProtocol",
-    "HeavyHittersProtocol",
     # sessions
     "HierarchicalStreamingSession",
     "ObjectStreamingSession",
@@ -108,8 +95,4 @@ __all__ = [
     "MemoizationSession",
     "CentralTreeStreamingSession",
     "BufferedOfflineSession",
-    "CategoricalStreamingSession",
-    "HashedFrequencyStreamingSession",
-    "SketchMedianStreamingSession",
-    "HeavyHittersStreamingSession",
 ]

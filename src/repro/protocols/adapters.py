@@ -28,16 +28,12 @@ from repro.core.protocol import ProtocolResult
 from repro.protocols.base import LongitudinalProtocol, ProtocolSession
 from repro.protocols.sessions import (
     BufferedOfflineSession,
-    CategoricalStreamingSession,
     CentralTreeStreamingSession,
     ErlingssonStreamingSession,
-    HashedFrequencyStreamingSession,
-    HeavyHittersStreamingSession,
     HierarchicalStreamingSession,
     MemoizationSession,
     ObjectStreamingSession,
     RepeatedRRSession,
-    SketchMedianStreamingSession,
 )
 
 __all__ = [
@@ -50,10 +46,6 @@ __all__ = [
     "MemoizationProtocol",
     "OfflineTreeProtocol",
     "CentralTreeProtocol",
-    "CategoricalItemProtocol",
-    "HashedFrequencyItemProtocol",
-    "SketchMedianProtocol",
-    "HeavyHittersProtocol",
 ]
 
 
@@ -377,237 +369,3 @@ class CentralTreeProtocol(LongitudinalProtocol):
         rng: Optional[np.random.Generator] = None,
     ) -> ProtocolResult:
         return run_central_tree(states, params, rng)
-
-
-class _ItemDomainProtocol(LongitudinalProtocol):
-    """Shared base for the item-domain (sketch-layer) protocols.
-
-    These mechanisms track a population holding *items* from ``[0,
-    domain_size)``: each user reduces their item to one Boolean coordinate
-    (one-hot slice, hashed sign, or sketch bucket) and runs the paper's
-    hierarchical Boolean mechanism on that coordinate stream — so each of
-    them is a single run of the eps-LDP binary protocol per user, and the
-    sequence-LDP guarantee carries over unchanged.
-
-    The one real deviation from the Boolean adapters: an item changing
-    ``k`` times induces up to ``k + 1`` coordinate flips (the move away
-    *and* the move onto a tracked value both flip a Boolean view), so the
-    deployed binary family spends a ``min(k + 1, d)`` sparsity budget.
-
-    Instances carry a ``domain_size`` knob (the registry singleton uses
-    :attr:`default_domain_size`); :meth:`with_domain_size` clones the
-    protocol at another domain size for huge-domain runs.
-    """
-
-    privacy_model = "local"
-    online = True
-    sequence_ldp = True
-    supports_chunk_size = True
-    supports_kernel = True
-    communication_key = "future_rand"
-    #: Domain size of the shared registry singleton; ``with_domain_size``
-    #: re-targets an instance at any other ``m >= 2``.
-    default_domain_size = 16
-
-    def __init__(self, domain_size: Optional[int] = None) -> None:
-        size = self.default_domain_size if domain_size is None else int(domain_size)
-        if size < 2:
-            raise ValueError(f"domain_size must be at least 2, got {size}")
-        self.domain_size: Optional[int] = size
-
-    def with_domain_size(self, domain_size: int) -> "_ItemDomainProtocol":
-        """Return a copy of this protocol targeting ``[0, domain_size)``."""
-        return type(self)(domain_size)
-
-    def binary_family(self, params: ProtocolParams) -> RandomizerFamily:
-        """The Boolean family each user's coordinate stream deploys.
-
-        Budget ``min(k + 1, d)``: ``k`` item changes flip any fixed Boolean
-        view of the item at most ``k + 1`` times (the initial item is free,
-        but a flip onto *and* off a tracked value each count), capped by the
-        horizon itself.
-        """
-        return FutureRandFamily(min(params.k + 1, params.d), params.epsilon)
-
-    def c_gap(self, params: ProtocolParams) -> float:
-        return self.binary_family(params).c_gap
-
-    def run(
-        self,
-        states: np.ndarray,
-        params: ProtocolParams,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        chunk_size: Optional[int] = None,
-        kernel=None,
-    ) -> ProtocolResult:
-        matrix = np.vstack(list(states)) if not hasattr(states, "ndim") else states
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2:
-            raise ValueError(f"states must be 2-D (n, d), got shape {matrix.shape}")
-        if matrix.shape != (params.n, params.d):
-            raise ValueError(
-                f"states shape {matrix.shape} disagrees with params "
-                f"(n={params.n}, d={params.d})"
-            )
-        session = self.prepare(params, rng, chunk_size=chunk_size, kernel=kernel)
-        for t in range(1, params.d + 1):
-            session.ingest(t, matrix[:, t - 1])
-        return session.result()
-
-
-class CategoricalItemProtocol(_ItemDomainProtocol):
-    """Exact per-item tracking via uniformly sampled one-hot coordinates."""
-
-    name = "categorical"
-    description = (
-        "Item-domain tracking via sampled one-hot coordinates; unbiased "
-        "per-item counts at x m estimator inflation."
-    )
-
-    def prepare(
-        self,
-        params: ProtocolParams,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        chunk_size: Optional[int] = None,
-        kernel=None,
-    ) -> ProtocolSession:
-        return CategoricalStreamingSession(
-            params,
-            self.domain_size,
-            self.binary_family(params),
-            rng,
-            chunk_size=chunk_size,
-            kernel=kernel,
-        )
-
-
-class HashedFrequencyItemProtocol(_ItemDomainProtocol):
-    """Random-sign hashing: every item estimable, variance ~ n not ~ n*m."""
-
-    name = "hashed_frequency"
-    description = (
-        "Item-domain tracking via random +-1 hashing of items; constant-"
-        "factor estimator inflation, cross-item hash noise."
-    )
-
-    def prepare(
-        self,
-        params: ProtocolParams,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        chunk_size: Optional[int] = None,
-        kernel=None,
-    ) -> ProtocolSession:
-        return HashedFrequencyStreamingSession(
-            params,
-            self.domain_size,
-            self.binary_family(params),
-            rng,
-            chunk_size=chunk_size,
-            kernel=kernel,
-        )
-
-
-class SketchMedianProtocol(_ItemDomainProtocol):
-    """Median over independent hashed-frequency cohorts (outlier robustness)."""
-
-    name = "sketch_median"
-    description = (
-        "Median-of-cohorts hashed frequency sketch; robust to per-cohort "
-        "hash collisions at x repetitions user cost."
-    )
-
-    def __init__(
-        self, domain_size: Optional[int] = None, repetitions: int = 3
-    ) -> None:
-        super().__init__(domain_size)
-        if repetitions < 1 or repetitions % 2 == 0:
-            raise ValueError(
-                f"repetitions must be odd and positive, got {repetitions}"
-            )
-        self.repetitions = int(repetitions)
-
-    def with_domain_size(self, domain_size: int) -> "SketchMedianProtocol":
-        return type(self)(domain_size, self.repetitions)
-
-    def prepare(
-        self,
-        params: ProtocolParams,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        chunk_size: Optional[int] = None,
-        kernel=None,
-    ) -> ProtocolSession:
-        return SketchMedianStreamingSession(
-            params,
-            self.domain_size,
-            self.binary_family(params),
-            self.repetitions,
-            rng,
-            chunk_size=chunk_size,
-            kernel=kernel,
-        )
-
-
-class HeavyHittersProtocol(_ItemDomainProtocol):
-    """Succinct-histogram heavy hitters: count-sketch buckets + bit channels.
-
-    The Bassily-Smith reduction on top of the longitudinal mechanism: users
-    split across ``repetitions x (bit_length + 1)`` groups, each group runs
-    one hashed-frequency oracle over a small bucket domain (``width`` or
-    ``2 * width`` cells), and top-r items are decoded bit-by-bit from the
-    noisy sketches — memory and decode cost scale with ``width * log2 m``,
-    never with the item domain ``m``, which is what makes ``m ~ 2^20``
-    viable inside the 1 GB discipline.
-    """
-
-    name = "heavy_hitters"
-    description = (
-        "Bassily-Smith style succinct histogram over the longitudinal "
-        "mechanism; decodes top-r items from noisy count sketches without "
-        "materializing the item domain."
-    )
-    default_domain_size = 1024
-
-    def __init__(
-        self,
-        domain_size: Optional[int] = None,
-        *,
-        width: int = 64,
-        repetitions: int = 3,
-        top_r: int = 8,
-    ) -> None:
-        super().__init__(domain_size)
-        self.width = int(width)
-        self.repetitions = int(repetitions)
-        self.top_r = int(top_r)
-
-    def with_domain_size(self, domain_size: int) -> "HeavyHittersProtocol":
-        return type(self)(
-            domain_size,
-            width=self.width,
-            repetitions=self.repetitions,
-            top_r=self.top_r,
-        )
-
-    def prepare(
-        self,
-        params: ProtocolParams,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        chunk_size: Optional[int] = None,
-        kernel=None,
-    ) -> ProtocolSession:
-        return HeavyHittersStreamingSession(
-            params,
-            self.domain_size,
-            self.binary_family(params),
-            rng,
-            width=self.width,
-            repetitions=self.repetitions,
-            top_r=self.top_r,
-            chunk_size=chunk_size,
-            kernel=kernel,
-        )

@@ -132,9 +132,13 @@ class ProtocolSession(abc.ABC):
             raise ValueError(
                 f"values must have shape ({self._params.n},), got {column.shape}"
             )
-        column = self._coerce_column(column)
+        if not np.isin(column, (0, 1)).all():
+            raise ValueError("values entries must all be 0 or 1")
+        column = column.astype(np.int8)
         if self._enforce_k_changes:
-            self._count_changes(column)
+            # A switch away from the implicit st_u[0]=0 start counts (the
+            # paper's convention).
+            self._change_counts += column != self._previous_values
             if (self._change_counts > self._params.k).any():
                 worst = int(self._change_counts.max())
                 raise ValueError(
@@ -142,31 +146,8 @@ class ProtocolSession(abc.ABC):
                 )
         self._previous_values = column
         self._period = period
-        self._record_truth(column)
+        self._true_counts[period - 1] = float(column.sum())
         return self._ingest(column)
-
-    def _coerce_column(self, column: np.ndarray) -> np.ndarray:
-        """Validate one period's values and cast them to the session dtype.
-
-        The Boolean default enforces the 0/1 contract; item-domain sessions
-        override it to accept items in ``[0, domain_size)``.
-        """
-        if not np.isin(column, (0, 1)).all():
-            raise ValueError("values entries must all be 0 or 1")
-        return column.astype(np.int8)
-
-    def _count_changes(self, column: np.ndarray) -> None:
-        """Charge this period's value switches against the ``k`` budget.
-
-        Boolean sessions charge a switch away from the implicit ``st_u[0]=0``
-        start (the paper's convention); item-domain sessions override to
-        leave the initial item free.
-        """
-        self._change_counts += column != self._previous_values
-
-    def _record_truth(self, column: np.ndarray) -> None:
-        """Accumulate ground truth for the just-ingested period."""
-        self._true_counts[self._period - 1] = float(column.sum())
 
     @abc.abstractmethod
     def _ingest(self, values: np.ndarray) -> int:
@@ -253,10 +234,6 @@ class LongitudinalProtocol(abc.ABC):
     #: selection, :mod:`repro.kernels`).  True on the composed-randomizer
     #: adapters whose hot path goes through ``randomize_matrix``.
     supports_kernel: ClassVar[bool] = False
-    #: Item-domain size ``m`` for protocols tracking items from ``[0, m)``
-    #: (``None`` for the Boolean protocols).  Item-domain adapters shadow
-    #: this with a configurable instance attribute.
-    domain_size: Optional[int] = None
 
     @abc.abstractmethod
     def prepare(
@@ -335,7 +312,6 @@ class LongitudinalProtocol(abc.ABC):
             "description": self.description,
             "supports_chunk_size": self.supports_chunk_size,
             "supports_kernel": self.supports_kernel,
-            "domain_size": self.domain_size,
         }
 
     def __repr__(self) -> str:

@@ -15,18 +15,14 @@ from typing import Callable, Optional, Union
 
 from repro.protocols.adapters import (
     BunComposedProtocol,
-    CategoricalItemProtocol,
     CentralTreeProtocol,
     ErlingssonProtocol,
     FutureRandObjectProtocol,
     FutureRandProtocol,
-    HashedFrequencyItemProtocol,
-    HeavyHittersProtocol,
     MemoizationProtocol,
     NaiveSplitProtocol,
     NaiveUnsplitProtocol,
     OfflineTreeProtocol,
-    SketchMedianProtocol,
 )
 from repro.protocols.base import LongitudinalProtocol
 
@@ -55,10 +51,6 @@ def _build_registry() -> dict[str, LongitudinalProtocol]:
         MemoizationProtocol(),
         OfflineTreeProtocol(),
         CentralTreeProtocol(),
-        CategoricalItemProtocol(),
-        HashedFrequencyItemProtocol(),
-        SketchMedianProtocol(),
-        HeavyHittersProtocol(),
     )
     registry: dict[str, LongitudinalProtocol] = {}
     for protocol in protocols:

@@ -37,15 +37,10 @@ from repro.core.basic_randomizer import basic_c_gap
 from repro.core.client import Client, Report
 from repro.core.interfaces import RandomizerFamily
 from repro.core.params import ProtocolParams
-from repro.core.protocol import ItemDomainResult, ProtocolResult
+from repro.core.protocol import ProtocolResult
 from repro.core.server import Server
 from repro.dyadic.intervals import decompose_prefix
-from repro.protocols.sketch_layer import (
-    SIGNS,
-    BooleanDyadicStream,
-    multiply_shift_bucket,
-    random_odd_multiplier,
-)
+from repro.protocols.sketch_layer import SIGNS, BooleanDyadicStream
 from repro.protocols.base import EstimatesNotReady, ProtocolSession
 from repro.utils.rng import spawn_generators
 
@@ -57,13 +52,7 @@ __all__ = [
     "MemoizationSession",
     "CentralTreeStreamingSession",
     "BufferedOfflineSession",
-    "CategoricalStreamingSession",
-    "HashedFrequencyStreamingSession",
-    "SketchMedianStreamingSession",
-    "HeavyHittersStreamingSession",
 ]
-
-_SIGNS = SIGNS
 
 
 class HierarchicalStreamingSession(ProtocolSession):
@@ -93,8 +82,8 @@ class HierarchicalStreamingSession(ProtocolSession):
 
         self._kernel = resolve_kernel(kernel)
         # The client side (order sampling, b~ pre-draw, per-period report
-        # emission) is the shared sketch-layer stream; this session's only
-        # job is routing the emissions into the prefix tree.
+        # emission) is the Boolean dyadic stream; this session's only job is
+        # routing the emissions into the prefix tree.
         self._stream = BooleanDyadicStream(
             params.n,
             params.d,
@@ -274,7 +263,7 @@ class ErlingssonStreamingSession(ProtocolSession):
             self._boundary[members] = self._kept_value[members]
             flips = self._rng.random(members.size) < self._flip_probability
             perturbed = np.where(flips, -partials, partials)
-            noise = self._rng.choice(_SIGNS, size=members.size)
+            noise = self._rng.choice(SIGNS, size=members.size)
             reports = np.where(partials == 0, noise, perturbed)
             self._raw_sums[order][(t >> order) - 1] = float(reports.sum())
             delivered += members.size
@@ -461,558 +450,3 @@ class BufferedOfflineSession(ProtocolSession):
                 "the result requires the full horizon"
             )
         return self._finalize()
-
-
-class _HashedOracleState:
-    """One user block's sign-hash frequency oracle (stream + decode arrays).
-
-    The decode identity: with per-user public sign hashes ``signs[u, v]`` and
-    per-emission accumulation ``acc[h][j-1, :] += bits @ signs[members]``,
-
-        ``freq_hat(v, t) = 2 * scale * sum_{I in C(t)} acc[I.order][I.index-1, v]
-                           - sum_u signs[u, v]``
-
-    equals the classic per-user estimator ``sum_u signs[u, v] *
-    (2 * st_hat_u[t] - 1)`` exactly (each user's own order contributes at
-    most one interval to ``C(t)``), but needs only O(nodes x m) memory and
-    no per-user estimate matrix.
-    """
-
-    def __init__(
-        self,
-        size: int,
-        d: int,
-        coordinate_domain: int,
-        family: RandomizerFamily,
-        rng: np.random.Generator,
-        *,
-        chunk_size: Optional[int] = None,
-        kernel=None,
-    ) -> None:
-        self.size = int(size)
-        self.signs = rng.choice(SIGNS, size=(self.size, coordinate_domain))
-        self.stream = BooleanDyadicStream(
-            self.size, d, family, rng, chunk_size=chunk_size, kernel=kernel
-        )
-        self.acc = [
-            np.zeros((d >> order, coordinate_domain), dtype=np.float64)
-            for order in range(d.bit_length())
-        ]
-        self.total_signs = self.signs.sum(axis=0, dtype=np.float64)
-        self.scale = d.bit_length() / family.c_gap
-        self._row_index = np.arange(self.size)
-
-    def ingest(self, t: int, coordinates: np.ndarray) -> int:
-        """Feed period ``t``'s block coordinates; return reports delivered."""
-        boolean = (self.signs[self._row_index, coordinates] == 1).astype(np.int8)
-        delivered = 0
-        for order, index, members, bits in self.stream.emissions(t, boolean):
-            self.acc[order][index - 1] += bits.astype(np.float64) @ self.signs[members]
-            delivered += bits.size
-        return delivered
-
-    def decode(self, t: int) -> np.ndarray:
-        """All-coordinate count estimates for this block at period ``t``."""
-        total = np.zeros(self.signs.shape[1], dtype=np.float64)
-        for interval in decompose_prefix(t):
-            total += self.acc[interval.order][interval.index - 1]
-        return 2.0 * self.scale * total - self.total_signs
-
-    def decode_at(self, t: int, coordinate: int) -> float:
-        """Count estimate for one coordinate at period ``t``."""
-        total = 0.0
-        for interval in decompose_prefix(t):
-            total += self.acc[interval.order][interval.index - 1, coordinate]
-        return 2.0 * self.scale * total - float(self.total_signs[coordinate])
-
-
-class _ItemStreamingSession(ProtocolSession):
-    """Shared base for the item-domain sessions (items from ``[0, m)``).
-
-    Reuses the Boolean session plumbing with three overridden hooks: columns
-    hold item ids (validated against ``domain_size``), a user's *initial*
-    item is free under the ``k`` budget (a period-1 item is not a change;
-    only a switch from one item to a different item at a later period
-    counts against ``k``), and scalar ground
-    truth follows the tracked-item convention — ``true_counts[t-1]`` counts
-    the users holding **item 1** — so 0/1 Boolean inputs reproduce the
-    Boolean protocols' scalar semantics exactly and every scalar consumer
-    (sweeps, error metrics, conformance bounds) works unchanged.  Exact
-    per-item counts are kept sparsely per period and materialized into the
-    :class:`~repro.core.protocol.ItemDomainResult` when ``d * m`` is small
-    enough to be worth holding.
-    """
-
-    #: Materialize ``(d, m)`` item matrices only below this cell count; the
-    #: huge-domain sketch path never builds per-item vectors.
-    _MATERIALIZE_CELLS = 1 << 22
-
-    def __init__(
-        self,
-        params: ProtocolParams,
-        domain_size: int,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        c_gap: float,
-        family_name: str,
-    ) -> None:
-        if domain_size < 2:
-            raise ValueError(f"domain_size must be at least 2, got {domain_size}")
-        super().__init__(params, rng, c_gap=c_gap, family_name=family_name)
-        self._m = int(domain_size)
-        self._previous_values = np.zeros(params.n, dtype=np.int64)
-        self._truth_sparse: list[tuple[np.ndarray, np.ndarray]] = []
-
-    @property
-    def domain_size(self) -> int:
-        """``m``: number of distinct items."""
-        return self._m
-
-    def _coerce_column(self, column: np.ndarray) -> np.ndarray:
-        if not np.issubdtype(column.dtype, np.integer):
-            raise ValueError(
-                f"item values must be integers, got dtype {column.dtype}"
-            )
-        column = column.astype(np.int64)
-        if column.min() < 0 or column.max() >= self._m:
-            raise ValueError(f"item values must lie in [0, {self._m})")
-        return column
-
-    def _count_changes(self, column: np.ndarray) -> None:
-        # self._period still holds the previous period here; the first
-        # column initializes items without spending the change budget.
-        if self._period:
-            self._change_counts += column != self._previous_values
-
-    def _record_truth(self, column: np.ndarray) -> None:
-        self._true_counts[self._period - 1] = float(
-            np.count_nonzero(column == 1)
-        )
-        values, counts = np.unique(column, return_counts=True)
-        self._truth_sparse.append((values, counts.astype(np.float64)))
-
-    def _materializable(self) -> bool:
-        return self._params.d * self._m <= self._MATERIALIZE_CELLS
-
-    def item_estimates(self) -> Optional[np.ndarray]:
-        """``(period, m)`` per-item estimates so far; ``None`` at huge ``m``."""
-        if not self._materializable() or self._period == 0:
-            return None if not self._materializable() else np.zeros((0, self._m))
-        return np.vstack(
-            [self._item_estimate_row(t) for t in range(1, self._period + 1)]
-        )
-
-    def _item_estimate_row(self, t: int) -> np.ndarray:
-        """The ``(m,)`` per-item estimate vector at period ``t``."""
-        raise NotImplementedError
-
-    def _true_item_counts(self) -> Optional[np.ndarray]:
-        if not self._materializable():
-            return None
-        matrix = np.zeros((self._params.d, self._m), dtype=np.float64)
-        for t, (values, counts) in enumerate(self._truth_sparse):
-            matrix[t, values] = counts
-        return matrix
-
-    def _heavy_hitters_for_result(self) -> Optional[tuple]:
-        return None
-
-    def result(self) -> ItemDomainResult:
-        if not self.complete:
-            raise EstimatesNotReady(
-                f"only {self._period} of {self._params.d} periods ingested; "
-                "the result requires the full horizon"
-            )
-        estimates = np.asarray(self.estimates(), dtype=np.float64)
-        return ItemDomainResult(
-            estimates=estimates,
-            true_counts=self._true_counts.copy(),
-            c_gap=self._c_gap,
-            family_name=self._family_name,
-            orders=self._orders_for_result(),
-            domain_size=self._m,
-            item_estimates=self.item_estimates(),
-            true_item_counts=self._true_item_counts(),
-            heavy_hitters=self._heavy_hitters_for_result(),
-        )
-
-
-class CategoricalStreamingSession(_ItemStreamingSession):
-    """One-hot coordinate sampling over the Boolean dyadic stream.
-
-    The streaming form of the coordinate-sampling frequency oracle: each
-    user samples one one-hot coordinate ``c_u`` uniformly and runs the
-    Boolean protocol on the indicator ``item_u[t] == c_u``; the server
-    buckets each emission's reports by coordinate and rescales by ``m``.
-    """
-
-    def __init__(
-        self,
-        params: ProtocolParams,
-        domain_size: int,
-        family: RandomizerFamily,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        chunk_size: Optional[int] = None,
-        kernel=None,
-    ) -> None:
-        super().__init__(
-            params,
-            domain_size,
-            rng,
-            c_gap=family.c_gap,
-            family_name=f"categorical[{family.name}]",
-        )
-        from repro.kernels import resolve_kernel
-
-        kernel = resolve_kernel(kernel)
-        rng = self._rng
-        d = params.d
-        self._num_orders = d.bit_length()
-        self._coordinates = rng.integers(0, self._m, size=params.n)
-        self._stream = BooleanDyadicStream(
-            params.n, d, family, rng, chunk_size=chunk_size, kernel=kernel
-        )
-        self._raw = [
-            np.zeros((self._m, d >> order), dtype=np.float64)
-            for order in range(self._num_orders)
-        ]
-        self._scale = self._m * self._num_orders / family.c_gap
-
-    def _ingest(self, values: np.ndarray) -> int:
-        t = self._period
-        boolean = (values == self._coordinates).astype(np.int8)
-        delivered = 0
-        for order, index, members, bits in self._stream.emissions(t, boolean):
-            np.add.at(
-                self._raw[order][:, index - 1],
-                self._coordinates[members],
-                bits.astype(np.float64),
-            )
-            delivered += bits.size
-        total = 0.0
-        for interval in decompose_prefix(t):
-            total += self._raw[interval.order][1, interval.index - 1]
-        self._released.append(self._scale * total)
-        return delivered
-
-    def _item_estimate_row(self, t: int) -> np.ndarray:
-        totals = np.zeros(self._m, dtype=np.float64)
-        for interval in decompose_prefix(t):
-            totals += self._raw[interval.order][:, interval.index - 1]
-        return self._scale * totals
-
-    def _orders_for_result(self) -> np.ndarray:
-        return self._stream.orders.copy()
-
-
-class HashedFrequencyStreamingSession(_ItemStreamingSession):
-    """Sign-hash frequency oracle over the Boolean dyadic stream.
-
-    The streaming form of the hashed oracle: each user tracks the Boolean
-    value ``h_u(item_u[t]) = +1`` under a public per-user sign hash; the
-    decode accumulators of :class:`_HashedOracleState` recover every item's
-    count without ever materializing per-user estimate matrices.
-    """
-
-    def __init__(
-        self,
-        params: ProtocolParams,
-        domain_size: int,
-        family: RandomizerFamily,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        chunk_size: Optional[int] = None,
-        kernel=None,
-    ) -> None:
-        super().__init__(
-            params,
-            domain_size,
-            rng,
-            c_gap=family.c_gap,
-            family_name=f"hashed_frequency[{family.name}]",
-        )
-        from repro.kernels import resolve_kernel
-
-        kernel = resolve_kernel(kernel)
-        self._oracle = _HashedOracleState(
-            params.n,
-            params.d,
-            self._m,
-            family,
-            self._rng,
-            chunk_size=chunk_size,
-            kernel=kernel,
-        )
-
-    def _ingest(self, values: np.ndarray) -> int:
-        t = self._period
-        delivered = self._oracle.ingest(t, values)
-        self._released.append(self._oracle.decode_at(t, 1))
-        return delivered
-
-    def _item_estimate_row(self, t: int) -> np.ndarray:
-        return self._oracle.decode(t)
-
-    def _orders_for_result(self) -> np.ndarray:
-        return self._oracle.stream.orders.copy()
-
-
-class SketchMedianStreamingSession(_ItemStreamingSession):
-    """Median over disjoint-cohort sign-hash oracles, streamed.
-
-    Users are split into ``repetitions`` near-equal cohorts; each cohort
-    runs its own :class:`_HashedOracleState` and estimates full-population
-    counts by rescaling with ``n / cohort_size``; every query answers with
-    the per-item median over cohorts (count-sketch aggregation).
-    """
-
-    def __init__(
-        self,
-        params: ProtocolParams,
-        domain_size: int,
-        family: RandomizerFamily,
-        repetitions: int,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        chunk_size: Optional[int] = None,
-        kernel=None,
-    ) -> None:
-        super().__init__(
-            params,
-            domain_size,
-            rng,
-            c_gap=family.c_gap,
-            family_name=f"sketch_median[{family.name}]",
-        )
-        if repetitions < 1 or repetitions % 2 == 0:
-            raise ValueError(
-                f"repetitions must be odd for an unambiguous median, got "
-                f"{repetitions}"
-            )
-        if params.n < repetitions:
-            raise ValueError(
-                f"need at least {repetitions} users, got {params.n}"
-            )
-        from repro.kernels import resolve_kernel
-
-        kernel = resolve_kernel(kernel)
-        rng = self._rng
-        self._repetitions = int(repetitions)
-        assignment = rng.permutation(params.n) % self._repetitions
-        cohort_rngs = spawn_generators(rng, self._repetitions)
-        self._cohorts = []
-        for cohort in range(self._repetitions):
-            members = np.flatnonzero(assignment == cohort)
-            oracle = _HashedOracleState(
-                members.size,
-                params.d,
-                self._m,
-                family,
-                cohort_rngs[cohort],
-                chunk_size=chunk_size,
-                kernel=kernel,
-            )
-            self._cohorts.append((members, oracle))
-
-    def _ingest(self, values: np.ndarray) -> int:
-        t = self._period
-        delivered = 0
-        for members, oracle in self._cohorts:
-            delivered += oracle.ingest(t, values[members])
-        n = self._params.n
-        per_cohort = [
-            oracle.decode_at(t, 1) * (n / members.size)
-            for members, oracle in self._cohorts
-        ]
-        self._released.append(float(np.median(per_cohort)))
-        return delivered
-
-    def _item_estimate_row(self, t: int) -> np.ndarray:
-        n = self._params.n
-        per_cohort = np.stack(
-            [
-                oracle.decode(t) * (n / members.size)
-                for members, oracle in self._cohorts
-            ]
-        )
-        return np.median(per_cohort, axis=0)
-
-
-class HeavyHittersStreamingSession(_ItemStreamingSession):
-    """Huge-domain heavy hitters: count-sketch rows with bit-channel decoding.
-
-    The succinct-histogram construction (Bassily-Smith style) on the sketch
-    layer: ``repetitions`` independent sketch rows each hash the item domain
-    into ``width`` buckets via a public multiply-shift hash; per row, one
-    *bucket channel* group of users tracks their bucket coordinate through a
-    sign-hash oracle over ``[width]``, and ``ceil(log2 m)`` *bit channel*
-    groups track ``(bucket, b-th item bit)`` pairs over ``[2 width]``.  Per
-    period the decoder takes each row's heaviest buckets, reads the item id
-    bit by bit from the bit channels, validates the candidate against the
-    row's hash, and reports the top-``r`` candidates by their median-of-rows
-    count estimate.  All state is O(width) per group — the item domain size
-    ``m`` enters only through ``log2 m`` group count, so ``m ~ 2^20`` runs
-    in megabytes.
-    """
-
-    def __init__(
-        self,
-        params: ProtocolParams,
-        domain_size: int,
-        family: RandomizerFamily,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        width: int = 64,
-        repetitions: int = 3,
-        top_r: int = 8,
-        chunk_size: Optional[int] = None,
-        kernel=None,
-    ) -> None:
-        super().__init__(
-            params,
-            domain_size,
-            rng,
-            c_gap=family.c_gap,
-            family_name=f"heavy_hitters[{family.name}]",
-        )
-        if width < 2 or width & (width - 1):
-            raise ValueError(f"width must be a power of two >= 2, got {width}")
-        if repetitions < 1 or repetitions % 2 == 0:
-            raise ValueError(
-                f"repetitions must be odd for an unambiguous median, got "
-                f"{repetitions}"
-            )
-        if top_r < 1:
-            raise ValueError(f"top_r must be at least 1, got {top_r}")
-        self._width = int(width)
-        self._repetitions = int(repetitions)
-        self._top_r = int(top_r)
-        self._bits_per_item = max(1, (self._m - 1).bit_length())
-        self._channels = self._bits_per_item + 1
-        groups = self._repetitions * self._channels
-        if params.n < groups:
-            raise ValueError(
-                f"heavy_hitters needs at least {groups} users (repetitions x "
-                f"(1 + item bits) = {self._repetitions} x {self._channels}), "
-                f"got {params.n}"
-            )
-        from repro.kernels import resolve_kernel
-
-        kernel = resolve_kernel(kernel)
-        rng = self._rng
-        assignment = rng.permutation(params.n) % groups
-        self._multipliers = [
-            random_odd_multiplier(rng) for _ in range(self._repetitions)
-        ]
-        group_rngs = spawn_generators(rng, groups)
-        self._groups = []
-        for group in range(groups):
-            members = np.flatnonzero(assignment == group)
-            channel = group % self._channels
-            coordinate_domain = self._width if channel == 0 else 2 * self._width
-            oracle = _HashedOracleState(
-                members.size,
-                params.d,
-                coordinate_domain,
-                family,
-                group_rngs[group],
-                chunk_size=chunk_size,
-                kernel=kernel,
-            )
-            self._groups.append((members, oracle))
-        self._decoded: list[tuple[tuple[int, float], ...]] = []
-
-    def _bucket_of(self, items: np.ndarray, rep: int) -> np.ndarray:
-        return multiply_shift_bucket(items, self._multipliers[rep], self._width)
-
-    def _ingest(self, values: np.ndarray) -> int:
-        t = self._period
-        delivered = 0
-        for group, (members, oracle) in enumerate(self._groups):
-            rep, channel = divmod(group, self._channels)
-            items = values[members]
-            buckets = self._bucket_of(items, rep)
-            if channel == 0:
-                coordinates = buckets
-            else:
-                bit = (items >> np.int64(channel - 1)) & np.int64(1)
-                coordinates = 2 * buckets + bit
-            delivered += oracle.ingest(t, coordinates)
-        bucket_tables = [
-            self._bucket_estimates(rep, t) for rep in range(self._repetitions)
-        ]
-        self._released.append(self._scalar_estimate(t, bucket_tables))
-        self._decoded.append(self._decode_top(t, bucket_tables))
-        return delivered
-
-    def _bucket_estimates(self, rep: int, t: int) -> np.ndarray:
-        """Population-scaled per-bucket count estimates for one sketch row."""
-        members, oracle = self._groups[rep * self._channels]
-        return oracle.decode(t) * (self._params.n / members.size)
-
-    def _median_item_estimate(
-        self, item: int, bucket_tables: list[np.ndarray]
-    ) -> float:
-        items = np.array([item], dtype=np.int64)
-        per_rep = [
-            bucket_tables[rep][int(self._bucket_of(items, rep)[0])]
-            for rep in range(self._repetitions)
-        ]
-        return float(np.median(per_rep))
-
-    def _scalar_estimate(self, t: int, bucket_tables: list[np.ndarray]) -> float:
-        return self._median_item_estimate(1, bucket_tables)
-
-    def _decode_top(
-        self, t: int, bucket_tables: list[np.ndarray]
-    ) -> tuple[tuple[int, float], ...]:
-        candidates: set[int] = set()
-        for rep in range(self._repetitions):
-            heaviest = np.argsort(-bucket_tables[rep], kind="stable")[
-                : self._top_r
-            ]
-            bit_rows = [
-                self._groups[rep * self._channels + 1 + b][1].decode(t)
-                for b in range(self._bits_per_item)
-            ]
-            for bucket in heaviest:
-                bucket = int(bucket)
-                item = 0
-                for b in range(self._bits_per_item):
-                    if bit_rows[b][2 * bucket + 1] > bit_rows[b][2 * bucket]:
-                        item |= 1 << b
-                if item >= self._m:
-                    continue
-                probe = np.array([item], dtype=np.int64)
-                if int(self._bucket_of(probe, rep)[0]) != bucket:
-                    continue
-                candidates.add(item)
-        scored = sorted(
-            (
-                (item, self._median_item_estimate(item, bucket_tables))
-                for item in candidates
-            ),
-            key=lambda pair: (-pair[1], pair[0]),
-        )
-        return tuple(scored[: self._top_r])
-
-    def top_items(self) -> list[list[int]]:
-        """Decoded heavy-hitter item ids per ingested period."""
-        return [[item for item, _ in period] for period in self._decoded]
-
-    def _heavy_hitters_for_result(self) -> tuple:
-        return tuple(self._decoded)
-
-    def _item_estimate_row(self, t: int) -> np.ndarray:
-        bucket_tables = [
-            self._bucket_estimates(rep, t) for rep in range(self._repetitions)
-        ]
-        all_items = np.arange(self._m, dtype=np.int64)
-        per_rep = np.stack(
-            [
-                bucket_tables[rep][self._bucket_of(all_items, rep)]
-                for rep in range(self._repetitions)
-            ]
-        )
-        return np.median(per_rep, axis=0)

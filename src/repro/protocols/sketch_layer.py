@@ -1,21 +1,10 @@
-"""Sketch-layer machinery shared by the item-domain registry protocols.
+"""The client side of the hierarchical Boolean mechanism as an emission stream.
 
-The item-domain protocols (``categorical``, ``hashed_frequency``,
-``sketch_median``, ``heavy_hitters``) all reduce to the same move: hash or
-project the item domain down to one or more *Boolean* coordinates per user,
-run the paper's hierarchical Boolean mechanism on each coordinate stream, and
-decode item statistics from the aggregated sign reports.  This module holds
-the two reusable pieces of that reduction:
-
-* :class:`BooleanDyadicStream` — Algorithms 1 + 2's client side (order
-  sampling, "randomize the future" noise pre-draw, per-period ``{-1,+1}``
-  report emission) for a block of users, decoupled from any particular
-  aggregation structure.  :class:`~repro.protocols.sessions.
-  HierarchicalStreamingSession` feeds its emissions into the prefix tree;
-  the sketch sessions feed them into per-coordinate decode accumulators.
-* the multiply-shift bucket hash — the public 2-universal hash that maps a
-  huge item domain onto a small sketch width, so the mechanism's memory is
-  governed by the sketch width rather than the domain size.
+:class:`BooleanDyadicStream` runs Algorithms 1 + 2's client side for a block
+of users: order sampling, the "randomize the future" noise pre-draw, and the
+per-period ``{-1,+1}`` report emission, decoupled from any aggregation
+structure.  :class:`~repro.protocols.sessions.HierarchicalStreamingSession`
+routes its emissions into the server's prefix tree.
 """
 
 from __future__ import annotations
@@ -30,32 +19,9 @@ from repro.core.interfaces import RandomizerFamily
 __all__ = [
     "SIGNS",
     "BooleanDyadicStream",
-    "multiply_shift_bucket",
-    "random_odd_multiplier",
 ]
 
 SIGNS = np.array([-1, 1], dtype=np.int8)
-
-
-def random_odd_multiplier(rng: np.random.Generator) -> np.uint64:
-    """Draw a uniform odd 64-bit multiplier for the multiply-shift hash."""
-    return np.uint64(rng.integers(0, 2**64, dtype=np.uint64) | np.uint64(1))
-
-
-def multiply_shift_bucket(
-    items: np.ndarray, multiplier: np.uint64, width: int
-) -> np.ndarray:
-    """Hash item ids into ``[0, width)`` buckets (``width`` a power of two).
-
-    The classic multiply-shift universal hash: multiply by a random odd
-    64-bit constant (modulo ``2^64``) and keep the top ``log2 width`` bits.
-    Collision probability between distinct items is at most ``2 / width``.
-    """
-    if width < 2 or width & (width - 1):
-        raise ValueError(f"width must be a power of two >= 2, got {width}")
-    shift = np.uint64(64 - (width.bit_length() - 1))
-    hashed = np.asarray(items).astype(np.uint64) * np.uint64(multiplier)
-    return (hashed >> shift).astype(np.int64)
 
 
 class BooleanDyadicStream:
@@ -66,9 +32,8 @@ class BooleanDyadicStream:
     "randomize the future" noise ``b~ = R~(1^k)`` is pre-drawn (chunk-bounded
     when ``chunk_size`` is set), and each period :meth:`emissions` yields the
     emitting order groups' ``{-1,+1}`` report vectors.  What happens to a
-    report is the caller's business — the Boolean protocols accumulate them
-    into one prefix tree, the sketch sessions into per-coordinate decode
-    arrays — so the privacy-critical mechanics live in exactly one place.
+    report is the caller's business, so the privacy-critical mechanics live in
+    exactly one place.
     """
 
     def __init__(

@@ -193,7 +193,6 @@ def _params_payload(
     params: ProtocolParams,
     chunk_size: Optional[int] = None,
     kernel: Optional[str] = None,
-    domain_size: Optional[int] = None,
 ) -> dict[str, Union[int, float, str]]:
     payload: dict[str, Union[int, float, str]] = {
         "n": params.n,
@@ -216,10 +215,6 @@ def _params_payload(
     kernel_name = getattr(kernel, "name", kernel)
     if kernel_name is not None and kernel_name != "reference":
         payload["kernel"] = str(kernel_name)
-    # Item-domain protocols parameterize on the domain size m; Boolean
-    # protocols carry ``domain_size=None`` and their keys stay byte-stable.
-    if domain_size is not None:
-        payload["domain_size"] = int(domain_size)
     return payload
 
 
@@ -246,7 +241,6 @@ def _plan_point_shards(
     point: tuple,
     chunk_size: Optional[int] = None,
     kernel: Optional[str] = None,
-    domain_size: Optional[int] = None,
 ) -> list[_PlannedShard]:
     """Build the shard tasks (and keys) for one (protocol, sweep point)."""
     # Captured before spawning: a caller-supplied SeedSequence that has
@@ -261,7 +255,7 @@ def _plan_point_shards(
         if store is not None:
             key = ShardKey(
                 protocol=name,
-                params=_params_payload(params, chunk_size, kernel, domain_size),
+                params=_params_payload(params, chunk_size, kernel),
                 seed_entropy=trial_seed.entropy,
                 spawn_key=tuple(trial_seed.spawn_key),
                 seed_spawn_base=spawn_base,
@@ -374,9 +368,6 @@ def run_trials(
     record it only when non-default.
     """
     name, runner = _prepare_runner(runner)
-    # Captured before option-wrapping: functools.partial hides the instance
-    # attributes of the underlying protocol.
-    domain_size = getattr(runner, "domain_size", None)
     runner = _apply_execution_options(name, runner, chunk_size, kernel)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -395,7 +386,6 @@ def run_trials(
         point=(name,),
         chunk_size=chunk_size,
         kernel=kernel,
-        domain_size=domain_size,
     )
     grouped = _execute_planned(planned, workers=workers, store=store, resume=resume)
     return TrialStatistics.from_metrics(grouped[(name,)])
@@ -509,11 +499,6 @@ def sweep(
     [1.0, 2.0]
     """
     runners = _normalize_runners(runners)
-    # Captured before option-wrapping (partials hide protocol attributes).
-    domain_sizes = {
-        name: getattr(runner, "domain_size", None)
-        for name, runner in runners.items()
-    }
     runners = {
         name: _apply_execution_options(name, runner, chunk_size, kernel)
         for name, runner in runners.items()
@@ -562,7 +547,6 @@ def sweep(
                     point=point,
                     chunk_size=chunk_size,
                     kernel=kernel,
-                    domain_size=domain_sizes[name],
                 )
             )
 

@@ -24,7 +24,6 @@ from repro.utils.validation import check_power_of_two, check_probability, ensure
 __all__ = [
     "Population",
     "BoundedChangePopulation",
-    "ItemChangePopulation",
     "TrendPopulation",
     "PeriodicPopulation",
     "ChurnPopulation",
@@ -279,80 +278,6 @@ class BoundedChangePopulation(Population):
         toggles = _smallest_per_row(scores, budgets)
         toggles[starts, 0] = True
         return np.logical_xor.accumulate(toggles, axis=1).astype(np.int8)
-
-
-class ItemChangePopulation(Population):
-    """Users holding *items* from ``[0, domain_size)`` under a change budget.
-
-    The item-domain workload behind the ``categorical`` / ``hashed_frequency``
-    / ``sketch_median`` / ``heavy_hitters`` protocols: each user holds one
-    item per period and switches items at most ``k`` times over the horizon
-    (the initial item is free, matching the item sessions' change
-    accounting).  Items are drawn from a power-law-skewed distribution —
-    ``skew > 1`` concentrates mass on the low item ids, producing the
-    natural heavy hitters that the sketch decoders are meant to find;
-    ``skew = 1`` is uniform.
-
-    Returns ``(n, d)`` int64 matrices of item ids (not Boolean!); feed them
-    only to item-domain protocols.
-
-    >>> population = ItemChangePopulation(d=8, k=2, domain_size=1000)
-    >>> items = population.sample(10, np.random.default_rng(0))
-    >>> items.shape, int(items.max()) < 1000
-    ((10, 8), True)
-    """
-
-    def __init__(
-        self, d: int, k: int, domain_size: int, *, skew: float = 4.0
-    ) -> None:
-        self._d = check_power_of_two(d, "d")
-        self._k = _check_budget(k, self._d)
-        self._m = int(domain_size)
-        if self._m < 2:
-            raise ValueError(f"domain_size must be at least 2, got {domain_size}")
-        self._skew = float(skew)
-        if self._skew < 1.0:
-            raise ValueError(f"skew must be at least 1.0, got {skew}")
-
-    @property
-    def d(self) -> int:
-        """Horizon."""
-        return self._d
-
-    @property
-    def k(self) -> int:
-        """Per-user item-change budget."""
-        return self._k
-
-    @property
-    def domain_size(self) -> int:
-        """Item domain size ``m``."""
-        return self._m
-
-    def _draw_items(self, rng: np.random.Generator, size) -> np.ndarray:
-        # Inverse-CDF of the density ~ x^(1/skew - 1): u^skew concentrates
-        # low ids; skew=1 degenerates to uniform.
-        draws = (self._m * rng.random(size) ** self._skew).astype(np.int64)
-        return np.minimum(draws, self._m - 1)
-
-    def sample(self, n: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Return an ``(n, d)`` int64 item matrix with <= k switches per user."""
-        n = ensure_positive(n, "n")
-        rng = as_generator(rng)
-        # Each user's horizon is a sequence of k+1 item segments; up to k of
-        # the d-1 period boundaries are switch points.
-        segments = self._draw_items(rng, (n, self._k + 1))
-        boundaries = self._d - 1
-        counts = rng.integers(0, min(self._k, boundaries) + 1, size=n)
-        switches = _smallest_per_row(rng.random((n, boundaries)), counts)
-        segment_index = np.concatenate(
-            [
-                np.zeros((n, 1), dtype=np.int64),
-                np.cumsum(switches, axis=1, dtype=np.int64),
-            ],
-            axis=1,
-        )
-        return segments[np.arange(n)[:, np.newaxis], segment_index]
 
 
 class TrendPopulation(Population):

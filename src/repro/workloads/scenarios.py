@@ -18,7 +18,6 @@ from repro.utils.rng import as_generator
 from repro.workloads.generators import (
     BoundedChangePopulation,
     ChurnPopulation,
-    ItemChangePopulation,
     TrendPopulation,
 )
 from repro.workloads.traffic import TrafficModel
@@ -34,18 +33,12 @@ __all__ = [
     "telemetry_fleet_scenario",
     "churn_scenario",
     "flash_crowd_scenario",
-    "heavy_domain_scenario",
 ]
 
 
 @dataclass(frozen=True)
 class Scenario:
     """A generated population plus its narrative and protocol parameters.
-
-    ``default_protocol`` names the protocol :meth:`run` uses when the caller
-    passes none — Boolean scenarios leave it unset (the engine-backed
-    ``future_rand`` fast path); item-domain scenarios set it, because their
-    ``states`` are item matrices that only item-domain protocols accept.
 
     ``traffic`` is the scenario's delivery model — a first-class knob next
     to the population itself: :meth:`serve` plays the scenario through the
@@ -59,7 +52,6 @@ class Scenario:
     description: str
     params: ProtocolParams
     states: np.ndarray
-    default_protocol: Optional["ProtocolLike"] = None
     traffic: Optional[TrafficModel] = None
 
     @property
@@ -92,8 +84,6 @@ class Scenario:
         from repro.protocols import resolve_runner
         from repro.sim.batch_engine import BatchSimulationEngine
 
-        if protocol is None:
-            protocol = self.default_protocol
         if protocol is None:
             name, runner = "future_rand", None
         else:
@@ -134,8 +124,6 @@ class Scenario:
         """
         from repro.sim.runner import run_trials
 
-        if protocol is None:
-            protocol = self.default_protocol
         return run_trials(
             protocol,
             self.states,
@@ -160,8 +148,7 @@ class Scenario:
         Delegates to :func:`repro.sim.service.run_service` on this
         scenario's fixed population under its ``traffic`` model (override
         with ``traffic=``); ``workers`` shards block randomization across
-        processes (bit-identical for any worker count).  Boolean scenarios
-        only — item-domain states are rejected by validation.  Returns a
+        processes (bit-identical for any worker count).  Returns a
         :class:`repro.sim.service.ServiceResult`.
         """
         from repro.sim.service import run_service
@@ -333,58 +320,12 @@ def flash_crowd_scenario(
     )
 
 
-def heavy_domain_scenario(
-    n: int = 20_000,
-    d: int = 64,
-    k: int = 4,
-    epsilon: float = 1.0,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    domain_size: int = 1 << 16,
-) -> Scenario:
-    """App-usage tracking over a huge item domain: find the popular apps.
-
-    Users hold one item (the app in the foreground, the URL on the home
-    screen, ...) from a domain far too large to enumerate, switching at most
-    ``k`` times; item popularity follows a power law.  The server wants the
-    heavy hitters — the ``heavy_hitters`` registry protocol decodes them
-    from noisy count sketches without ever materializing the domain, so
-    ``domain_size`` can be pushed to ``2^20`` on the same machine.
-
-    Unlike the Boolean scenarios, ``states`` holds item ids; ``run()``
-    therefore defaults to the ``heavy_hitters`` protocol rather than the
-    Boolean ``future_rand`` engine.
-    """
-    # Imported here: repro.sim.runner imports repro.workloads, so a
-    # module-level protocols import would be cyclic at package-init time.
-    from repro.protocols import get_protocol
-
-    rng = as_generator(rng)
-    params = ProtocolParams(n=n, d=d, k=k, epsilon=epsilon)
-    population = ItemChangePopulation(d, k, domain_size)
-    states = population.sample(n, rng)
-    protocol = get_protocol("heavy_hitters").with_domain_size(domain_size)
-    return Scenario(
-        name="heavy_domain",
-        description=(
-            "Which app/URL does each user have in the foreground? The item "
-            "domain is huge and power-law skewed; the server decodes the "
-            "top apps from noisy count sketches."
-        ),
-        params=params,
-        states=states,
-        default_protocol=protocol,
-    )
-
-
 #: Named scenario presets, one factory per workload family — the registry the
 #: docs and examples enumerate.  Every factory shares the
-#: ``(n, d, k, epsilon, rng) -> Scenario`` signature (item-domain scenarios
-#: add keyword-only knobs).
+#: ``(n, d, k, epsilon, rng) -> Scenario`` signature.
 SCENARIOS = {
     "url_tracking": url_tracking_scenario,
     "telemetry_fleet": telemetry_fleet_scenario,
     "churn": churn_scenario,
     "flash_crowd": flash_crowd_scenario,
-    "heavy_domain": heavy_domain_scenario,
 }

@@ -32,9 +32,9 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_item_domain_protocols_are_not_fuzz_targets(self):
+    def test_object_reference_is_not_a_fuzz_target(self):
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["fuzz", "--protocol", "heavy_hitters"])
+            build_parser().parse_args(["fuzz", "--protocol", "future_rand_object"])
         assert excinfo.value.code == 2
 
     def test_budget_zero_exits_2(self, capsys):

@@ -198,7 +198,7 @@ def test_every_fuzz_target_runs_one_generation():
 
 def test_argument_validation():
     with pytest.raises(ValueError, match="unknown fuzz target"):
-        run_fuzz("heavy_hitters", _PARAMS, budget=1)
+        run_fuzz("not_a_protocol", _PARAMS, budget=1)
     with pytest.raises(ValueError, match="budget"):
         run_fuzz("future_rand", _PARAMS, budget=0)
     with pytest.raises(ValueError, match="trials"):

@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.analysis.bounds import hoeffding_radius
 from repro.baselines.erlingsson import run_erlingsson
-from repro.core.params import ProtocolParams
 from repro.core.vectorized import run_batch
 from repro.protocols import get_protocol
 from repro.sim.engine import SimulationEngine
@@ -54,29 +53,6 @@ class TestScenarioPipelines:
         scenario = url_tracking_scenario(n=300, d=16, k=3, rng=np.random.default_rng(7))
         result = run_erlingsson(scenario.states, scenario.params, np.random.default_rng(8))
         assert result.estimates.shape == (16,)
-
-
-class TestCategoricalPipeline:
-    def test_heavy_hitter_recovery_with_skewed_items(self):
-        """With a heavily skewed static item distribution and plenty of users,
-        the categorical protocol's per-item estimates rank the top item first.
-
-        Per-item noise is about 30 sqrt(n) at epsilon=4, so at n=200k item
-        0's lead of 0.5 n over item 1 is about five noise deviations of the
-        difference.
-        """
-        m, d, n = 4, 16, 200_000
-        rng = np.random.default_rng(9)
-        items = rng.choice(m, size=(n, 1), p=[0.7, 0.2, 0.05, 0.05]).astype(np.int8)
-        items = np.repeat(items, d, axis=1)  # static users
-        params = ProtocolParams(n=n, d=d, k=1, epsilon=4.0)
-        protocol = get_protocol("categorical").with_domain_size(m)
-        result = protocol.run(items, params, np.random.default_rng(10))
-        reported = np.argmax(result.item_estimates, axis=1)
-        truth = np.argmax(result.true_item_counts, axis=1)
-        # Item 0 leads at the final period and in at least half of the last 8.
-        assert reported[-1] == 0
-        assert np.mean(reported[-8:] == truth[-8:]) >= 0.5
 
 
 class TestReproducibility:

@@ -75,7 +75,7 @@ class TestCapabilityRule:
         from repro.protocols import PROTOCOLS
 
         rule = CapabilityMetadataRule()
-        assert len(PROTOCOLS) == 13
+        assert len(PROTOCOLS) == 9
         assert list(rule.check_project(registry=PROTOCOLS)) == []
 
     def test_flag_without_kwarg_is_flagged(self):

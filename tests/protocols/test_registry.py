@@ -30,18 +30,6 @@ EXPECTED_NAMES = {
     "memoization",
     "offline_tree",
     "central_tree",
-    "categorical",
-    "hashed_frequency",
-    "sketch_median",
-    "heavy_hitters",
-}
-
-#: The registry entries that consume item matrices (domain [0, m)).
-ITEM_DOMAIN_NAMES = {
-    "categorical",
-    "hashed_frequency",
-    "sketch_median",
-    "heavy_hitters",
 }
 
 
@@ -196,50 +184,6 @@ class TestProtocolContract:
         session.ingest(1, tiny_states[:, 0])
         with pytest.raises(EstimatesNotReady):
             session.result()
-
-
-@pytest.mark.parametrize("name", sorted(ITEM_DOMAIN_NAMES))
-class TestItemDomainContract:
-    """The item-domain entries advertise and honour their extra surface."""
-
-    def test_capabilities_advertise_domain(self, name):
-        protocol = get_protocol(name)
-        capabilities = protocol.capabilities()
-        assert capabilities["domain_size"] == protocol.domain_size
-        assert protocol.domain_size >= 2
-        assert capabilities["supports_chunk_size"] is True
-        assert capabilities["supports_kernel"] is True
-
-    def test_with_domain_size_returns_resized_instance(self, name):
-        protocol = get_protocol(name)
-        resized = protocol.with_domain_size(64)
-        assert resized is not protocol
-        assert resized.domain_size == 64
-        assert get_protocol(name).domain_size == protocol.domain_size
-
-    def test_rejects_degenerate_domain(self, name):
-        with pytest.raises(ValueError, match="at least 2"):
-            get_protocol(name).with_domain_size(1)
-
-    def test_item_run_returns_item_result(self, name):
-        from repro.core.protocol import ItemDomainResult
-
-        protocol = get_protocol(name).with_domain_size(8)
-        rng = np.random.default_rng(9)
-        items = rng.integers(0, 8, size=(TINY_PARAMS.n, 1), dtype=np.int64)
-        items = np.repeat(items, TINY_PARAMS.d, axis=1)
-        result = protocol.run(items, TINY_PARAMS, np.random.default_rng(10))
-        assert isinstance(result, ItemDomainResult)
-        assert result.domain_size == 8
-        assert np.array_equal(
-            result.true_counts, (items == 1).sum(axis=0)
-        )
-
-    def test_rejects_items_outside_domain(self, name):
-        protocol = get_protocol(name).with_domain_size(4)
-        session = protocol.prepare(TINY_PARAMS, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="item values"):
-            session.ingest(1, np.full(TINY_PARAMS.n, 4, dtype=np.int64))
 
 
 class TestSessionValidation:

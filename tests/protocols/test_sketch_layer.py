@@ -1,4 +1,4 @@
-"""Unit tests for the shared sketch layer (hash + Boolean emission stream)."""
+"""Unit tests for the Boolean dyadic emission stream."""
 
 from __future__ import annotations
 
@@ -6,47 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.future_rand import FutureRandFamily
-from repro.protocols.sketch_layer import (
-    BooleanDyadicStream,
-    multiply_shift_bucket,
-    random_odd_multiplier,
-)
-
-
-class TestMultiplyShiftBucket:
-    def test_range_and_determinism(self):
-        rng = np.random.default_rng(0)
-        multiplier = random_odd_multiplier(rng)
-        items = np.arange(10_000, dtype=np.int64)
-        buckets = multiply_shift_bucket(items, multiplier, 64)
-        assert buckets.min() >= 0 and buckets.max() < 64
-        np.testing.assert_array_equal(
-            buckets, multiply_shift_bucket(items, multiplier, 64)
-        )
-
-    def test_multiplier_is_odd(self):
-        rng = np.random.default_rng(1)
-        assert all(int(random_odd_multiplier(rng)) % 2 == 1 for _ in range(50))
-
-    @pytest.mark.parametrize("width", [0, 1, 3, 48])
-    def test_rejects_non_power_of_two_width(self, width):
-        with pytest.raises(ValueError, match="power of two"):
-            multiply_shift_bucket(np.arange(4), np.uint64(3), width)
-
-    def test_collision_rate_near_universal_bound(self):
-        rng = np.random.default_rng(2)
-        items = np.arange(2_000, dtype=np.int64)
-        width = 256
-        rates = []
-        for _ in range(20):
-            buckets = multiply_shift_bucket(
-                items, random_odd_multiplier(rng), width
-            )
-            counts = np.bincount(buckets, minlength=width)
-            pairs = (counts * (counts - 1) // 2).sum()
-            rates.append(pairs / (items.size * (items.size - 1) // 2))
-        # 2-universal guarantee: pairwise collision probability <= 2/width.
-        assert np.mean(rates) <= 2.0 / width
+from repro.protocols.sketch_layer import BooleanDyadicStream
 
 
 class TestBooleanDyadicStream:

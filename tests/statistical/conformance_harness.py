@@ -24,15 +24,11 @@ from typing import Callable
 from repro.analysis.conformance import (  # noqa: F401  (re-exported surface)
     RADIUS_BY_PROTOCOL,
     assert_error_within_bound,
-    categorical_radius,
     central_shape_radius,
     fault_adjusted_radius,
-    hashed_oracle_radius,
-    heavy_hitters_radius,
     hierarchical_radius,
     protocol_radius,
     single_level_radius,
-    sketch_median_radius,
     slot_sampled_radius,
 )
 from repro.core.params import ProtocolParams
@@ -41,15 +37,11 @@ __all__ = [
     "ConformanceCase",
     "RADIUS_BY_PROTOCOL",
     "assert_error_within_bound",
-    "categorical_radius",
     "central_shape_radius",
     "fault_adjusted_radius",
-    "hashed_oracle_radius",
-    "heavy_hitters_radius",
     "hierarchical_radius",
     "protocol_radius",
     "single_level_radius",
-    "sketch_median_radius",
     "slot_sampled_radius",
 ]
 

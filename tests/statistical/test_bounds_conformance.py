@@ -19,13 +19,9 @@ import pytest
 from conformance_harness import (
     ConformanceCase,
     assert_error_within_bound,
-    categorical_radius,
     central_shape_radius,
-    hashed_oracle_radius,
-    heavy_hitters_radius,
     hierarchical_radius,
     single_level_radius,
-    sketch_median_radius,
     slot_sampled_radius,
 )
 
@@ -70,30 +66,6 @@ CASES: dict[str, ConformanceCase] = {
     ),
     "central_tree": ConformanceCase(
         _BIG, central_shape_radius, "central-model shape bound, pinned 4x"
-    ),
-    # The item-domain protocols run on the same Boolean population (a 0/1
-    # item domain tracking item 1), so the scalar bound applies unchanged;
-    # the radius helpers' domain/width/repetition defaults match the
-    # registry singletons'.
-    "categorical": ConformanceCase(
-        _BIG,
-        categorical_radius,
-        "one-hot coordinate sampling: Hoeffding at B = m * num_orders / c_gap",
-    ),
-    "hashed_frequency": ConformanceCase(
-        _BIG,
-        hashed_oracle_radius,
-        "sign-hash oracle: Hoeffding at B = 1 + 2 num_orders / c_gap",
-    ),
-    "sketch_median": ConformanceCase(
-        _BIG,
-        sketch_median_radius,
-        "median of R sign-hash repetitions, union-bounded per repetition",
-    ),
-    "heavy_hitters": ConformanceCase(
-        _BIG,
-        heavy_hitters_radius,
-        "sketch-row median; bucket-collision mass in the failure probability",
     ),
 }
 

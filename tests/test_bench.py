@@ -155,7 +155,7 @@ class TestProtocolBench:
     def test_format_table_lists_protocols(self):
         payload = run_protocol_bench(scale="smoke", seed=2)
         text = format_protocol_bench_table(payload)
-        assert "heavy_hitters" in text and "future_rand" in text
+        assert "central_tree" in text and "future_rand" in text
         assert "bits/user" in text
 
     def test_write_report_round_trips(self, tmp_path):

@@ -6,7 +6,10 @@ import json
 
 import pytest
 
+from repro.analysis.conformance import protocol_radius
 from repro.cli import build_parser, main
+from repro.core.params import ProtocolParams
+from repro.protocols import PROTOCOLS, get_protocol
 
 
 class TestParser:
@@ -86,6 +89,23 @@ class TestCommands:
              "--k", "2"]
         ) == 0
         assert "naive_rr_split" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_simulate_prints_the_protocols_own_radius(self, protocol, capsys):
+        """The printed radius is the protocol's own conformance radius, with
+        its failure probability."""
+        assert main(
+            ["simulate", "--protocol", protocol, "--n", "300", "--d", "16",
+             "--k", "2"]
+        ) == 0
+        params = ProtocolParams(n=300, d=16, k=2, epsilon=1.0)
+        radius, failure = protocol_radius(
+            protocol, params, get_protocol(protocol).c_gap(params)
+        )
+        assert (
+            f"radius:       {radius:,.1f}  (exceeded w.p. <= {failure:g})"
+            in capsys.readouterr().out
+        )
 
     def test_simulate_consistency_rejected_for_baselines(self):
         with pytest.raises(SystemExit):
@@ -277,51 +297,6 @@ class TestChunkSize:
         assert "future_rand" in capsys.readouterr().out
 
 
-class TestItemDomainCli:
-    def test_run_protocol_heavy_hitters_with_domain_size(self, capsys):
-        assert main(
-            ["run-protocol", "heavy_hitters", "--n", "2000", "--d", "4",
-             "--k", "1", "--epsilon", "8.0", "--domain-size", "32"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "item domain:  m=32" in out
-        assert "top items" in out
-
-    def test_run_protocol_categorical_with_domain_size(self, capsys):
-        assert main(
-            ["run-protocol", "categorical", "--n", "500", "--d", "8",
-             "--k", "2", "--domain-size", "8"]
-        ) == 0
-        assert "item domain:  m=8" in capsys.readouterr().out
-
-    def test_run_protocol_heavy_hitters_chunked(self, capsys):
-        assert main(
-            ["run-protocol", "heavy_hitters", "--n", "2000", "--d", "4",
-             "--k", "1", "--epsilon", "8.0", "--domain-size", "32",
-             "--chunk-size", "512"]
-        ) == 0
-        assert "item domain" in capsys.readouterr().out
-
-    def test_domain_size_on_boolean_protocol_exits_2(self, capsys):
-        code = main(
-            ["run-protocol", "future_rand", "--n", "300", "--d", "16",
-             "--k", "2", "--domain-size", "64"]
-        )
-        assert code == 2
-        error = capsys.readouterr().err
-        assert "--domain-size does not apply" in error
-        # Lists the item-domain alternatives so the fix is one rename away.
-        assert "heavy_hitters" in error and "categorical" in error
-
-    def test_run_protocol_item_streaming(self, capsys):
-        assert main(
-            ["run-protocol", "hashed_frequency", "--n", "400", "--d", "8",
-             "--k", "2", "--domain-size", "16", "--streaming"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "streaming" in out and "item domain" in out
-
-
 class TestServeSim:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["serve-sim"])
@@ -428,9 +403,3 @@ class TestServeSim:
     def test_unknown_traffic_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve-sim", "--traffic", "nope"])
-
-    def test_heavy_domain_is_not_servable(self):
-        # heavy_domain states hold item ids, not ±1 reports; the parser
-        # never offers it.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve-sim", "--scenario", "heavy_domain"])

@@ -16,7 +16,6 @@ import pytest
 from repro.workloads.generators import (
     BoundedChangePopulation,
     ChurnPopulation,
-    ItemChangePopulation,
     TrendPopulation,
 )
 
@@ -26,9 +25,6 @@ PINNED = {
     "bounded-upto-0.0": "d158c95687a236eaa2384f7d377ebc20471e2662cd5d118489c70b3bf2555573",
     "bounded-upto-0.3": "d92b37eb9d8e76b87291b23f1f1715d131076ce26ad6eb1192154c4c760a1f46",
     "bounded-block": "45e4a5285c3af17a1037bec2742d745b43b4cfc60aaea08c80b58c5ae417d720",
-    "item-16-3": "1f668768cd44ce17dfc1231028704b088bcccdd56e84527356f220a15c721205",
-    "item-2-2": "3bd7c0e448619b018a60f1f20f1a155575e7e1daf1513b07cf55d0cacbd1bb4e",
-    "item-1-1": "8bc465c81277c3b891eabefd4b2f57ad7073b0cc2f1faa1dc59b30775e4884ae",
     "trend-sigmoid": "da013d9277f12c80f616495c9cd9b8dc9e86e4150ec6361de84e2ef5e85cb2e9",
     "trend-spike": "12f2563a5235e7a986266c1f675e9504984054f27a7d838bcfb15812bcf660fa",
     "churn-states": "6f73474686e0b28f9f1f193ed98e44f8639fdfe2c50cad6c9449e19f25b98d5a",
@@ -57,14 +53,6 @@ def test_bounded_uniform_block_is_pinned():
     population = BoundedChangePopulation(256, 4, exact_k=True)
     states = population.sample(8192, np.random.default_rng(0))
     assert _digest(states) == PINNED["bounded-block"]
-
-
-@pytest.mark.parametrize(("d", "k"), [(16, 3), (2, 2), (1, 1)])
-def test_item_change_is_pinned(d, k):
-    """Includes d=1, where there are no switch points at all."""
-    items = ItemChangePopulation(d, k, 100).sample(400, np.random.default_rng(4))
-    assert items.dtype == np.int64
-    assert _digest(items) == PINNED[f"item-{d}-{k}"]
 
 
 @pytest.mark.parametrize("curve", ["sigmoid", "spike"])

@@ -92,7 +92,7 @@ def test_count_equal_to_column_count_marks_the_whole_row():
 
 @pytest.mark.parametrize("rows", [0, 5])
 def test_zero_columns(rows):
-    """What ``ItemChangePopulation`` passes at d=1: no switch points."""
+    """A score matrix with no columns and all-zero counts marks nothing."""
     scores = np.empty((rows, 0))
     _check(scores, np.zeros(rows, dtype=np.int64))
 

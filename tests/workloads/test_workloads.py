@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from repro.workloads.generators import (
     BoundedChangePopulation,
     ChurnPopulation,
-    ItemChangePopulation,
     PeriodicPopulation,
     TrendPopulation,
 )
 from repro.workloads.scenarios import (
-    heavy_domain_scenario,
     telemetry_fleet_scenario,
     url_tracking_scenario,
 )
@@ -93,57 +91,6 @@ class TestBoundedChangePopulation:
         assert population.k == 3
 
 
-class TestItemChangePopulation:
-    def test_shape_dtype_and_domain(self, rng):
-        items = ItemChangePopulation(16, 3, 100).sample(60, rng)
-        assert items.shape == (60, 16)
-        assert items.dtype == np.int64
-        assert items.min() >= 0 and items.max() < 100
-
-    @given(
-        st.sampled_from([8, 16, 32]),
-        st.integers(min_value=1, max_value=6),
-        st.sampled_from([4, 64, 1 << 12]),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_change_budget_respected(self, d, k, m):
-        items = ItemChangePopulation(d, k, m).sample(
-            25, np.random.default_rng(0)
-        )
-        switches = np.count_nonzero(np.diff(items, axis=1), axis=1)
-        assert switches.max() <= k
-
-    def test_skew_concentrates_low_item_ids(self, rng):
-        m = 1 << 10
-        items = ItemChangePopulation(8, 2, m, skew=6.0).sample(500, rng)
-        # With skew s the item CDF is (x/m)^(1/s): most mass sits low.
-        assert (items < m // 4).mean() > 0.5
-
-    def test_reproducible_and_chunked_path_agrees(self):
-        population = ItemChangePopulation(16, 2, 256)
-        a = population.sample(120, np.random.default_rng(7))
-        b = population.sample(120, np.random.default_rng(7))
-        np.testing.assert_array_equal(a, b)
-        coarse = np.concatenate(list(population.sample_chunks(120, 50, seed=3)))
-        fine = np.concatenate(list(population.sample_chunks(120, 7, seed=3)))
-        assert coarse.shape == (120, 16)
-        np.testing.assert_array_equal(coarse, fine)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            ItemChangePopulation(16, 2, 1)  # domain too small
-        with pytest.raises(ValueError):
-            ItemChangePopulation(16, 2, 64, skew=0.5)  # flattening skew
-        with pytest.raises(ValueError):
-            ItemChangePopulation(12, 2, 64)  # d not a power of two
-
-    def test_properties(self):
-        population = ItemChangePopulation(32, 4, 1 << 16, skew=2.0)
-        assert population.d == 32
-        assert population.k == 4
-        assert population.domain_size == 1 << 16
-
-
 class TestTrendPopulation:
     def test_budget_respected(self, rng):
         states = TrendPopulation(64, 4).sample(60, rng)
@@ -184,7 +131,6 @@ class TestPeriodicPopulation:
 
 _POPULATIONS = {
     "bounded": BoundedChangePopulation,
-    "item": lambda d, k: ItemChangePopulation(d, k, 4),
     "trend": TrendPopulation,
     "periodic": PeriodicPopulation,
     "churn": ChurnPopulation,
@@ -201,11 +147,7 @@ class TestChangeBudgetValidation:
     def test_budget_equal_to_horizon_samples(self, kind, rng):
         sample = _POPULATIONS[kind](8, 8).sample(200, rng)
         assert sample.shape == (200, 8)
-        if kind == "item":  # the initial item is free; only switches count
-            changes = np.count_nonzero(np.diff(sample, axis=1), axis=1)
-        else:
-            changes = _changes(sample)
-        assert changes.max() <= 8
+        assert _changes(sample).max() <= 8
 
 
 class TestScenarios:
@@ -227,25 +169,6 @@ class TestScenarios:
         a = url_tracking_scenario(n=50, d=16, k=2, rng=np.random.default_rng(5))
         b = url_tracking_scenario(n=50, d=16, k=2, rng=np.random.default_rng(5))
         assert np.array_equal(a.states, b.states)
-
-    def test_heavy_domain_registered_and_runs_end_to_end(self):
-        from repro.workloads.scenarios import SCENARIOS
-
-        assert "heavy_domain" in SCENARIOS
-        scenario = heavy_domain_scenario(
-            n=400, d=4, k=1, epsilon=4.0,
-            rng=np.random.default_rng(11), domain_size=64,
-        )
-        assert scenario.name == "heavy_domain"
-        assert scenario.states.shape == (400, 4)
-        assert scenario.states.dtype == np.int64
-        assert scenario.states.max() < 64
-        assert scenario.default_protocol is not None
-        # run() with no explicit protocol goes through the item-domain
-        # default, not the Boolean future_rand engine.
-        result = scenario.run(np.random.default_rng(12))
-        assert result.domain_size == 64
-        assert result.estimates.shape[0] == 4
 
     def test_run_trials_sharded_and_persisted(self, tmp_path):
         from repro.sim.store import ResultStore
