@@ -100,6 +100,8 @@ def run_central_tree(
             f"states shape {matrix.shape} disagrees with params "
             f"(n={params.n}, d={params.d})"
         )
+    if not np.isin(matrix, (0, 1)).all():
+        raise ValueError("states entries must all be 0 or 1")
     true_counts = matrix.sum(axis=0).astype(np.float64)
     increments = np.diff(true_counts, prepend=0.0)
     mechanism = CentralTreeMechanism(params.d, params.epsilon, params.k, rng)

@@ -36,7 +36,7 @@ from repro.core.composed_randomizer import ComposedRandomizer
 from repro.core.future_rand import randomize_matrix_with_sampler
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolResult
-from repro.core.vectorized import group_partial_sums
+from repro.core.vectorized import group_partial_sums, validate_states
 from repro.dyadic.intervals import decompose_prefix
 from repro.utils.rng import as_generator
 
@@ -73,14 +73,7 @@ def run_offline_tree(
         rare; collisions clamp the bucket value into {-1, 0, 1} and the
         resulting bias is the documented approximation.
     """
-    matrix = np.asarray(states)
-    if matrix.shape != (params.n, params.d):
-        raise ValueError(
-            f"states shape {matrix.shape} disagrees with params "
-            f"(n={params.n}, d={params.d})"
-        )
-    if not np.isin(matrix, (0, 1)).all():
-        raise ValueError("states entries must all be 0 or 1")
+    matrix = validate_states(states, params)
     rng = as_generator(rng)
 
     n, d = matrix.shape

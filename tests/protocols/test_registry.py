@@ -32,6 +32,11 @@ EXPECTED_NAMES = {
     "central_tree",
 }
 
+#: Protocols that accept populations changing more than ``k`` times: the
+#: per-period randomized-response mechanisms never use the budget, and the
+#: central tree takes ``k`` only as its noise scale.
+BUDGET_FREE = {"naive_split", "naive_unsplit", "memoization", "central_tree"}
+
 
 @pytest.fixture(scope="module")
 def tiny_states() -> np.ndarray:
@@ -184,6 +189,93 @@ class TestProtocolContract:
         session.ingest(1, tiny_states[:, 0])
         with pytest.raises(EstimatesNotReady):
             session.result()
+
+    def test_capabilities_are_the_boolean_metadata(self, name):
+        """The ``repro protocols`` row carries exactly the Boolean metadata."""
+        protocol = get_protocol(name)
+        assert protocol.capabilities() == {
+            "name": name,
+            "privacy_model": protocol.privacy_model,
+            "online": protocol.online,
+            "sequence_ldp": protocol.sequence_ldp,
+            "description": protocol.description,
+            "supports_chunk_size": protocol.supports_chunk_size,
+            "supports_kernel": protocol.supports_kernel,
+        }
+
+    def test_same_seed_is_bit_identical(self, name, tiny_states):
+        protocol = get_protocol(name)
+        first = protocol.run(tiny_states, TINY_PARAMS, np.random.default_rng(7))
+        second = protocol.run(tiny_states, TINY_PARAMS, np.random.default_rng(7))
+        assert np.array_equal(first.estimates, second.estimates)
+
+    def test_session_rejects_wrong_shape(self, name):
+        session = get_protocol(name).prepare(TINY_PARAMS, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="shape"):
+            session.ingest(1, np.zeros(TINY_PARAMS.n + 1, dtype=np.int8))
+        assert session.period == 0
+
+    def test_session_rejects_non_boolean_values(self, name):
+        session = get_protocol(name).prepare(TINY_PARAMS, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="0 or 1"):
+            session.ingest(1, np.full(TINY_PARAMS.n, 2, dtype=np.int8))
+        assert session.period == 0
+
+    def test_session_periods_must_advance_in_order(self, name, tiny_states):
+        session = get_protocol(name).prepare(TINY_PARAMS, np.random.default_rng(0))
+        session.ingest(1, tiny_states[:, 0])
+        with pytest.raises(ValueError, match="expected 2"):
+            session.ingest(3, tiny_states[:, 2])
+        with pytest.raises(ValueError, match="expected 2"):
+            session.ingest(1, tiny_states[:, 0])
+
+    def test_session_rejects_periods_past_the_horizon(self, name, tiny_states):
+        session = get_protocol(name).prepare(TINY_PARAMS, np.random.default_rng(0))
+        for t in range(1, TINY_PARAMS.d + 1):
+            session.ingest(t, tiny_states[:, t - 1])
+        with pytest.raises(ValueError, match="already elapsed"):
+            session.ingest(TINY_PARAMS.d + 1, tiny_states[:, 0])
+
+    def test_run_rejects_misshapen_states(self, name):
+        protocol = get_protocol(name)
+        for shape in ((TINY_PARAMS.n + 1, TINY_PARAMS.d), (TINY_PARAMS.n, 4)):
+            with pytest.raises(ValueError, match="shape"):
+                protocol.run(
+                    np.zeros(shape, dtype=np.int8),
+                    TINY_PARAMS,
+                    np.random.default_rng(0),
+                )
+
+    def test_run_rejects_non_boolean_states(self, name):
+        states = np.zeros((TINY_PARAMS.n, TINY_PARAMS.d), dtype=np.int8)
+        states[0, -1] = 2
+        with pytest.raises(ValueError, match="0 or 1"):
+            get_protocol(name).run(states, TINY_PARAMS, np.random.default_rng(0))
+
+    def test_run_and_session_agree_on_the_change_budget(self, name):
+        """Protocols that validate ``k`` reject a population that toggles
+        every period, one-shot and streamed alike; the rest accept it on
+        both paths."""
+        protocol = get_protocol(name)
+        toggling = np.tile(
+            np.arange(1, TINY_PARAMS.d + 1) % 2, (TINY_PARAMS.n, 1)
+        ).astype(np.int8)
+
+        def stream():
+            session = protocol.prepare(TINY_PARAMS, np.random.default_rng(0))
+            for t in range(1, TINY_PARAMS.d + 1):
+                session.ingest(t, toggling[:, t - 1])
+            return session.result()
+
+        def one_shot():
+            return protocol.run(toggling, TINY_PARAMS, np.random.default_rng(0))
+
+        for path in (stream, one_shot):
+            if name in BUDGET_FREE:
+                assert np.isfinite(path().estimates).all()
+            else:
+                with pytest.raises(ValueError, match="exceeding"):
+                    path()
 
 
 class TestSessionValidation:

@@ -20,6 +20,18 @@ from repro.workloads.generators import BoundedChangePopulation
 
 PARAMS = ProtocolParams(n=400, d=16, k=3, epsilon=1.0)
 
+NAMES = [
+    "future_rand",
+    "future_rand_object",
+    "bun_composed",
+    "erlingsson",
+    "naive_split",
+    "naive_unsplit",
+    "memoization",
+    "offline_tree",
+    "central_tree",
+]
+
 
 def _signal_states() -> np.ndarray:
     """A population with a visible signal: 250 of 400 users flip at t=5."""
@@ -77,20 +89,7 @@ class TestExactEquivalence:
             )
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "future_rand",
-        "future_rand_object",
-        "bun_composed",
-        "erlingsson",
-        "naive_split",
-        "naive_unsplit",
-        "memoization",
-        "offline_tree",
-        "central_tree",
-    ],
-)
+@pytest.mark.parametrize("name", NAMES)
 class TestDistributionalEquivalence:
     """Final-period estimates from streaming and one-shot runs must share
     mean (and the streaming path must be unbiased for the truth)."""
@@ -155,3 +154,25 @@ class TestDistributionalEquivalence:
         else:
             assert 0.3 < spread_streamed / spread_one_shot < 3.0
 
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_streamed_session_is_bit_identical_under_one_seed(name):
+    """A session's output is a function of its seed: two streams from the
+    same seed release the same estimates and report the same orders."""
+    protocol = get_protocol(name)
+    states = _signal_states()
+    first, second = (
+        protocol.prepare(PARAMS, np.random.default_rng(11)) for _ in range(2)
+    )
+    for t in range(1, PARAMS.d + 1):
+        first.ingest(t, states[:, t - 1])
+        second.ingest(t, states[:, t - 1])
+        if protocol.online:
+            assert np.array_equal(first.estimates(), second.estimates())
+    a, b = first.result(), second.result()
+    assert _digest(a.estimates, "<f8") == _digest(b.estimates, "<f8")
+    if a.orders is None:
+        assert b.orders is None
+    else:
+        assert np.array_equal(a.orders, b.orders)

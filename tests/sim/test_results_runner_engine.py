@@ -180,6 +180,37 @@ class TestSweepReproducibility:
         assert json.loads(outputs[0]) == json.loads(outputs[1])
 
 
+#: sha256 over the sorted, space-joined shard-artifact digests of
+#: ``sweep([name], n=150 d=16 k=2, "k", [1, 2], trials=2, seed=0)`` — the
+#: content-addressed keys a persisted sweep resumes from.  A moved key
+#: silently orphans every stored artifact, so each registered protocol's
+#: keys are pinned.
+_ARTIFACT_KEY_PINS = {
+    "bun_composed": "bbf461751d042c277c7dc173804a0c75bb459ad2a143e92a5bec2fb3d5955e7b",
+    "central_tree": "80b0a75e8baf225e73177b404e9c652cd2c5499d99ae39d567d076b716077d43",
+    "erlingsson": "006e0b8b54d0d1c3b7c3356368c5afd07292463a41bd4949d75a3a2024290f82",
+    "future_rand": "2581096a2b7756f3e886a34ca871d0496caa97468a1dc0148af143a8e8233cd7",
+    "future_rand_object": "6022d59b0ee443786097d08816b6c18406b3c0026b2b651fe816cb044aaa722c",
+    "memoization": "d44dad69bfb4338de15772ae32d7643b68ff6db8f12fcb3fc951026e98787664",
+    "naive_split": "1d884235a5ab99c64456843150c6310af9f2a715a02ee681ce9b4b3f67d8bd2f",
+    "naive_unsplit": "40e4eb570421b57aa47a597dd5a6221d1667bec62eef66794088e280c0c6d10e",
+    "offline_tree": "58ca026806dfb0ecd6827c637963ca3d3af673902449cba7794a583cf4724744",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARTIFACT_KEY_PINS))
+def test_sweep_artifact_keys_are_pinned(name, tmp_path):
+    from repro.sim.store import ResultStore
+
+    params = ProtocolParams(n=150, d=16, k=2, epsilon=1.0)
+    store = ResultStore(tmp_path)
+    sweep([name], params, "k", [1, 2], trials=2, seed=0, store=store)
+    digests = sorted(path.stem for path in store.shards_dir.glob("*.json"))
+    assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == (
+        _ARTIFACT_KEY_PINS[name]
+    )
+
+
 class TestSimulationEngine:
     def test_callback_invoked_every_period(self, rng):
         params = ProtocolParams(n=40, d=8, k=2, epsilon=1.0)

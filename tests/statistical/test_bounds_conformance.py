@@ -101,6 +101,29 @@ def test_radius_dispatcher_mirrors_the_registry():
         protocol_radius("not_a_protocol", _BIG, 1.0)
 
 
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_radius_scales_as_the_privacy_model_predicts(name: str):
+    """Local-model radii grow as sqrt(n) (the LDP price the paper's bound
+    pays); the central tree's radius does not depend on n at all.  Each
+    radius is stated at the params' failure probability ``beta``."""
+    from repro.analysis.conformance import protocol_radius
+
+    protocol = PROTOCOLS[name]
+    small = ProtocolParams(n=1_000, d=16, k=2, epsilon=1.0)
+    large = ProtocolParams(n=4_000, d=16, k=2, epsilon=1.0)
+    bound_small, failure_small = protocol_radius(
+        name, small, protocol.c_gap(small)
+    )
+    bound_large, failure_large = protocol_radius(
+        name, large, protocol.c_gap(large)
+    )
+    assert 0 < bound_small < np.inf
+    assert failure_small == failure_large == small.beta
+    expected_ratio = 1.0 if protocol.privacy_model == "central" else 2.0
+    assert bound_large / bound_small == pytest.approx(expected_ratio)
+
+
 def _observed_worst_error(name: str, case: ConformanceCase) -> float:
     protocol = PROTOCOLS[name]
     root = np.random.SeedSequence(case.seed)

@@ -10,6 +10,7 @@ from repro.analysis.conformance import protocol_radius
 from repro.cli import build_parser, main
 from repro.core.params import ProtocolParams
 from repro.protocols import PROTOCOLS, get_protocol
+from repro.workloads.scenarios import SCENARIOS
 
 
 class TestParser:
@@ -106,6 +107,41 @@ class TestCommands:
             f"radius:       {radius:,.1f}  (exceeded w.p. <= {failure:g})"
             in capsys.readouterr().out
         )
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_run_protocol_every_registered_name(self, protocol, capsys):
+        assert main(
+            ["run-protocol", protocol, "--n", "200", "--d", "16", "--k", "2"]
+        ) == 0
+        out = capsys.readouterr().out
+        instance = get_protocol(protocol)
+        assert f"protocol:     {protocol} (" in out
+        assert (
+            f"capabilities: privacy_model={instance.privacy_model} "
+            f"online={instance.online} sequence_ldp={instance.sequence_ldp}"
+        ) in out
+        assert "parameters:   n=200 d=16 k=2 epsilon=1.0" in out
+        assert "max |error|" in out
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_run_protocol_streaming_every_registered_name(
+        self, protocol, capsys
+    ):
+        """``--streaming`` drives the session API: online protocols print
+        their mid-stream estimates, offline ones say why they cannot."""
+        assert main(
+            ["run-protocol", protocol, "--n", "200", "--d", "16", "--k", "2",
+             "--streaming"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert f"streaming {protocol} over 16 periods (n=200)" in out
+        if get_protocol(protocol).online:
+            assert "t=   16  estimate=" in out
+            assert "is offline" not in out
+        else:
+            assert "is offline" in out
+            assert "estimate=" not in out
+        assert "max |error|" in out
 
     def test_simulate_consistency_rejected_for_baselines(self):
         with pytest.raises(SystemExit):
@@ -395,6 +431,16 @@ class TestServeSim:
     def test_unknown_fault_model_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve-sim", "--faults", "nope"])
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_every_scenario_is_servable(self, scenario, capsys):
+        assert main(
+            ["serve-sim", "--scenario", scenario, "--n", "600", "--d", "16",
+             "--progress", "0"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert f"serving {scenario}: n=600 d=16" in out
+        assert "within the fault-adjusted conformance radius" in out
 
     def test_unknown_scenario_rejected_by_parser(self):
         with pytest.raises(SystemExit):
