@@ -66,7 +66,7 @@ def support_pattern_log_prob(law: AnnulusLaw, m: int, r: int) -> float:
     with ``r`` of them equal to ``-1`` (disagreements); the remaining ``k - m``
     coordinates are free.  Summing the exact law over the free suffix:
 
-        ``q(m, r) = sum_{j=0}^{k-m} C(k-m, j) * prob_at_distance(r + j)``.
+        ``q(m, r) = sum_{j=0}^{k-m} C(k-m, j) * exp(log_prob_at_distance(r + j))``.
     """
     k = law.k
     if not 0 <= m <= k:

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolResult
+from repro.core.vectorized import validate_states
 from repro.dyadic.tree import DyadicTree
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_power_of_two
@@ -93,15 +94,12 @@ def run_central_tree(
     params: ProtocolParams,
     rng: Optional[np.random.Generator] = None,
 ) -> ProtocolResult:
-    """Run the central-model tree mechanism on a population state matrix."""
-    matrix = np.asarray(states)
-    if matrix.shape != (params.n, params.d):
-        raise ValueError(
-            f"states shape {matrix.shape} disagrees with params "
-            f"(n={params.n}, d={params.d})"
-        )
-    if not np.isin(matrix, (0, 1)).all():
-        raise ValueError("states entries must all be 0 or 1")
+    """Run the central-model tree mechanism on a population state matrix.
+
+    The noise scale assumes every user changes at most ``k`` times, so the
+    change budget is enforced like in every other batch driver.
+    """
+    matrix = validate_states(states, params)
     true_counts = matrix.sum(axis=0).astype(np.float64)
     increments = np.diff(true_counts, prepend=0.0)
     mechanism = CentralTreeMechanism(params.d, params.epsilon, params.k, rng)

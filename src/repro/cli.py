@@ -7,8 +7,8 @@ Usage::
     repro run all --scale full      # regenerate everything (EXPERIMENTS.md)
     repro protocols                 # list the protocol registry
     repro protocols --online --privacy-model local
-    repro run-protocol erlingsson --n 10000 --d 64 --k 4
-    repro run-protocol future_rand --streaming   # drive the Session API
+    repro simulate --protocol erlingsson --n 10000 --d 64 --k 4
+    repro simulate --protocol future_rand --streaming   # drive the Session API
     repro cgap --k 64 --epsilon 1.0 # print exact randomizer constants
     repro sweep --protocols future_rand erlingsson --parameter k \\
         --values 2 8 32 --workers 4 --out results/ --resume
@@ -18,7 +18,7 @@ Usage::
     repro serve-sim --faults chaos --journal results/journal   # fault drill
     repro results show results/     # inspect persisted sweep artifacts
     repro results merge merged.json results/tables/*.json
-    repro fuzz --protocol future_rand --budget 48   # evolve worst-case workloads
+    repro fuzz --protocol future_rand --budget 48 --corpus fuzz-out  # evolve
     repro fuzz --replay --corpus results/fuzz       # re-verify the pinned corpus
 """
 
@@ -28,7 +28,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from repro.core.annulus import AnnulusLaw
 from repro.experiments.registry import EXPERIMENTS, get_experiment
@@ -36,23 +36,53 @@ from repro.protocols import PROTOCOLS, get_protocol, list_protocols
 
 __all__ = ["main", "build_parser"]
 
+#: The committed fuzz corpus: ``fuzz --replay`` reads it by default, but a
+#: search writes only into a ``--corpus`` that was named.
+_PINNED_CORPUS = "results/fuzz"
 
-def _chunk_aware_protocols() -> list[str]:
-    """Registry names that support memory-bounded chunked execution."""
-    return sorted(
-        name
-        for name, protocol in PROTOCOLS.items()
-        if protocol.supports_chunk_size
+
+def _check_capabilities(
+    protocols: Union[str, Sequence[str]],
+    *,
+    chunk_size: Optional[int] = None,
+    kernel: Optional[str] = None,
+    consistency: bool = False,
+) -> bool:
+    """Whether every protocol supports every flag that was given.
+
+    ``protocols`` is one registry name (``simulate``) or several
+    (``sweep``).  Called before any population is sampled; on the first
+    unsupported flag it prints an ``error:`` line naming the protocols that
+    do support it and returns False, and the command exits 2.
+    """
+    names = [protocols] if isinstance(protocols, str) else list(protocols)
+    checks = (
+        ("--chunk-size", chunk_size is not None, "chunk-aware",
+         lambda protocol: protocol.supports_chunk_size),
+        ("--kernel", kernel is not None, "kernel-aware",
+         lambda protocol: protocol.supports_kernel),
+        # WLS post-processing needs the raw dyadic node sums, which only the
+        # future_rand tree driver exposes.
+        ("--consistency", consistency, "consistency-aware",
+         lambda protocol: protocol.name == "future_rand"),
     )
-
-
-def _kernel_aware_protocols() -> list[str]:
-    """Registry names that support randomizer-kernel selection."""
-    return sorted(
-        name
-        for name, protocol in PROTOCOLS.items()
-        if protocol.supports_kernel
-    )
+    for flag, given, label, supports in checks:
+        unsupported = sorted({name for name in names if not supports(PROTOCOLS[name])})
+        if not (given and unsupported):
+            continue
+        subject = (
+            f"protocol {protocols!r} does"
+            if isinstance(protocols, str)
+            else f"{', '.join(unsupported)} do(es)"
+        )
+        aware = sorted(name for name, protocol in PROTOCOLS.items() if supports(protocol))
+        print(
+            f"error: {subject} not support {flag} "
+            f"({label} protocols: {', '.join(aware)})",
+            file=sys.stderr,
+        )
+        return False
+    return True
 
 
 def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
@@ -161,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     communication_parser.add_argument("--d", type=int, default=256)
 
     simulate_parser = subparsers.add_parser(
-        "simulate", help="run one protocol on a generated workload"
+        "simulate", help="run one registered protocol on a generated workload"
     )
     simulate_parser.add_argument(
         "--protocol",
@@ -173,10 +203,17 @@ def build_parser() -> argparse.ArgumentParser:
     simulate_parser.add_argument("--k", type=int, default=4)
     simulate_parser.add_argument("--epsilon", type=float, default=1.0)
     simulate_parser.add_argument("--seed", type=int, default=0)
-    simulate_parser.add_argument(
+    mode_group = simulate_parser.add_mutually_exclusive_group()
+    mode_group.add_argument(
         "--consistency",
         action="store_true",
         help="apply WLS tree-consistency post-processing (future_rand only)",
+    )
+    mode_group.add_argument(
+        "--streaming",
+        action="store_true",
+        help="drive the streaming Session API period by period (prints the "
+        "online estimate trajectory)",
     )
     simulate_parser.add_argument(
         "--chunk-size", type=_positive_int, default=None,
@@ -202,28 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     protocols_parser.add_argument(
         "--json", action="store_true", help="emit the listing as JSON"
     )
-
-    run_protocol_parser = subparsers.add_parser(
-        "run-protocol", help="run one registered protocol on a generated workload"
-    )
-    run_protocol_parser.add_argument("name", choices=sorted(PROTOCOLS))
-    run_protocol_parser.add_argument("--n", type=int, default=100_000)
-    run_protocol_parser.add_argument("--d", type=int, default=256)
-    run_protocol_parser.add_argument("--k", type=int, default=4)
-    run_protocol_parser.add_argument("--epsilon", type=float, default=1.0)
-    run_protocol_parser.add_argument("--seed", type=int, default=0)
-    run_protocol_parser.add_argument(
-        "--streaming",
-        action="store_true",
-        help="drive the streaming Session API period by period (prints the "
-        "online estimate trajectory)",
-    )
-    run_protocol_parser.add_argument(
-        "--chunk-size", type=_positive_int, default=None,
-        help="bound the randomness pre-draw transients by processing users "
-        "in chunks of this size (chunk-aware protocols only)",
-    )
-    _add_kernel_argument(run_protocol_parser)
 
     sweep_parser = subparsers.add_parser(
         "sweep",
@@ -454,8 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument("--k", type=int, default=4)
     fuzz_parser.add_argument("--epsilon", type=float, default=1.0)
     fuzz_parser.add_argument(
-        "--corpus", default="results/fuzz",
-        help="corpus directory (default: results/fuzz)",
+        "--corpus", default=None,
+        help="corpus directory; a search needs one, --replay defaults to the "
+        f"pinned {_PINNED_CORPUS}",
     )
     fuzz_parser.add_argument(
         "--replay", action="store_true",
@@ -554,81 +570,88 @@ def _command_communication(d: int) -> int:
     return 0
 
 
-def _command_simulate(
-    protocol: str,
-    n: int,
-    d: int,
-    k: int,
-    epsilon: float,
-    seed: int,
-    consistency: bool,
-    chunk_size: Optional[int] = None,
-    kernel: Optional[str] = None,
-) -> int:
+def _command_simulate(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.analysis.conformance import protocol_radius
     from repro.core.params import ProtocolParams
-    from repro.core.vectorized import collect_tree_reports, run_batch
-    from repro.postprocess.consistency import consistent_result
     from repro.utils.rng import spawn_generators
     from repro.workloads.generators import BoundedChangePopulation
 
-    params = ProtocolParams(n=n, d=d, k=k, epsilon=epsilon)
-    workload_rng, protocol_rng = spawn_generators(np.random.SeedSequence(seed), 2)
-    population = BoundedChangePopulation(d, k, start_prob=0.3)
-    if protocol != "future_rand" and not consistency:
-        instance = get_protocol(protocol)
-        if chunk_size is not None and not instance.supports_chunk_size:
-            print(
-                f"error: protocol {protocol!r} does not support --chunk-size "
-                f"(chunk-aware protocols: {', '.join(_chunk_aware_protocols())})",
-                file=sys.stderr,
-            )
-            return 2
-        if kernel is not None and not instance.supports_kernel:
-            print(
-                f"error: protocol {protocol!r} does not support --kernel "
-                f"(kernel-aware protocols: {', '.join(_kernel_aware_protocols())})",
-                file=sys.stderr,
-            )
-            return 2
-    # With --chunk-size the (n, d) matrix is never materialized: the
-    # population streams straight into the chunked aggregators (memory is
-    # bounded by the chunk, generation included).
-    states = (
-        population.sample(n, workload_rng)
-        if chunk_size is None
-        else population.sample_chunks(n, chunk_size, workload_rng)
+    if not _check_capabilities(
+        args.protocol,
+        chunk_size=args.chunk_size,
+        kernel=args.kernel,
+        consistency=args.consistency,
+    ):
+        return 2
+    name, n, d = args.protocol, args.n, args.d
+    params = ProtocolParams(n=n, d=d, k=args.k, epsilon=args.epsilon)
+    protocol = get_protocol(name)
+    workload_rng, protocol_rng = spawn_generators(
+        np.random.SeedSequence(args.seed), 2
     )
+    population = BoundedChangePopulation(d, args.k, start_prob=0.3)
+    extras = {
+        key: value
+        for key, value in (("chunk_size", args.chunk_size), ("kernel", args.kernel))
+        if value is not None
+    }
 
-    if protocol == "future_rand":
-        if consistency:
-            reports = collect_tree_reports(
-                states, params, protocol_rng, chunk_size=chunk_size, kernel=kernel
+    if args.streaming:
+        states = population.sample(n, workload_rng)
+        session = protocol.prepare(params, protocol_rng, **extras)
+        checkpoints = {max(1, (d * i) // 8) for i in range(1, 9)}
+        print(f"streaming {name} over {d} periods (n={n:,})")
+        if not protocol.online:
+            print(
+                f"  ({name} is offline: estimates are released only after "
+                f"the full horizon)"
             )
-            result = consistent_result(reports)
-        else:
-            result = run_batch(
-                states, params, protocol_rng, chunk_size=chunk_size, kernel=kernel
-            )
+        for t in range(1, d + 1):
+            session.ingest(t, states[:, t - 1])
+            if t in checkpoints and protocol.online:
+                estimate = session.estimates()[-1]
+                true = states[:, t - 1].sum()
+                print(
+                    f"  t={t:5d}  estimate={estimate:12,.0f}  "
+                    f"true={true:10,d}  error={estimate - true:+10,.0f}"
+                )
+        result = session.result()
     else:
-        if consistency:
-            raise SystemExit("--consistency is only supported for future_rand")
-        instance = get_protocol(protocol)
-        extras = {}
-        if chunk_size is not None:
-            extras["chunk_size"] = chunk_size
-        if kernel is not None:
-            extras["kernel"] = kernel
-        result = instance.run(states, params, protocol_rng, **extras)
+        # With --chunk-size the (n, d) matrix is never materialized: the
+        # population streams straight into the chunked aggregators (memory
+        # is bounded by the chunk, generation included).
+        states = (
+            population.sample(n, workload_rng)
+            if args.chunk_size is None
+            else population.sample_chunks(n, args.chunk_size, workload_rng)
+        )
+        if args.consistency:
+            # The one path outside the registry: WLS needs the node sums.
+            from repro.core.vectorized import collect_tree_reports
+            from repro.postprocess.consistency import consistent_result
 
-    radius, failure = protocol_radius(protocol, params, result.c_gap)
-    print(f"protocol:     {result.family_name}")
-    print(f"parameters:   n={n:,} d={d} k={k} epsilon={epsilon}")
-    print(f"max |error|:  {result.max_abs_error:,.1f}  ({result.max_abs_error / n:.2%} of n)")
+            result = consistent_result(
+                collect_tree_reports(states, params, protocol_rng, **extras)
+            )
+        else:
+            result = protocol.run(states, params, protocol_rng, **extras)
+
+    radius, failure = protocol_radius(name, params, result.c_gap)
+    print(f"protocol:     {name} ({result.family_name})")
+    print(
+        f"capabilities: privacy_model={protocol.privacy_model} "
+        f"online={protocol.online} sequence_ldp={protocol.sequence_ldp}"
+    )
+    print(f"parameters:   n={n:,} d={d} k={args.k} epsilon={args.epsilon}")
+    print(
+        f"max |error|:  {result.max_abs_error:,.1f}  "
+        f"({result.max_abs_error / n:.2%} of n)"
+    )
     print(f"mean |error|: {result.mean_abs_error:,.1f}")
     print(f"radius:       {radius:,.1f}  (exceeded w.p. <= {failure:g})")
+    print(f"exp. bits/user: {protocol.expected_report_bits(params):,.1f}")
     return 0
 
 
@@ -666,84 +689,6 @@ def _command_protocols(
     return 0
 
 
-def _command_run_protocol(
-    name: str,
-    n: int,
-    d: int,
-    k: int,
-    epsilon: float,
-    seed: int,
-    streaming: bool,
-    chunk_size: Optional[int] = None,
-    kernel: Optional[str] = None,
-) -> int:
-    import numpy as np
-
-    from repro.core.params import ProtocolParams
-    from repro.utils.rng import spawn_generators
-    from repro.workloads.generators import BoundedChangePopulation
-
-    params = ProtocolParams(n=n, d=d, k=k, epsilon=epsilon)
-    workload_rng, protocol_rng = spawn_generators(np.random.SeedSequence(seed), 2)
-    protocol = get_protocol(name)
-    if kernel is not None and not protocol.supports_kernel:
-        print(
-            f"error: protocol {name!r} does not support --kernel "
-            f"(kernel-aware protocols: {', '.join(_kernel_aware_protocols())})",
-            file=sys.stderr,
-        )
-        return 2
-    if chunk_size is not None and not protocol.supports_chunk_size:
-        print(
-            f"error: protocol {name!r} does not support --chunk-size "
-            f"(chunk-aware protocols: {', '.join(_chunk_aware_protocols())})",
-            file=sys.stderr,
-        )
-        return 2
-    states = BoundedChangePopulation(d, k, start_prob=0.3).sample(n, workload_rng)
-    extras = {}
-    if kernel is not None:
-        extras["kernel"] = kernel
-    if chunk_size is not None:
-        extras["chunk_size"] = chunk_size
-
-    if streaming:
-        session = protocol.prepare(params, protocol_rng, **extras)
-        checkpoints = {max(1, (d * i) // 8) for i in range(1, 9)}
-        print(f"streaming {name} over {d} periods (n={n:,})")
-        if not protocol.online:
-            print(
-                f"  ({name} is offline: estimates are released only after "
-                f"the full horizon)"
-            )
-        for t in range(1, d + 1):
-            session.ingest(t, states[:, t - 1])
-            if t in checkpoints and protocol.online:
-                estimate = session.estimates()[-1]
-                true = states[:, t - 1].sum()
-                print(
-                    f"  t={t:5d}  estimate={estimate:12,.0f}  "
-                    f"true={true:10,d}  error={estimate - true:+10,.0f}"
-                )
-        result = session.result()
-    else:
-        result = protocol.run(states, params, protocol_rng, **extras)
-
-    print(f"protocol:     {name} ({result.family_name})")
-    print(
-        f"capabilities: privacy_model={protocol.privacy_model} "
-        f"online={protocol.online} sequence_ldp={protocol.sequence_ldp}"
-    )
-    print(f"parameters:   n={n:,} d={d} k={k} epsilon={epsilon}")
-    print(
-        f"max |error|:  {result.max_abs_error:,.1f}  "
-        f"({result.max_abs_error / n:.2%} of n)"
-    )
-    print(f"mean |error|: {result.mean_abs_error:,.1f}")
-    print(f"exp. bits/user: {protocol.expected_report_bits(params):,.1f}")
-    return 0
-
-
 def _command_sweep(args: argparse.Namespace) -> int:
     from repro.core.params import ProtocolParams
     from repro.sim.parallel import default_workers
@@ -755,32 +700,12 @@ def _command_sweep(args: argparse.Namespace) -> int:
     workers = args.workers if args.workers > 0 else default_workers()
     store = ResultStore(args.store_dir) if args.store_dir else None
     base_params = ProtocolParams(n=args.n, d=args.d, k=args.k, epsilon=args.epsilon)
-    if args.chunk_size is not None:
-        # Validated up front: a mid-sweep ValueError should surface as a
-        # traceback (it is a bug), not masquerade as an argument error.
-        unsupported = sorted(
-            {name for name in args.protocols if not PROTOCOLS[name].supports_chunk_size}
-        )
-        if unsupported:
-            print(
-                f"error: {', '.join(unsupported)} do(es) not support "
-                f"--chunk-size (chunk-aware protocols: "
-                f"{', '.join(_chunk_aware_protocols())})",
-                file=sys.stderr,
-            )
-            return 2
-    if args.kernel is not None:
-        unsupported = sorted(
-            {name for name in args.protocols if not PROTOCOLS[name].supports_kernel}
-        )
-        if unsupported:
-            print(
-                f"error: {', '.join(unsupported)} do(es) not support "
-                f"--kernel (kernel-aware protocols: "
-                f"{', '.join(_kernel_aware_protocols())})",
-                file=sys.stderr,
-            )
-            return 2
+    # Validated up front: a mid-sweep ValueError should surface as a
+    # traceback (it is a bug), not masquerade as an argument error.
+    if not _check_capabilities(
+        args.protocols, chunk_size=args.chunk_size, kernel=args.kernel
+    ):
+        return 2
     shards_before = store.shard_count() if store is not None else 0
     try:
         table = sweep(
@@ -1043,7 +968,7 @@ def _command_fuzz(args: argparse.Namespace) -> int:
     from repro.sim.parallel import default_workers
     from repro.sim.store import ArtifactCorruptedError
 
-    corpus = FuzzCorpus(args.corpus)
+    corpus = FuzzCorpus(args.corpus or _PINNED_CORPUS)
 
     if args.replay:
         try:
@@ -1269,38 +1194,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "communication":
         return _command_communication(args.d)
     if args.command == "simulate":
-        return _command_simulate(
-            args.protocol,
-            args.n,
-            args.d,
-            args.k,
-            args.epsilon,
-            args.seed,
-            args.consistency,
-            args.chunk_size,
-            args.kernel,
-        )
+        return _command_simulate(args)
     if args.command == "protocols":
         return _command_protocols(
             args.online, args.offline, args.privacy_model, args.json
-        )
-    if args.command == "run-protocol":
-        return _command_run_protocol(
-            args.name,
-            args.n,
-            args.d,
-            args.k,
-            args.epsilon,
-            args.seed,
-            args.streaming,
-            args.chunk_size,
-            args.kernel,
         )
     if args.command == "serve-sim":
         if args.resume and args.journal is None:
             parser.error("serve-sim: --resume needs a --journal to resume from")
         return _command_serve_sim(args)
     if args.command == "fuzz":
+        if args.corpus is None and not args.replay:
+            parser.error(
+                "fuzz: a search writes its survivors into --corpus DIR; name "
+                f"one ({_PINNED_CORPUS} is the pinned corpus, for --replay)"
+            )
         return _command_fuzz(args)
     if args.command == "lint":
         from repro.lint.cli import run_lint

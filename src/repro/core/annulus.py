@@ -228,10 +228,6 @@ class AnnulusLaw:
             return float(self.log_g(i))
         return self.log_p_out
 
-    def prob_at_distance(self, i: int) -> float:
-        """Linear-space version of :meth:`log_prob_at_distance`."""
-        return math.exp(self.log_prob_at_distance(i))
-
     def distance_pmf(self) -> np.ndarray:
         """Return ``P[||R~(b) - b||_0 = i]`` for ``i = 0..k`` (exact, sums to 1)."""
         log_binoms = np.array([log_binom(self._k, i) for i in range(self._k + 1)])

@@ -168,11 +168,6 @@ class ObjectStreamingSession(ProtocolSession):
         for client in self._clients:
             self._server.register(client.user_id, client.order)
 
-    @property
-    def server(self) -> Server:
-        """The live aggregator (inspectable mid-stream)."""
-        return self._server
-
     def _ingest(self, values: np.ndarray) -> int:
         self._server.advance_to(self._period)
         reports = self._delivered(
@@ -363,7 +358,6 @@ class CentralTreeStreamingSession(ProtocolSession):
             rng,
             c_gap=1.0,
             family_name="central_tree",
-            enforce_k_changes=False,
         )
         d = params.d
         # User-level sensitivity: 2 k (1 + log2 d) — see CentralTreeMechanism.

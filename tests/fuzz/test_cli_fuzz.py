@@ -22,9 +22,16 @@ class TestParser:
         assert args.seed == 0
         assert args.workers == 1
         assert args.survivors == 3
-        assert args.corpus == "results/fuzz"
+        assert args.corpus is None  # replay reads results/fuzz; search needs one
         assert not args.replay
         assert args.kernel is None
+
+    def test_search_without_corpus_exits_2(self, capsys):
+        """A search never writes into the committed corpus by default."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fuzz", "--budget", "2"])
+        assert excinfo.value.code == 2
+        assert "--corpus" in capsys.readouterr().err
 
     def test_unknown_protocol_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

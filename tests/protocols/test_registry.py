@@ -33,9 +33,10 @@ EXPECTED_NAMES = {
 }
 
 #: Protocols that accept populations changing more than ``k`` times: the
-#: per-period randomized-response mechanisms never use the budget, and the
-#: central tree takes ``k`` only as its noise scale.
-BUDGET_FREE = {"naive_split", "naive_unsplit", "memoization", "central_tree"}
+#: per-period randomized-response mechanisms never use the budget.  The
+#: central tree is not among them: its noise scale is the sensitivity of a
+#: user who changes at most ``k`` times.
+BUDGET_FREE = {"naive_split", "naive_unsplit", "memoization"}
 
 
 @pytest.fixture(scope="module")
@@ -390,13 +391,13 @@ class TestProtocolLikeConsumers:
         for name in EXPECTED_NAMES:
             assert name in output
 
-    def test_cli_run_protocol(self, capsys):
+    def test_cli_simulate(self, capsys):
         from repro.cli import main
 
         assert (
             main(
                 [
-                    "run-protocol", "naive_split",
+                    "simulate", "--protocol", "naive_split",
                     "--n", "200", "--d", "16", "--k", "2",
                 ]
             )

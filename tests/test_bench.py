@@ -281,20 +281,47 @@ class TestKernelCli:
         assert code == 2
         assert "do(es) not support --kernel" in capsys.readouterr().err
 
-    def test_run_protocol_fast_kernel_streaming(self, capsys):
+    def test_simulate_fast_kernel_streaming(self, capsys):
         assert main(
             [
-                "run-protocol", "future_rand", "--n", "300", "--d", "16",
-                "--k", "2", "--kernel", "fast", "--streaming",
+                "simulate", "--protocol", "future_rand", "--n", "300",
+                "--d", "16", "--k", "2", "--kernel", "fast", "--streaming",
             ]
         ) == 0
         assert "streaming" in capsys.readouterr().out
 
-    def test_run_protocol_kernel_unaware_exits_2(self, capsys):
+    def test_simulate_streaming_chunked_fast_kernel(self, capsys):
+        """The session path with both options: the chunked b~ pre-draw
+        under the fast kernel."""
+        assert main(
+            [
+                "simulate", "--protocol", "future_rand", "--n", "300",
+                "--d", "16", "--k", "2", "--streaming", "--chunk-size", "64",
+                "--kernel", "fast",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "streaming future_rand over 16 periods (n=300)" in out
+        assert "t=   16  estimate=" in out
+
+    def test_sweep_kernel_unaware_erlingsson_exits_2(self, capsys):
         code = main(
             [
-                "run-protocol", "central_tree", "--n", "300", "--d", "16",
-                "--k", "2", "--kernel", "fast",
+                "sweep", "--kernel", "fast", "--protocols", "erlingsson",
+                "--parameter", "k", "--values", "2", "--n", "300",
+                "--d", "16", "--trials", "1",
+            ]
+        )
+        assert code == 2
+        error = capsys.readouterr().err
+        assert "erlingsson do(es) not support --kernel" in error
+        assert "future_rand" in error  # lists the kernel-aware protocols
+
+    def test_simulate_kernel_unaware_central_tree_exits_2(self, capsys):
+        code = main(
+            [
+                "simulate", "--protocol", "central_tree", "--n", "300",
+                "--d", "16", "--k", "2", "--kernel", "fast",
             ]
         )
         assert code == 2

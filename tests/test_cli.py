@@ -109,9 +109,10 @@ class TestCommands:
         )
 
     @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
-    def test_run_protocol_every_registered_name(self, protocol, capsys):
+    def test_simulate_every_registered_name(self, protocol, capsys):
         assert main(
-            ["run-protocol", protocol, "--n", "200", "--d", "16", "--k", "2"]
+            ["simulate", "--protocol", protocol, "--n", "200", "--d", "16",
+             "--k", "2"]
         ) == 0
         out = capsys.readouterr().out
         instance = get_protocol(protocol)
@@ -124,14 +125,12 @@ class TestCommands:
         assert "max |error|" in out
 
     @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
-    def test_run_protocol_streaming_every_registered_name(
-        self, protocol, capsys
-    ):
+    def test_simulate_streaming_every_registered_name(self, protocol, capsys):
         """``--streaming`` drives the session API: online protocols print
         their mid-stream estimates, offline ones say why they cannot."""
         assert main(
-            ["run-protocol", protocol, "--n", "200", "--d", "16", "--k", "2",
-             "--streaming"]
+            ["simulate", "--protocol", protocol, "--n", "200", "--d", "16",
+             "--k", "2", "--streaming"]
         ) == 0
         out = capsys.readouterr().out
         assert f"streaming {protocol} over 16 periods (n=200)" in out
@@ -143,12 +142,40 @@ class TestCommands:
             assert "estimate=" not in out
         assert "max |error|" in out
 
-    def test_simulate_consistency_rejected_for_baselines(self):
-        with pytest.raises(SystemExit):
-            main(
-                ["simulate", "--protocol", "naive_split", "--n", "100",
-                 "--d", "16", "--k", "2", "--consistency"]
-            )
+    def test_simulate_consistency_rejected_for_baselines(self, capsys):
+        assert main(
+            ["simulate", "--protocol", "naive_split", "--n", "100",
+             "--d", "16", "--k", "2", "--consistency"]
+        ) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: ")
+        assert "does not support --consistency" in error
+
+    def test_simulate_streaming_excludes_consistency(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--n", "100", "--d", "16", "--k", "2",
+                  "--streaming", "--consistency"])
+        assert excinfo.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_capability_check_runs_before_sampling(self, monkeypatch, capsys):
+        """An unsupported flag fails before any population is drawn."""
+        from repro.workloads.generators import BoundedChangePopulation
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("population sampled before the capability check")
+
+        monkeypatch.setattr(BoundedChangePopulation, "sample", refuse)
+        monkeypatch.setattr(BoundedChangePopulation, "sample_chunks", refuse)
+        for command in (
+            ["simulate", "--protocol", "naive_split", "--consistency"],
+            ["simulate", "--protocol", "memoization", "--chunk-size", "64"],
+            ["simulate", "--protocol", "erlingsson", "--kernel", "fast"],
+            ["sweep", "--protocols", "erlingsson", "--parameter", "k",
+             "--values", "2", "--kernel", "fast"],
+        ):
+            assert main(command) == 2
+        assert capsys.readouterr().err.count("error: ") == 4
 
 
 _SWEEP_ARGS = [
@@ -273,9 +300,9 @@ class TestErrorPaths:
         assert main(["results", "show", str(tmp_path / "nope.json")]) == 1
         assert "no such file or result store" in capsys.readouterr().err
 
-    def test_run_protocol_unknown_name_exits_with_usage(self, capsys):
+    def test_simulate_unknown_name_exits_with_usage(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run-protocol", "definitely-not-registered"])
+            main(["simulate", "--protocol", "definitely-not-registered"])
         assert excinfo.value.code == 2
         error = capsys.readouterr().err
         assert "invalid choice" in error
