@@ -7,7 +7,7 @@ Two claims are pinned here:
   exists) completes with a ``tracemalloc``-measured peak incremental
   allocation under **1 GB** (measured well under 100 MB; the budget leaves
   headroom for allocator/platform noise, while a monolithic run would need
-  ~256 MB for the int8 states plus float64 score/argsort transients in the
+  ~256 MB for the int8 states plus float64 randomization transients in the
   gigabytes).  Asserted on every run, marked ``slow`` — the nightly CI lane
   additionally wraps this file in a ``ulimit``-enforced address-space cap so
   the budget is enforced by the OS, not just by the assertion;

@@ -546,7 +546,12 @@ def run_supervised(
 def _run_supervised_serial(
     fn, items, schedule, report, label, finish, charge
 ) -> None:
-    """The in-process supervision loop (soft crash flavor, no pool)."""
+    """The in-process supervision loop (soft crash flavor, no pool).
+
+    Nothing crosses a process here, so a payload is sealed and unsealed
+    only on an attempt scheduled to corrupt it; every other attempt calls
+    ``fn`` directly (after firing its crash or hang, if any).
+    """
     for index, item in enumerate(items):
         attempt = 0
         while True:
@@ -556,7 +561,12 @@ def _run_supervised_serial(
             report.attempts += 1
             attempt += 1
             try:
-                payload = unseal(_supervised_call(fn, item, injector))
+                if injector is not None and injector.corrupts:
+                    payload = unseal(_supervised_call(fn, item, injector))
+                else:
+                    if injector is not None:
+                        injector.fire()
+                    payload = fn(item)
             except _RETRYABLE as error:
                 if charge(index, attempt, error):
                     continue

@@ -59,8 +59,8 @@ Three knobs, three jobs — reach for them in this order:
 
 * ``chunk_size`` (``run_trials``/``sweep``/CLI ``--chunk-size``, the batch
   engine, ``run_batch(..., chunk_size=...)``) bounds one process's **peak
-  memory**: use it when ``n * d`` (or the 8x-larger transient report/score
-  matrices) threatens RAM.
+  memory**: use it when ``n * d`` (or the 8x-larger transient report
+  matrices of randomization) threatens RAM.
 * ``workers`` fans trial shards across **processes** for wall-clock speed;
   it does not reduce per-process memory.  The two compose: shards bound a
   worker's task, chunks bound its footprint.

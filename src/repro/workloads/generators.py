@@ -31,6 +31,10 @@ __all__ = [
 
 _CHANGE_TIME_MODES = ("uniform", "early", "late", "bursty")
 
+#: Cells per row tile of the vectorized samplers: 64K float64 scores
+#: (512 KB) plus their partition copy stay cache-sized at any ``n``.
+_TILE_CELLS = 1 << 16
+
 
 def _check_budget(k: int, d: int) -> int:
     """Return ``k`` as a per-user change budget, which must lie in ``[1, d]``."""
@@ -38,6 +42,17 @@ def _check_budget(k: int, d: int) -> int:
     if budget > d:
         raise ValueError(f"k={k} cannot exceed d={d}")
     return budget
+
+
+def _row_tiles(n: int, d: int) -> list[tuple[int, int]]:
+    """Consecutive ``[start, stop)`` row tiles of about ``_TILE_CELLS`` cells.
+
+    Drawing ``rng.random((stop - start, d))`` tile after tile consumes the
+    stream exactly as one ``rng.random((n, d))`` does (``Generator.random``
+    fills C order from one stream), and every step after the draw works row
+    by row, so tiling moves no bit of a sampler's output.
+    """
+    return plan_row_blocks(n, max(1, _TILE_CELLS // d))
 
 
 def _smallest_per_row(scores: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -99,8 +114,10 @@ class Population:
 
         * the concatenated output depends only on ``(n, seed, block_rows)``
           — **any chunk size yields bit-identical users**;
-        * peak memory is O(``max(chunk_size, block_rows) * d``), never
-          O(``n * d``);
+        * peak memory is O(``max(chunk_size, block_rows) * d``) int8 cells,
+          never O(``n * d``); the vectorized samplers draw their float
+          scores in row tiles of about 64K cells, so drawing a block adds
+          O(tile) float transients, not a block of float64;
         * for ``n <= block_rows`` the stream concatenates to exactly the
           monolithic ``self.sample(n, np.random.default_rng(root.spawn(1)[0]))``
           — the chunked and in-memory paths agree bit for bit.
@@ -272,12 +289,21 @@ class BoundedChangePopulation(Population):
         by the ``argsort`` scatter — bit-identical to the full-row rank
         test.  The parity is an in-type xor accumulation rather than an
         int64 ``cumsum``.
+
+        The scores are drawn, reduced and written into the int8 output one
+        row tile (:func:`_row_tiles`) at a time, so the float transients are
+        O(tile), never ``(n, d)`` float64; the draw is this sampler's last
+        RNG call, so the tiles reproduce the untiled bits.
         """
-        scores = rng.random((n, self._d))
-        scores[starts, 0] = np.inf  # t=1 is reserved for the start toggle
-        toggles = _smallest_per_row(scores, budgets)
-        toggles[starts, 0] = True
-        return np.logical_xor.accumulate(toggles, axis=1).astype(np.int8)
+        states = np.empty((n, self._d), dtype=np.int8)
+        for start, stop in _row_tiles(n, self._d):
+            scores = rng.random((stop - start, self._d))
+            tile_starts = starts[start:stop]
+            scores[tile_starts, 0] = np.inf  # t=1 is reserved for the start toggle
+            toggles = _smallest_per_row(scores, budgets[start:stop])
+            toggles[tile_starts, 0] = True
+            states[start:stop] = np.logical_xor.accumulate(toggles, axis=1)
+        return states
 
 
 class TrendPopulation(Population):
@@ -320,24 +346,36 @@ class TrendPopulation(Population):
         periods and adopts the trend's current coin flip; between
         opportunities the value is held (forward fill), so the change budget
         is respected by construction.  Fully vectorized.
+
+        Two passes over row tiles (:func:`_row_tiles`) keep the stream order
+        of the untiled sampler (every opportunity score, then every coin):
+        the first reduces score tiles to the opportunity mask, stored in the
+        output buffer itself; the second draws coin tiles and forward-fills
+        each tile over its own rows.  Float and index transients are O(tile).
         """
         n = ensure_positive(n, "n")
         rng = as_generator(rng)
+        d = self._d
         curve = self.target_curve()
 
         counts = rng.integers(1, self._k + 1, size=n)
-        opportunity = _smallest_per_row(rng.random((n, self._d)), counts)
-        # Draw the trend coin at every cell; only opportunity cells matter.
-        draws = (rng.random((n, self._d)) < curve[np.newaxis, :]).astype(np.int8)
-        values = np.where(opportunity, draws, np.int8(0))
-        # Forward fill: each cell takes the value at its latest opportunity
-        # (column 0 acts as a virtual opportunity holding the initial 0).
-        columns = np.arange(self._d)[np.newaxis, :]
-        marked = np.where(opportunity, columns, 0)
-        latest = np.maximum.accumulate(marked, axis=1)
-        values[:, 0] = np.where(opportunity[:, 0], values[:, 0], 0)
-        rows = np.arange(n)[:, np.newaxis]
-        return values[rows, latest].astype(np.int8)
+        states = np.empty((n, d), dtype=np.int8)
+        opportunity = states.view(np.bool_)
+        tiles = _row_tiles(n, d)
+        for start, stop in tiles:
+            opportunity[start:stop] = _smallest_per_row(
+                rng.random((stop - start, d)), counts[start:stop]
+            )
+        columns = np.arange(d)
+        for start, stop in tiles:
+            tile = opportunity[start:stop]
+            # Draw the trend coin at every cell; only opportunity cells matter.
+            values = (rng.random((stop - start, d)) < curve) & tile
+            # Forward fill: each cell takes the value at its latest opportunity
+            # (column 0 acts as a virtual opportunity holding the initial 0).
+            latest = np.maximum.accumulate(np.where(tile, columns, 0), axis=1)
+            states[start:stop] = np.take_along_axis(values, latest, axis=1)
+        return states
 
 
 class PeriodicPopulation(Population):
@@ -452,7 +490,10 @@ class ChurnPopulation(Population):
         """Return ``(states, active)``: the value matrix and the activity mask.
 
         ``active[u, t-1]`` is true while user ``u`` is present; ``states`` is
-        identically 0 wherever ``active`` is false.  Fully vectorized.
+        identically 0 wherever ``active`` is false.  Fully vectorized; the
+        toggle scores are drawn and reduced one row tile
+        (:func:`_row_tiles`) at a time, after ``active`` and the counts, so
+        the float transients are O(tile) and the bits match one full draw.
         """
         n = ensure_positive(n, "n")
         rng = as_generator(rng)
@@ -468,16 +509,19 @@ class ChurnPopulation(Population):
         widths = departures - arrivals  # active periods per user, always >= 1
         counts = rng.integers(0, np.minimum(self._k - 1, widths) + 1)
 
-        # Toggle at the `counts` smallest-scored *active* cells of each row
-        # (inactive cells are pushed past every rank with an infinite score).
-        scores = rng.random((n, d))
-        scores[~active] = np.inf
-        toggles = _smallest_per_row(scores, counts)
-        states = np.logical_xor.accumulate(toggles, axis=1)
-        # Departure: an absent user holds 0.  If the parity was 1 at the last
-        # active period this zeroing is the user's reserved k-th change.
-        states &= active
-        return states.astype(np.int8), active
+        states = np.empty((n, d), dtype=np.int8)
+        for start, stop in _row_tiles(n, d):
+            tile_active = active[start:stop]
+            # Toggle at the `counts` smallest-scored *active* cells of each row
+            # (inactive cells are pushed past every rank with an infinite score).
+            scores = rng.random((stop - start, d))
+            scores[~tile_active] = np.inf
+            toggles = _smallest_per_row(scores, counts[start:stop])
+            parity = np.logical_xor.accumulate(toggles, axis=1)
+            # Departure: an absent user holds 0.  If the parity was 1 at the
+            # last active period this zeroing is the user's reserved k-th change.
+            states[start:stop] = parity & tile_active
+        return states, active
 
     def sample(self, n: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """Return the ``(n, d)`` state matrix (activity mask discarded)."""

@@ -211,6 +211,35 @@ class TestSupervisedSerial:
         assert report.lost_units == ()
         assert report.backoff_seconds > 0.0  # simulated, not slept
 
+    def test_only_corrupt_attempts_are_sealed(self, monkeypatch):
+        """In-process, a payload is checksummed only when an attempt is
+        scheduled to corrupt it; that attempt is still caught and retried."""
+        checksums = []
+        real_checksum = repro.faults._payload_checksum
+
+        def counting_checksum(payload):
+            checksums.append(payload)
+            return real_checksum(payload)
+
+        monkeypatch.setattr(repro.faults, "_payload_checksum", counting_checksum)
+        items = list(range(5))
+        expected = [_square(i) for i in items]
+
+        results, report = run_supervised(_square, items)
+        assert results == expected
+        assert checksums == []
+
+        schedule = FaultSchedule(
+            model=FaultModel(name="pin", corrupt_rate=1.0),
+            rows=tuple(("corrupt",) if i in (1, 3) else () for i in items),
+            permanent=(False,) * len(items),
+        )
+        results, report = run_supervised(_square, items, workers=1, schedule=schedule)
+        assert results == expected
+        assert report.corrupt_payloads == report.retries == 2
+        assert report.attempts == len(items) + 2
+        assert len(checksums) == 4  # one seal and one failed unseal per corruption
+
     def test_supervision_adds_no_wallclock_stalls(self):
         schedule = _crash_schedule(4, {0, 1, 2, 3}, failures=2)
         started = time.perf_counter()
