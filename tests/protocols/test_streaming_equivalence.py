@@ -64,7 +64,16 @@ class TestExactEquivalence:
             states, PARAMS, np.random.default_rng(7)
         ).estimates
         stream_estimates = _stream(protocol, states, np.random.default_rng(7))
-        np.testing.assert_allclose(stream_estimates, run_estimates)
+        np.testing.assert_array_equal(stream_estimates, run_estimates)
+
+    def test_memoization_run_is_pinned(self):
+        """Exact one-shot memoization estimates at a fixed seed."""
+        result = get_protocol("memoization").run(
+            _signal_states(), PARAMS, np.random.default_rng(7)
+        )
+        assert _digest(result.estimates, "<f8") == (
+            "c32d97b4d671868eb50982b9367701aba7d9c73211fb99cb079737253f58600d"
+        )
 
     def test_object_reference_is_pinned(self):
         """Exact estimates and orders of ``future_rand_object``, one-shot and
