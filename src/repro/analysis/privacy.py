@@ -24,9 +24,9 @@ Two levels are verified:
 
        ``max_{m,r} 2^m q(m, r)  /  min_{m,r} 2^m q(m, r)``,
 
-   independent of ``L``.  :func:`client_report_log_ratio` evaluates this in
-   O(k^2) exactly; the brute-force enumerators below cross-validate it on
-   small instances.
+   independent of ``L``.  :func:`client_report_log_ratio` evaluates this
+   exactly from O(k^3) terms (O(k^2) pairs ``(m, r)`` of O(k) terms each);
+   the brute-force enumerators below cross-validate it on small instances.
 """
 
 from __future__ import annotations
@@ -95,11 +95,17 @@ def client_report_log_ratio(law: AnnulusLaw, *, max_support: int | None = None) 
     top = max_support if max_support is not None else k
     if not 0 <= top <= k:
         raise ValueError(f"max_support must be in [0, k={k}], got {top}")
+    # ``support_pattern_log_prob`` term by term, with the distance law and
+    # each m's binomial row evaluated once instead of once per (m, r).
+    log_probs = [law.log_prob_at_distance(i) for i in range(k + 1)]
     best_high = LOG_ZERO
     best_low = math.inf
     for m in range(top + 1):
+        log_binoms = [log_binom(k - m, j) for j in range(k - m + 1)]
         for r in range(m + 1):
-            value = m * math.log(2.0) + support_pattern_log_prob(law, m, r)
+            value = m * math.log(2.0) + logsumexp(
+                [b + p for b, p in zip(log_binoms, log_probs[r:])]
+            )
             best_high = max(best_high, value)
             best_low = min(best_low, value)
     return best_high - best_low

@@ -16,7 +16,8 @@ from repro.analysis.privacy import (
     sequence_support_patterns,
     support_pattern_log_prob,
 )
-from repro.core.annulus import AnnulusLaw
+from repro.core.annulus import AnnulusLaw, future_rand_bounds
+from repro.utils.numerics import LOG_ZERO
 
 
 class TestEnumerateComposedLaw:
@@ -104,7 +105,35 @@ class TestSequenceSupportPatterns:
             assert int(np.count_nonzero(v)) <= 2
 
 
+def _reference_client_report_log_ratio(law, max_support=None):
+    """The per-(m, r) evaluation ``client_report_log_ratio`` replaced."""
+    k = law.k
+    top = max_support if max_support is not None else k
+    best_high = LOG_ZERO
+    best_low = math.inf
+    for m in range(top + 1):
+        for r in range(m + 1):
+            value = m * math.log(2.0) + support_pattern_log_prob(law, m, r)
+            best_high = max(best_high, value)
+            best_low = min(best_low, value)
+    return best_high - best_low
+
+
 class TestClientReportRatio:
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 17, 40])
+    @pytest.mark.parametrize("epsilon", [0.25, 1.0, 3.0])
+    @pytest.mark.parametrize("scale", [1.0, 2.5])
+    def test_matches_per_pair_evaluation_exactly(self, k, epsilon, scale):
+        """Hoisting the law and the binomial rows out of the (m, r) loop
+        keeps every term and its order, so the ratio is equal, not close."""
+        eps_tilde = scale * epsilon / (5.0 * math.sqrt(k))
+        scaled = AnnulusLaw(k, eps_tilde, *future_rand_bounds(k, eps_tilde))
+        for candidate in (AnnulusLaw.for_future_rand(k, epsilon), scaled):
+            for top in (None, k // 2):
+                assert client_report_log_ratio(
+                    candidate, max_support=top
+                ) == _reference_client_report_log_ratio(candidate, top)
+
     def test_matches_brute_force(self):
         """The O(k^2) closed form equals the exhaustive max over all k-sparse
         input pairs and outputs — the definition of the privacy ratio."""
