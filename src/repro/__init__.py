@@ -36,7 +36,6 @@ registry (:mod:`repro.protocols`), one-shot or streaming::
 
 from repro.core import (
     AnnulusLaw,
-    BasicRandomizer,
     Client,
     ComposedRandomizer,
     FutureRand,
@@ -56,7 +55,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AnnulusLaw",
-    "BasicRandomizer",
     "Client",
     "ComposedRandomizer",
     "FutureRand",

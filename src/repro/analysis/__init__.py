@@ -6,7 +6,7 @@
   brute-force output-law ratios for the composed randomizer and for the whole
   client report (Lemma 5.2, Theorem 4.5).
 * :mod:`repro.analysis.bounds` — the theoretical error-bound curves
-  (Theorem 4.1, Lemma 4.6/Eq. 13, the Erlingsson bound, the lower bound).
+  (Theorem 4.1, Lemma 4.6/Eq. 13, the central tree mechanism).
 * :mod:`repro.analysis.accuracy` — empirical error metrics and power-law
   scaling fits used by the experiment harness.
 """
@@ -17,23 +17,10 @@ from repro.analysis.communication import (
     communication_table,
     expected_report_bits,
 )
-from repro.analysis.bounds import (
-    erlingsson_error_bound,
-    hoeffding_radius,
-    lower_bound,
-    naive_split_error_bound,
-    theorem41_error_bound,
-)
-from repro.analysis.cgap import (
-    cgap_basic,
-    cgap_bun,
-    cgap_erlingsson,
-    cgap_future_rand,
-    cgap_simple,
-)
+from repro.analysis.bounds import hoeffding_radius, theorem41_error_bound
+from repro.analysis.cgap import cgap_future_rand, cgap_simple
 from repro.analysis.privacy import (
     client_report_log_ratio,
-    composed_randomizer_log_ratio,
     enumerate_composed_law,
     enumerate_future_rand_report_law,
     sequence_support_patterns,
@@ -47,18 +34,11 @@ __all__ = [
     "verification_report",
     "communication_table",
     "expected_report_bits",
-    "erlingsson_error_bound",
     "hoeffding_radius",
-    "lower_bound",
-    "naive_split_error_bound",
     "theorem41_error_bound",
-    "cgap_basic",
-    "cgap_bun",
-    "cgap_erlingsson",
     "cgap_future_rand",
     "cgap_simple",
     "client_report_log_ratio",
-    "composed_randomizer_log_ratio",
     "enumerate_composed_law",
     "enumerate_future_rand_report_law",
     "sequence_support_patterns",

@@ -1,4 +1,4 @@
-"""Theoretical error-bound curves (Theorem 4.1, Lemma 4.6, Section 6, [18]).
+"""Theoretical error-bound curves (Theorem 4.1, Lemma 4.6, Section 6).
 
 These are the *formulas the paper states*, exposed as callables so experiments
 can overlay measured errors against predicted shapes.  Bounds are reported
@@ -15,9 +15,6 @@ from repro.core.params import ProtocolParams
 __all__ = [
     "hoeffding_radius",
     "theorem41_error_bound",
-    "erlingsson_error_bound",
-    "lower_bound",
-    "naive_split_error_bound",
     "central_tree_error_bound",
 ]
 
@@ -50,44 +47,6 @@ def theorem41_error_bound(params: ProtocolParams) -> float:
         / params.epsilon
         * math.sqrt(params.k * params.n * math.log(params.d / params.beta))
     )
-
-
-def erlingsson_error_bound(params: ProtocolParams) -> float:
-    """Return the Erlingsson et al. (2020) bound shape.
-
-    ``(1/epsilon) * (log2 d)^(3/2) * k * sqrt(n * ln(d / beta))`` — note the
-    *linear* dependence on ``k`` that Theorem 4.1 improves to ``sqrt(k)``.
-    """
-    return (
-        (1.0 / params.epsilon)
-        * params.log_d**1.5
-        * params.k
-        * math.sqrt(params.n * math.log(params.d / params.beta))
-    )
-
-
-def lower_bound(params: ProtocolParams) -> float:
-    """Return the Zhou et al. lower bound shape ``(1/eps) sqrt(k n log(d/k))``.
-
-    Any online or offline protocol must incur this error; Theorem 4.1 matches
-    it up to a ``log d`` factor.
-    """
-    ratio = max(params.d / params.k, math.e)  # keep the log positive
-    return (1.0 / params.epsilon) * math.sqrt(
-        params.k * params.n * math.log(ratio)
-    )
-
-
-def naive_split_error_bound(params: ProtocolParams) -> float:
-    """Return the error shape of naive per-period budget splitting.
-
-    Randomized response at budget ``epsilon / d`` each period has
-    ``c_gap = tanh(eps / 2d) ~ eps/(2d)``; debiasing inflates the per-period
-    noise to ``(1/c_gap) * sqrt(n)``, i.e. error ``~ (d / epsilon) sqrt(n ln(d/beta))``
-    — *linear* in ``d`` where Theorem 4.1 pays only ``log d``.
-    """
-    c_gap = math.tanh(params.epsilon / (2.0 * params.d))
-    return math.sqrt(params.n * math.log(params.d / params.beta)) / c_gap
 
 
 def central_tree_error_bound(params: ProtocolParams) -> float:

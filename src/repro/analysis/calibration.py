@@ -104,19 +104,8 @@ class CalibratedFutureRandFamily(RandomizerFamily):
 
     def __init__(self, k: int, epsilon: float) -> None:
         super().__init__(k, epsilon)
-        self._multiplier = calibration_multiplier(k, epsilon)
-        self._law = _law_at(k, epsilon, self._multiplier)
+        self._law = _law_at(k, epsilon, calibration_multiplier(k, epsilon))
         self._sampler = ComposedRandomizer(self._law)
-
-    @property
-    def law(self) -> AnnulusLaw:
-        """The calibrated exact output law."""
-        return self._law
-
-    @property
-    def multiplier(self) -> float:
-        """How far beyond the paper's eps/(5 sqrt k) the budget was pushed."""
-        return self._multiplier
 
     @property
     def c_gap(self) -> float:

@@ -12,6 +12,9 @@ Example 4.2 (naive)    (e^(ε/k) - 1)/(e^(ε/k) + 1)                 Ω(ε/k)
 Erlingsson et al.      (e^(ε/2) - 1)/(e^(ε/2) + 1), estimator ×k   Ω(ε), but ×k
 Bun et al. (Alg. 4)    exact sum under the λ-annulus (Thm A.8)     O(ε/√(k ln(k/ε)))
 =====================  ==========================================  ===========
+
+The Erlingsson et al. and Bun et al. gaps are the ``c_gap(params)`` of their
+registry protocols (``get_protocol("erlingsson")``, ``"bun_composed"``).
 """
 
 from __future__ import annotations
@@ -23,18 +26,10 @@ from repro.core.basic_randomizer import basic_c_gap
 from repro.utils.validation import ensure_positive
 
 __all__ = [
-    "cgap_basic",
     "cgap_future_rand",
     "cgap_simple",
-    "cgap_erlingsson",
-    "cgap_bun",
     "cgap_constant_series",
 ]
-
-
-def cgap_basic(eps_tilde: float) -> float:
-    """``c_gap`` of one basic randomizer invocation: ``tanh(eps_tilde / 2)``."""
-    return basic_c_gap(eps_tilde)
 
 
 def cgap_future_rand(k: int, epsilon: float) -> float:
@@ -46,29 +41,6 @@ def cgap_simple(k: int, epsilon: float) -> float:
     """Exact ``c_gap`` of the Example 4.2 randomizer: ``tanh(epsilon / (2k))``."""
     k = ensure_positive(k, "k")
     return basic_c_gap(epsilon / k)
-
-
-def cgap_erlingsson(epsilon: float) -> float:
-    """``c_gap`` of the Erlingsson et al. per-report randomizer: ``tanh(epsilon/4)``.
-
-    Their client perturbs with the basic randomizer at budget ``epsilon / 2``
-    (the remaining factor of privacy comes from 1-sparsity of the sampled
-    derivative).  Note their *estimator* carries an extra factor ``k``, so the
-    effective utility constant is ``k / cgap_erlingsson`` — see
-    :func:`repro.analysis.bounds.erlingsson_error_bound`.
-    """
-    return basic_c_gap(epsilon / 2.0)
-
-
-def cgap_bun(k: int, epsilon: float, lam: float | None = None) -> float:
-    """Exact ``c_gap`` of the Bun et al. composed randomizer (Algorithm 4).
-
-    Delegates parameter selection (``lam``, ``eps_tilde``) to the baseline
-    module; computed from the same exact annulus law as FutureRand.
-    """
-    from repro.baselines.bun_composed import bun_annulus_law
-
-    return bun_annulus_law(k, epsilon, lam).c_gap
 
 
 def cgap_constant_series(

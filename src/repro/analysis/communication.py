@@ -10,8 +10,7 @@ introduction motivates:
   ``2^(h_u)`` — in expectation over ``h_u``, just under ``2d / (1 + log2 d)``
   bits across the horizon.
 * Naive repetition: exactly one bit every period (``d`` bits).
-* Offline full tree: ``2d - 1`` bits in one shot (or ``buckets`` with
-  hashing).
+* Offline full tree: ``2d - 1`` bits in one shot.
 * Central model: no randomized report; the user ships its exact data
   (``d`` bits, but no privacy — listed for reference).
 """

@@ -9,7 +9,8 @@ Two levels are verified:
 1. **Composed randomizer** ``R~`` (Lemma 5.2): the ratio
    ``max_s Pr[R~(b)=s] / min_s Pr[R~(b)=s]`` equals ``p'_max / p'_min`` and
    must be at most ``e^eps``.  Because the law depends on ``(b, s)`` only
-   through their Hamming distance, a single :class:`AnnulusLaw` suffices.
+   through their Hamming distance, a single :class:`AnnulusLaw` suffices
+   (:meth:`AnnulusLaw.privacy_log_ratio`).
 
 2. **Full client report** (Theorem 4.5 / Property I): a FutureRand client
    reporting ``L`` values with support size ``m <= k`` outputs a given word
@@ -41,22 +42,12 @@ from repro.core.annulus import AnnulusLaw
 from repro.utils.numerics import LOG_ZERO, log_binom, logsumexp
 
 __all__ = [
-    "composed_randomizer_log_ratio",
     "client_report_log_ratio",
     "support_pattern_log_prob",
     "enumerate_composed_law",
     "enumerate_future_rand_report_law",
     "sequence_support_patterns",
 ]
-
-
-def composed_randomizer_log_ratio(law: AnnulusLaw) -> float:
-    """Return ``ln(max_s Pr[R~(b)=s] / min_s Pr[R~(b)=s])`` exactly.
-
-    Lemma 5.2 asserts this is at most ``epsilon`` for the FutureRand
-    parameterization.
-    """
-    return law.privacy_log_ratio()
 
 
 def support_pattern_log_prob(law: AnnulusLaw, m: int, r: int) -> float:

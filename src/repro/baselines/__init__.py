@@ -10,8 +10,8 @@
   randomizer (Algorithm 4, Appendix A.2) as a drop-in randomizer family.
 * :mod:`repro.baselines.central` — the central-model binary (tree) mechanism
   with Laplace noise; the trusted-curator reference point.
-* :mod:`repro.baselines.offline_tree` — an offline full-tree / hashed-sketch
-  protocol approximating the error shape of Zhou et al. (2021).
+* :mod:`repro.baselines.offline_tree` — an offline full-tree protocol
+  approximating the error shape of Zhou et al. (2021).
 """
 
 from repro.baselines.bun_composed import (

@@ -12,9 +12,6 @@ protocol with the same structural properties and error *shape*:
   by Observation 3.6 applied per order) in one shot;
 * the whole vector is randomized by one composed randomizer calibrated to
   sparsity ``k (1 + log2 d)`` — a single ``epsilon``-LDP report;
-* optionally, coordinates are first hashed into ``B`` buckets (communication
-  compression as in Zhou et al.; within-user collisions are rare for
-  ``B >> (k log d)^2`` and are clamped, a documented approximation);
 * the server debiases and reconstructs all ``d`` prefixes at the end — the
   protocol is *offline* (nothing can be released before all reports are in,
   because the randomizer's sparsity budget spans the whole horizon).
@@ -59,57 +56,21 @@ def run_offline_tree(
     states: np.ndarray,
     params: ProtocolParams,
     rng: Optional[np.random.Generator] = None,
-    *,
-    buckets: Optional[int] = None,
 ) -> ProtocolResult:
-    """Execute the offline full-tree protocol.
-
-    Parameters
-    ----------
-    buckets:
-        If given, each user's tree coordinates are hashed into this many
-        buckets before randomization (Zhou et al.-style compression).  Must be
-        at least ``4 * (k * (1 + log2 d))**2`` to keep within-user collisions
-        rare; collisions clamp the bucket value into {-1, 0, 1} and the
-        resulting bias is the documented approximation.
-    """
+    """Execute the offline full-tree protocol."""
     matrix = validate_states(states, params)
     rng = as_generator(rng)
 
-    n, d = matrix.shape
+    d = matrix.shape[1]
     num_orders = d.bit_length()
     tree_sparsity = params.k * num_orders  # Observation 3.6, once per order
-    tree_width = 2 * d - 1
 
     law = AnnulusLaw.for_future_rand(tree_sparsity, params.epsilon)
     sampler = ComposedRandomizer(law)
     flat = flatten_tree_partial_sums(matrix)
 
-    if buckets is None:
-        reports = randomize_matrix_with_sampler(flat, tree_sparsity, sampler, rng)
-        debiased = reports.sum(axis=0).astype(np.float64) / law.c_gap
-        node_estimates = debiased
-    else:
-        minimum = 4 * tree_sparsity**2
-        if buckets < minimum:
-            raise ValueError(
-                f"buckets must be at least 4*(k*(1+log2 d))^2 = {minimum}, "
-                f"got {buckets}"
-            )
-        # Per-user uniform hashing of tree coordinates into buckets; the
-        # server knows every user's hash (public randomness).
-        hashes = rng.integers(0, buckets, size=(n, tree_width))
-        tables = np.zeros((n, buckets), dtype=np.int64)
-        rows = np.repeat(np.arange(n), tree_width)
-        np.add.at(tables, (rows, hashes.ravel()), flat.ravel())
-        tables = np.clip(tables, -1, 1).astype(np.int8)  # rare-collision clamp
-        reports = randomize_matrix_with_sampler(tables, tree_sparsity, sampler, rng)
-        debiased_tables = reports.astype(np.float64) / law.c_gap
-        # Un-hash: the estimate of user u's coordinate c is their debiased
-        # bucket value at hashes[u, c]; summing over users per coordinate.
-        node_estimates = np.zeros(tree_width, dtype=np.float64)
-        for user in range(n):
-            node_estimates += debiased_tables[user, hashes[user]]
+    reports = randomize_matrix_with_sampler(flat, tree_sparsity, sampler, rng)
+    node_estimates = reports.sum(axis=0).astype(np.float64) / law.c_gap
 
     # Reconstruct prefix estimates from the flat node layout.
     order_offsets = np.cumsum([0, *(d >> order for order in range(num_orders))])
@@ -126,6 +87,6 @@ def run_offline_tree(
         estimates=estimates,
         true_counts=true_counts,
         c_gap=law.c_gap,
-        family_name="offline_tree" if buckets is None else "offline_tree_hashed",
+        family_name="offline_tree",
         orders=None,
     )

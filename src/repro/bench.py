@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import platform
 import subprocess
-import sys
 import time
 from pathlib import Path
 from typing import Optional, Sequence
@@ -381,14 +380,3 @@ def format_protocol_bench_table(payload: dict) -> str:
             f"{row['expected_report_bits']:>10.1f}"
         )
     return "\n".join(lines)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover
-    """Tiny standalone entry point (``python -m repro.bench``)."""
-    from repro.cli import main as cli_main
-
-    return cli_main(["bench", *(argv if argv is not None else sys.argv[1:])])
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -16,7 +16,7 @@ Layering (bottom-up):
 """
 
 from repro.core.annulus import AnnulusLaw, future_rand_bounds, future_rand_eps_tilde
-from repro.core.basic_randomizer import BasicRandomizer, basic_c_gap, flip_probability
+from repro.core.basic_randomizer import basic_c_gap, flip_probability
 from repro.core.client import Client, Report
 from repro.core.composed_randomizer import ComposedRandomizer
 from repro.core.future_rand import FutureRand, FutureRandFamily
@@ -31,7 +31,6 @@ __all__ = [
     "AnnulusLaw",
     "future_rand_bounds",
     "future_rand_eps_tilde",
-    "BasicRandomizer",
     "basic_c_gap",
     "flip_probability",
     "Client",

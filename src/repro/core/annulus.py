@@ -160,11 +160,6 @@ class AnnulusLaw:
         """The real-valued ``(LB, UB)`` before discretization."""
         return self._lower_real, self._upper_real
 
-    @property
-    def complement_empty(self) -> bool:
-        """Whether the annulus covers every Hamming distance (no resampling)."""
-        return self._complement_empty
-
     # ------------------------------------------------------------------
     # The law itself
     # ------------------------------------------------------------------
@@ -172,10 +167,6 @@ class AnnulusLaw:
     def log_g(self, i: int | np.ndarray) -> float | np.ndarray:
         """Return ``log g(i) = k*ln(p) + eps_tilde*(k - i)`` (Section 5.5)."""
         return self._k * math.log(self._p) + self._eps_tilde * (self._k - np.asarray(i))
-
-    def g(self, i: int) -> float:
-        """Return ``g(i)`` in linear space (may underflow to 0.0 for large k)."""
-        return math.exp(self.log_g(i))
 
     @cached_property
     def log_p_avg(self) -> float:

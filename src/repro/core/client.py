@@ -67,7 +67,6 @@ class Client:
         self._randomizer = family.spawn(self._length, self._rng)
         self._time = 0
         self._boundary_state = 0  # st_u[(j-1) * 2^h], with st_u[0] = 0
-        self._reports_sent = 0
 
     @property
     def user_id(self) -> int:
@@ -78,16 +77,6 @@ class Client:
     def order(self) -> int:
         """The sampled dyadic order ``h_u`` (announced to the server)."""
         return self._order
-
-    @property
-    def c_gap(self) -> float:
-        """The randomizer's exact gap, needed by the server for debiasing."""
-        return self._randomizer.c_gap
-
-    @property
-    def time(self) -> int:
-        """The last time period observed (0 before any observation)."""
-        return self._time
 
     def step(self, state: int) -> Optional[Report]:
         """Observe this period's Boolean state; return a report if one is due.
@@ -107,17 +96,4 @@ class Client:
         partial = int(state) - self._boundary_state  # Observation 3.7
         self._boundary_state = int(state)
         bit = self._randomizer.randomize(partial)
-        self._reports_sent += 1
         return Report(self._user_id, self._order, index, bit)
-
-    def run(self, states: np.ndarray) -> list[Report]:
-        """Feed an entire d-length Boolean sequence; return all reports."""
-        array = np.asarray(states)
-        if array.shape != (self._d,):
-            raise ValueError(f"states must have shape ({self._d},), got {array.shape}")
-        reports = []
-        for state in array:
-            report = self.step(int(state))
-            if report is not None:
-                reports.append(report)
-        return reports

@@ -50,11 +50,6 @@ class ComposedRandomizer:
         """The exact output law this sampler realizes."""
         return self._law
 
-    @property
-    def c_gap(self) -> float:
-        """Exact coordinate-preservation gap (Lemma 5.3)."""
-        return self._law.c_gap
-
     # ------------------------------------------------------------------
     # Scalar sampler (Algorithm 3 verbatim)
     # ------------------------------------------------------------------
@@ -150,16 +145,3 @@ class ComposedRandomizer:
         ranks = rng.random((count, k)).argsort(axis=1).argsort(axis=1)
         flip_mask = ranks < target_distances[:, np.newaxis]
         return np.where(flip_mask, -b[np.newaxis, :], b[np.newaxis, :]).astype(np.int8)
-
-    # ------------------------------------------------------------------
-    # Exact-law conveniences (delegate to AnnulusLaw)
-    # ------------------------------------------------------------------
-
-    def log_prob_of_output(self, b: np.ndarray, s: np.ndarray) -> float:
-        """Return ``log Pr[R~(b) = s]`` exactly."""
-        b = check_sign_vector(b, "b")
-        s = check_sign_vector(s, "s")
-        if b.size != s.size or b.size != self._law.k:
-            raise ValueError("b and s must both have length k")
-        distance = int((b != s).sum())
-        return self._law.log_prob_at_distance(distance)

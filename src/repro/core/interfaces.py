@@ -9,7 +9,7 @@ client, the batch driver and the baselines can interoperate:
   with ``(L, k, epsilon)``, then fed one value ``v_j in {-1, 0, 1}`` at a time,
   returning one ``{-1, +1}`` report per value.
 * :class:`RandomizerFamily` — a factory that builds per-user randomizers and
-  exposes the family-level constants (``c_gap``) plus an optional fast path
+  exposes the family-level constants (``c_gap``) plus the vectorized path
   that randomizes a whole ``(users, L)`` matrix at once.
 """
 
@@ -19,8 +19,6 @@ import abc
 from typing import Optional
 
 import numpy as np
-
-from repro.utils.rng import as_generator
 
 __all__ = ["SequenceRandomizer", "RandomizerFamily"]
 
@@ -60,10 +58,6 @@ class SequenceRandomizer(abc.ABC):
         than ``k`` non-zero values (the input would violate the sparsity
         promise under which privacy was calibrated).
         """
-
-    def randomize_sequence(self, values: np.ndarray) -> np.ndarray:
-        """Feed a whole sequence through :meth:`randomize`, in order."""
-        return np.array([self.randomize(int(v)) for v in values], dtype=np.int8)
 
 
 class RandomizerFamily(abc.ABC):
@@ -105,6 +99,7 @@ class RandomizerFamily(abc.ABC):
     ) -> SequenceRandomizer:
         """Create one user's randomizer for an ``L = length`` input sequence."""
 
+    @abc.abstractmethod
     def randomize_matrix(
         self,
         values: np.ndarray,
@@ -114,26 +109,8 @@ class RandomizerFamily(abc.ABC):
     ) -> np.ndarray:
         """Randomize a ``(users, L)`` matrix of values in {-1, 0, 1}.
 
-        Default implementation loops over rows spawning per-user randomizers;
-        families override this with a vectorized fast path.  Rows are
-        independent users; the output is a ``(users, L)`` matrix in {-1, +1}.
-
-        ``kernel`` names a sampling backend (:mod:`repro.kernels`).  Backends
-        implement the *same output distribution* by contract, so for families
-        without a vectorized kernel path the choice is semantically a no-op:
-        the name is validated (unknown kernels fail loudly) and the object
-        loop below runs regardless.
+        Rows are independent users; the output is a ``(users, L)`` matrix in
+        {-1, +1} with the law of one :meth:`spawn`-ed randomizer per row.
+        ``kernel`` names a sampling backend (:mod:`repro.kernels`); backends
+        implement the *same output distribution* by contract.
         """
-        if kernel is not None:
-            from repro.kernels import resolve_kernel
-
-            resolve_kernel(kernel)  # validate the spec; the loop is backend-free
-        matrix = np.asarray(values)
-        if matrix.ndim != 2:
-            raise ValueError(f"values must be 2-D (users, L), got shape {matrix.shape}")
-        rng = as_generator(rng)
-        rows = []
-        for row in matrix:
-            randomizer = self.spawn(matrix.shape[1], rng)
-            rows.append(randomizer.randomize_sequence(row))
-        return np.array(rows, dtype=np.int8)

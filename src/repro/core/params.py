@@ -66,11 +66,6 @@ class ProtocolParams:
         """``1 + log2(d)`` — the number of dyadic orders a client samples from."""
         return self.d.bit_length()
 
-    @property
-    def eps_tilde(self) -> float:
-        """FutureRand's per-coordinate budget ``epsilon / (5 * sqrt(k))`` (Lemma 5.2)."""
-        return self.epsilon / (5.0 * math.sqrt(self.k))
-
     def check_theorem_assumptions(self) -> None:
         """Raise ``ValueError`` if the assumptions of Theorem 4.1 fail.
 

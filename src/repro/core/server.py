@@ -26,11 +26,7 @@ import numpy as np
 
 from repro.core.client import Report
 from repro.dyadic.intervals import DyadicInterval, decompose_prefix
-from repro.dyadic.prefix_matrix import (
-    reconstruct_all_prefixes,
-    reconstruct_range,
-    reconstruct_window_series,
-)
+from repro.dyadic.prefix_matrix import reconstruct_range, reconstruct_window_series
 from repro.dyadic.tree import DyadicTree
 from repro.utils.validation import check_power_of_two
 
@@ -67,26 +63,12 @@ class Server:
         # bias the aggregate; the scalar path de-duplicates them.
         self._seen: set[tuple[int, int]] = set()
 
-    @property
-    def horizon(self) -> int:
-        """The time horizon ``d``."""
-        return self._d
-
-    @property
-    def scale(self) -> float:
-        """The estimator scale ``(1 + log2 d) / c_gap`` (Observation 4.3).
-
-        Multiplying any reconstruction of raw node sums by this scale turns
-        it into an unbiased count estimate — the contract the shared
-        :mod:`repro.dyadic.prefix_matrix` operators rely on.
-        """
-        return self._scale
-
     def flat_node_values(self) -> np.ndarray:
         """Return the raw node sums, flattened in ``flat_offsets`` layout.
 
         The vector the :mod:`repro.dyadic.prefix_matrix` operators consume;
-        values are pre-scale (multiply reconstructions by :attr:`scale`).
+        values are pre-scale (reconstructions are multiplied by
+        ``(1 + log2 d) / c_gap``, Observation 4.3).
         """
         return self._tree.flat_values()
 
@@ -308,15 +290,4 @@ class Server:
         """
         return self._scale * reconstruct_window_series(
             self._tree.flat_values(), self._d, window
-        )
-
-    def all_estimates(self) -> np.ndarray:
-        """Return ``[a_hat[1], ..., a_hat[d]]`` (requires the horizon elapsed).
-
-        Computed in one vectorized pass over the flattened tree via the
-        precomputed prefix-decomposition operator, instead of ``d`` separate
-        O(log d) Python-level decompositions.
-        """
-        return self._scale * reconstruct_all_prefixes(
-            self._tree.flat_values(), self._d
         )

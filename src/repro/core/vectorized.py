@@ -147,8 +147,7 @@ class BatchTreeReports:
         """Algorithm 2's estimates ``a_hat[1..d]`` from the raw tree.
 
         One vectorized pass: scale each order's node sums, flatten, and apply
-        the precomputed prefix-decomposition operator shared with
-        :meth:`repro.core.server.Server.all_estimates`.
+        the precomputed prefix-decomposition operator.
         """
         return reconstruct_all_prefixes(
             np.concatenate(self.node_estimates()), self.horizon

@@ -12,13 +12,11 @@ Time periods are 1-based throughout, matching the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.utils.validation import check_power_of_two, ensure_int, ensure_positive
 
 __all__ = [
     "DyadicInterval",
-    "num_orders",
     "intervals_of_order",
     "interval_set",
     "decompose_prefix",
@@ -33,8 +31,6 @@ class DyadicInterval:
     >>> interval = DyadicInterval(order=1, index=2)
     >>> (interval.start, interval.end)
     (3, 4)
-    >>> len(interval)
-    2
     """
 
     order: int
@@ -55,45 +51,6 @@ class DyadicInterval:
     def end(self) -> int:
         """Last time period covered (inclusive, 1-based)."""
         return self.index * (1 << self.order)
-
-    def __len__(self) -> int:
-        return 1 << self.order
-
-    def __contains__(self, t: int) -> bool:
-        return self.start <= t <= self.end
-
-    def times(self) -> Iterator[int]:
-        """Yield the time periods covered, in increasing order."""
-        return iter(range(self.start, self.end + 1))
-
-    def parent(self) -> "DyadicInterval":
-        """Return the order ``h+1`` interval containing this one."""
-        return DyadicInterval(self.order + 1, (self.index + 1) // 2)
-
-    def children(self) -> tuple["DyadicInterval", "DyadicInterval"]:
-        """Return the two order ``h-1`` halves of this interval."""
-        if self.order == 0:
-            raise ValueError("an order-0 interval has no children")
-        left = DyadicInterval(self.order - 1, 2 * self.index - 1)
-        right = DyadicInterval(self.order - 1, 2 * self.index)
-        return left, right
-
-    def overlaps(self, other: "DyadicInterval") -> bool:
-        """Return whether the two intervals share any time period."""
-        return self.start <= other.end and other.start <= self.end
-
-    @staticmethod
-    def containing(t: int, order: int) -> "DyadicInterval":
-        """Return the unique order-``order`` dyadic interval containing time ``t``."""
-        t = ensure_positive(t, "t")
-        width = 1 << order
-        return DyadicInterval(order, (t + width - 1) // width)
-
-
-def num_orders(d: int) -> int:
-    """Return ``1 + log2(d)``, the number of distinct orders for horizon ``d``."""
-    d = check_power_of_two(d, "d")
-    return d.bit_length()  # log2(d) + 1 for powers of two
 
 
 def intervals_of_order(d: int, order: int) -> list[DyadicInterval]:

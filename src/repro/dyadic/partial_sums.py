@@ -5,7 +5,9 @@ For user ``u`` and dyadic interval ``I_{h,j}``:
 ``S_u(I_{h,j}) = sum_{t in I_{h,j}} X_u[t] = st_u[j*2^h] - st_u[(j-1)*2^h]``,
 
 which always lies in ``{-1, 0, 1}`` (Observation 3.7), and at most ``k`` of the
-order-``h`` partial sums are non-zero (Observation 3.6).
+order-``h`` partial sums are non-zero (Observation 3.6).  The order-0 sums are
+the data derivative ``X_u[t] = st_u[t] - st_u[t-1]`` of Definition 3.1 (with
+``st_u[0] = 0``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from repro.dyadic.intervals import DyadicInterval
 from repro.utils.validation import check_power_of_two, ensure_int
 
 __all__ = [
-    "partial_sum",
     "partial_sums_of_order",
     "all_partial_sums",
 ]
@@ -32,22 +33,6 @@ def _check_states(states: Sequence[int] | np.ndarray) -> np.ndarray:
         raise ValueError("states entries must all be 0 or 1")
     check_power_of_two(array.size, "d (= len(states))")
     return array.astype(np.int8)
-
-
-def partial_sum(states: Sequence[int] | np.ndarray, interval: DyadicInterval) -> int:
-    """Return ``S_u(I_{h,j})`` for one user, via Observation 3.7.
-
-    >>> partial_sum([0, 1, 1, 0], DyadicInterval(order=1, index=1))
-    1
-    """
-    array = _check_states(states)
-    if interval.end > array.size:
-        raise ValueError(
-            f"interval ends at {interval.end} but the horizon is d={array.size}"
-        )
-    before = int(array[interval.start - 2]) if interval.start > 1 else 0
-    after = int(array[interval.end - 1])
-    return after - before
 
 
 def partial_sums_of_order(

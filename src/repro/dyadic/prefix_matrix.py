@@ -1,13 +1,11 @@
 """Precomputed prefix-decomposition operators over the flattened dyadic tree.
 
-Both the online server (:meth:`repro.core.server.Server.all_estimates`) and the
-batch drivers (:meth:`repro.core.vectorized.BatchTreeReports.prefix_estimates`)
+The batch drivers (:meth:`repro.core.vectorized.BatchTreeReports.prefix_estimates`)
 need all ``d`` prefix reconstructions ``a_hat[t] = sum_{I in C(t)} value(I)``
 at once.  Walking :func:`repro.dyadic.intervals.decompose_prefix` per prefix is
 an O(d log d) Python-level loop; this module precomputes the decomposition
 *once per horizon* as index arrays over a flattened node vector, turning the
-reconstruction into a single numpy scatter-add (or, equivalently, a sparse
-0/1 matrix–vector product).
+reconstruction into a single numpy scatter-add.
 
 Flattened layout: the ``2d - 1`` dyadic nodes are concatenated by increasing
 order — order ``h`` occupies ``d >> h`` slots starting at ``flat_offsets(d)[h]``
@@ -27,7 +25,6 @@ __all__ = [
     "flat_node_count",
     "flat_offsets",
     "prefix_decomposition_indices",
-    "prefix_decomposition_matrix",
     "range_decomposition_cols",
     "reconstruct_all_prefixes",
     "reconstruct_range",
@@ -76,25 +73,6 @@ def prefix_decomposition_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     row_array.flags.writeable = False
     col_array.flags.writeable = False
     return row_array, col_array
-
-
-@lru_cache(maxsize=4)
-def prefix_decomposition_matrix(d: int) -> np.ndarray:
-    """Return the dense ``(d, 2d - 1)`` 0/1 prefix-decomposition matrix.
-
-    ``matrix @ flat_values`` yields all ``d`` prefix reconstructions.  The
-    dense form is the reference/inspection view (and is what small-horizon
-    callers multiply against); :func:`reconstruct_all_prefixes` uses the
-    index form, which stays O(d log d) in memory for large horizons.  The
-    cache is deliberately small — a dense matrix is O(d^2) floats, so
-    pinning every horizon ever queried would be a memory footgun.
-    """
-    d = check_power_of_two(d, "d")
-    rows, cols = prefix_decomposition_indices(d)
-    matrix = np.zeros((d, flat_node_count(d)), dtype=np.float64)
-    matrix[rows, cols] = 1.0
-    matrix.flags.writeable = False
-    return matrix
 
 
 @lru_cache(maxsize=None)

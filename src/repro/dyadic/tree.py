@@ -47,16 +47,6 @@ class DyadicTree:
             np.zeros(self._d >> order, dtype=bool) for order in range(self._orders)
         ]
 
-    @property
-    def horizon(self) -> int:
-        """The number of time periods ``d``."""
-        return self._d
-
-    @property
-    def num_orders(self) -> int:
-        """``1 + log2(d)``."""
-        return self._orders
-
     def _slot(self, interval: DyadicInterval) -> tuple[np.ndarray, np.ndarray, int]:
         if interval.order >= self._orders:
             raise KeyError(f"{interval} has order beyond log2(d)={self._orders - 1}")

@@ -420,11 +420,6 @@ class SupervisionReport:
     lost_units: tuple[int, ...] = ()
     backoff_seconds: float = 0.0
 
-    @property
-    def degraded(self) -> bool:
-        """Whether any unit was permanently lost."""
-        return bool(self.lost_units)
-
     def as_payload(self) -> dict:
         """JSON-serializable view (bench reports, journal provenance)."""
         return {

@@ -56,11 +56,6 @@ class AliasTable:
         self._alias = alias
         self._size = size
 
-    @property
-    def size(self) -> int:
-        """Number of outcomes."""
-        return self._size
-
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Return ``count`` i.i.d. outcomes as an int64 array.
 

@@ -112,9 +112,6 @@ class RandomizerKernel(abc.ABC):
         get fresh uniform signs (the Example 4.2 baseline's vectorized path).
         """
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"
-
 
 #: Anything :func:`resolve_kernel` accepts: ``None`` (caller default), a
 #: registry name, or a kernel instance.

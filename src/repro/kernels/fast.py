@@ -17,7 +17,8 @@ magnitude less RNG bandwidth and no sorting:
   vectorized partial Fisher–Yates — O(n · distance) work, int8/int32
   temporaries.  The annulus/complement split disappears: the pmf already
   accounts for both branches, including the degenerate uniform-outside mode
-  (``complement_empty`` laws, where the pmf is the pure binomial branch).
+  (laws whose annulus covers every distance, where the pmf is the pure
+  binomial branch).
 * **Raw-bit uniform signs.**  ``{-1, +1}`` noise (Property III zeros) is
   unpacked from a raw byte stream — exactly Bernoulli(1/2) per bit at 1 bit
   of randomness per report instead of ``Generator.choice``'s 64.

@@ -118,20 +118,6 @@ class Rule(abc.ABC):
             snippet=ctx.snippet(node),
         )
 
-    def describe(self) -> dict[str, object]:
-        """Metadata dict (the ``--list-rules`` row, JSON report header)."""
-        return {
-            "id": self.id,
-            "slug": self.slug,
-            "summary": self.summary,
-            "rationale": self.rationale,
-            "hint": self.hint,
-            "scope": list(self.scope),
-        }
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(id={self.id!r}, slug={self.slug!r})"
-
 
 class AstRule(Rule):
     """A rule driven by the engine's single-pass AST multiplexer."""

@@ -9,8 +9,6 @@ privacy.
   generalized to per-level variances).  The raw tree holds ``1 + log2 d``
   independent estimates of overlapping quantities; reconciling them reduces
   the prefix-estimate variance measurably (ablation experiment E11).
-* :mod:`repro.postprocess.smoothing` — temporal smoothing for monitoring
-  dashboards.
 """
 
 from repro.postprocess.consistency import (
@@ -18,15 +16,9 @@ from repro.postprocess.consistency import (
     consistent_result,
     wls_tree_consistency,
 )
-from repro.postprocess.smoothing import (
-    exponential_smoothing,
-    moving_average,
-)
 
 __all__ = [
     "consistent_prefix_estimates",
     "consistent_result",
     "wls_tree_consistency",
-    "exponential_smoothing",
-    "moving_average",
 ]

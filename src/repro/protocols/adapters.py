@@ -16,7 +16,6 @@ import numpy as np
 from repro.baselines.bun_composed import BunComposedFamily
 from repro.baselines.central import run_central_tree
 from repro.baselines.erlingsson import run_erlingsson
-from repro.baselines.memoization import run_memoization
 from repro.baselines.naive import run_naive_split, run_naive_unsplit
 from repro.baselines.offline_tree import run_offline_tree
 from repro.core.annulus import AnnulusLaw
@@ -290,14 +289,6 @@ class MemoizationProtocol(LongitudinalProtocol):
         chunk_size: Optional[int] = None,
     ) -> ProtocolSession:
         return MemoizationSession(params, rng)
-
-    def run(
-        self,
-        states: np.ndarray,
-        params: ProtocolParams,
-        rng: Optional[np.random.Generator] = None,
-    ) -> ProtocolResult:
-        return run_memoization(states, params, rng)
 
 
 class OfflineTreeProtocol(LongitudinalProtocol):

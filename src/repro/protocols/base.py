@@ -313,9 +313,3 @@ class LongitudinalProtocol(abc.ABC):
             "supports_chunk_size": self.supports_chunk_size,
             "supports_kernel": self.supports_kernel,
         }
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(name={self.name!r}, "
-            f"privacy_model={self.privacy_model!r}, online={self.online})"
-        )

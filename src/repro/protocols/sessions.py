@@ -94,11 +94,6 @@ class HierarchicalStreamingSession(ProtocolSession):
         )
         self._server = Server(params.d, family.c_gap)
 
-    @property
-    def server(self) -> Server:
-        """The live aggregator (inspectable mid-stream)."""
-        return self._server
-
     def _ingest(self, values: np.ndarray) -> int:
         t = self._period
         self._server.advance_to(t)
@@ -107,33 +102,6 @@ class HierarchicalStreamingSession(ProtocolSession):
             delivered += self._server.receive_batch(order, index, bits)
         self._released.append(self._server.estimate(t))
         return delivered
-
-    def range_change(self, left: int, right: int) -> float:
-        """Estimate the net change ``a[right] - a[left - 1]`` (post-processing).
-
-        Answered from the already-received reports by
-        :meth:`~repro.core.server.Server.estimate_range_change` — no extra
-        privacy budget.  Raises ``ValueError`` unless
-        ``1 <= left <= right <= d``, and :class:`EstimatesNotReady` while
-        period ``right`` has not been ingested (the session is online).
-        """
-        estimate = self._server.estimate_range_change(left, right)  # bounds first
-        if right > self._period:
-            raise EstimatesNotReady(
-                f"range [{left}..{right}] queries period {right} but only "
-                f"{self._period} periods have been ingested"
-            )
-        return estimate
-
-    def window_change_series(self, window: int) -> np.ndarray:
-        """Trailing-``window`` net-change series (requires the full horizon)."""
-        series = self._server.window_change_series(window)  # validates window
-        if not self.complete:
-            raise EstimatesNotReady(
-                f"only {self._period} of {self._params.d} periods ingested; "
-                "the window series requires the full horizon"
-            )
-        return series
 
     def _orders_for_result(self) -> np.ndarray:
         return self._stream.orders.copy()
@@ -304,12 +272,18 @@ class RepeatedRRSession(ProtocolSession):
 
 
 class MemoizationSession(ProtocolSession):
-    """Permanent randomized response, streamed.
+    """Permanent randomized response (Section 6, "Local Model": [5, 9]).
 
-    Each user's two memoized answers are drawn at preparation; every period
-    simply replays the answer for the currently-held value.  (The replayed
-    stream is what leaks change times — see
-    :mod:`repro.baselines.memoization`.)
+    RAPPOR-style memoization: each user's two memoized answers, one per
+    value, are drawn at preparation; every period replays the answer for the
+    currently-held value.  Replayed answers add no fresh privacy loss for
+    the *value*, so accuracy does not decay with ``d``.  But, as Ding et al.
+    [5] point out and the paper reiterates, the scheme is **not**
+    ``epsilon``-LDP for the sequence: a user's report switches only when
+    their value switches, and does so whenever their two answers differ.  A
+    passive observer therefore recovers each such change time with
+    certainty.  Kept as the cautionary baseline: near-unsplit accuracy,
+    broken longitudinal privacy.
     """
 
     def __init__(

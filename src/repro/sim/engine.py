@@ -39,11 +39,6 @@ class StepSnapshot:
     true_count: int
     reports_this_period: int
 
-    @property
-    def error(self) -> float:
-        """Signed estimation error at this period."""
-        return self.estimate - self.true_count
-
 
 def replay_online(
     server: Server,
@@ -103,11 +98,6 @@ class OnlineEngineBase:
                 f"report_drop_rate must be in [0, 1), got {report_drop_rate}"
             )
         self._drop_rate = float(report_drop_rate)
-
-    @property
-    def family(self) -> RandomizerFamily:
-        """The randomizer family deployed client-side."""
-        return self._family
 
 
 class SimulationEngine(OnlineEngineBase):

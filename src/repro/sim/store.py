@@ -11,7 +11,7 @@ kinds of JSON artifacts:
   is content-addressed, a resumed sweep recognises completed shards by
   construction — no run-id bookkeeping, no staleness heuristics.
 * **tables** (``tables/<name>.json``) — merged :class:`ResultTable` outputs,
-  reloadable with :meth:`ResultStore.load_table`.
+  reloadable with :meth:`ResultTable.from_json`.
 
 Every artifact embeds a checksum of its own canonical body.  A file that
 fails to parse or whose checksum disagrees raises
@@ -159,8 +159,8 @@ class ResultStore:
     >>> import tempfile
     >>> store = ResultStore(tempfile.mkdtemp())
     >>> table = ResultTable(title="demo", columns=["k"]); table.add_row(k=1)
-    >>> _ = store.save_table("demo", table)
-    >>> store.load_table("demo").column("k")
+    >>> path = store.save_table("demo", table)
+    >>> ResultTable.from_json(path.read_text()).column("k")
     [1]
     """
 
@@ -280,18 +280,6 @@ class ResultStore:
         tmp.write_text(table.to_json())
         tmp.replace(path)
         return path
-
-    def load_table(self, name: str) -> ResultTable:
-        """Reload a table saved with :meth:`save_table`."""
-        path = self.tables_dir / f"{name}.json"
-        try:
-            return ResultTable.from_json(path.read_text())
-        except FileNotFoundError:
-            raise
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as error:
-            raise ArtifactCorruptedError(
-                f"table artifact {path} is unreadable ({error})"
-            ) from error
 
     def list_tables(self) -> list[str]:
         """Names of every stored table."""

@@ -1,8 +1,13 @@
 """Numeric and infrastructure substrates shared by every subsystem.
 
-The proofs in the paper reason about quantities such as ``g(i) = p^i (1-p)^(k-i)``
-and sums of binomial coefficients over Hamming-distance ranges.  For large ``k``
-these underflow double precision, so everything here works in log space.
+* :mod:`repro.utils.numerics` — log-space primitives.  The proofs in the
+  paper reason about quantities such as ``g(i) = p^i (1-p)^(k-i)`` and sums
+  of binomial coefficients over Hamming-distance ranges; for large ``k``
+  these underflow double precision.
+* :mod:`repro.utils.rng` — generator coercion and ``SeedSequence`` spawning.
+* :mod:`repro.utils.validation` — argument checks with messages that name
+  the bad argument.
+* :mod:`repro.utils.chunking` — fixed row-block plans for out-of-core work.
 """
 
 from repro.utils.numerics import (
@@ -14,7 +19,7 @@ from repro.utils.numerics import (
     logsumexp,
     stable_exp_diff,
 )
-from repro.utils.rng import RngFactory, as_generator, spawn_generators
+from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.validation import (
     check_power_of_two,
     check_privacy_budget,
@@ -32,7 +37,6 @@ __all__ = [
     "log_sub",
     "logsumexp",
     "stable_exp_diff",
-    "RngFactory",
     "as_generator",
     "spawn_generators",
     "check_power_of_two",

@@ -1,18 +1,18 @@
 """Seeded random-number-generator management.
 
 Experiments must be reproducible and users must be statistically independent.
-``RngFactory`` hands out independent child generators (one per simulated user,
-one per protocol run) derived from a single root seed via numpy's
-``SeedSequence`` spawning, which guarantees independence between streams.
+Independent child generators (one per shard, block or trial) are derived
+from a single root seed via numpy's ``SeedSequence`` spawning, which
+guarantees independence between streams.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Union
+from typing import Union
 
 import numpy as np
 
-__all__ = ["RngFactory", "as_generator", "as_seed_sequence", "spawn_generators"]
+__all__ = ["as_generator", "as_seed_sequence", "spawn_generators"]
 
 SeedLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
 
@@ -72,36 +72,3 @@ def spawn_generators(seed: SeedLike, count: int) -> list[np.random.Generator]:
         root = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in root.spawn(count)]
 
-
-class RngFactory:
-    """Deterministic supplier of independent random generators.
-
-    >>> factory = RngFactory(seed=7)
-    >>> g1 = factory.make()
-    >>> g2 = factory.make()
-    >>> float(g1.random()) != float(g2.random())  # independent streams
-    True
-
-    The same seed always yields the same sequence of generators, which is how
-    experiment repetitions are made reproducible.
-    """
-
-    def __init__(self, seed: Optional[int] = None) -> None:
-        self._root = np.random.SeedSequence(seed)
-        self._spawned = 0
-
-    @property
-    def spawned(self) -> int:
-        """Number of generators handed out so far."""
-        return self._spawned
-
-    def make(self) -> np.random.Generator:
-        """Return the next independent generator."""
-        child = self._root.spawn(1)[0]
-        self._spawned += 1
-        return np.random.default_rng(child)
-
-    def stream(self) -> Iterator[np.random.Generator]:
-        """Yield an unbounded stream of independent generators."""
-        while True:
-            yield self.make()

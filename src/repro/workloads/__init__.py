@@ -20,8 +20,6 @@ introduction's motivating applications (frequently-visited URLs, telemetry):
   bursts, stragglers, retransmit duplicates, clock skew) in the
   :data:`TRAFFIC_MODELS` registry, consumed by the asyncio ingestion
   service (:mod:`repro.sim.service`).
-* :mod:`repro.workloads.streams` — online iteration helpers feeding state
-  matrices to clients one period at a time.
 
 Every generator also exposes ``sample_chunks(n, chunk_size, seed)``: an
 out-of-core stream of user chunks whose concatenation is bit-identical for
@@ -50,7 +48,6 @@ from repro.workloads.scenarios import (
     telemetry_fleet_scenario,
     url_tracking_scenario,
 )
-from repro.workloads.streams import iterate_periods
 from repro.workloads.traffic import TRAFFIC_MODELS, TrafficModel
 
 __all__ = [
@@ -70,5 +67,4 @@ __all__ = [
     "flash_crowd_scenario",
     "telemetry_fleet_scenario",
     "url_tracking_scenario",
-    "iterate_periods",
 ]

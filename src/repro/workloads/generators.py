@@ -199,16 +199,6 @@ class BoundedChangePopulation(Population):
                 f"burst_width={self._burst_width} cannot hold k={self._k} changes"
             )
 
-    @property
-    def d(self) -> int:
-        """Horizon."""
-        return self._d
-
-    @property
-    def k(self) -> int:
-        """Per-user change budget."""
-        return self._k
-
     def _change_time_weights(self) -> np.ndarray:
         positions = np.arange(1, self._d + 1, dtype=np.float64)
         if self._mode == "early":
@@ -473,16 +463,6 @@ class ChurnPopulation(Population):
             raise ValueError(
                 f"mean_lifetime must be positive, got {self._mean_lifetime}"
             )
-
-    @property
-    def d(self) -> int:
-        """Horizon."""
-        return self._d
-
-    @property
-    def k(self) -> int:
-        """Per-user change budget."""
-        return self._k
 
     def sample_with_activity(
         self, n: int, rng: Optional[np.random.Generator] = None

@@ -24,7 +24,6 @@ from repro.workloads.traffic import TrafficModel
 
 if TYPE_CHECKING:  # runtime import would be cyclic at package-init time
     from repro.protocols import ProtocolLike
-    from repro.sim.service import ServiceResult
 
 __all__ = [
     "Scenario",
@@ -41,9 +40,9 @@ class Scenario:
     """A generated population plus its narrative and protocol parameters.
 
     ``traffic`` is the scenario's delivery model — a first-class knob next
-    to the population itself: :meth:`serve` plays the scenario through the
-    asyncio ingestion service under that model (bursts, stragglers,
-    retransmit duplicates, clock skew; see
+    to the population itself: ``repro serve-sim --scenario`` plays the
+    scenario through the asyncio ingestion service under that model (bursts,
+    stragglers, retransmit duplicates, clock skew; see
     :mod:`repro.workloads.traffic`).  ``None`` means smooth fault-free
     delivery.
     """
@@ -102,66 +101,6 @@ class Scenario:
         if callback is None:
             return runner(self.states, self.params, rng)
         return self._run_streaming(name, runner, rng, callback)
-
-    def run_trials(
-        self,
-        protocol: Optional["ProtocolLike"] = None,
-        *,
-        trials: int = 5,
-        seed: Optional[int] = None,
-        workers: int = 1,
-        store=None,
-        resume: bool = True,
-    ):
-        """Repeat the scenario across independent seeds, optionally sharded.
-
-        Delegates to :func:`repro.sim.runner.run_trials` on this scenario's
-        fixed population: ``workers`` fans trial chunks across processes
-        (bit-identical for any worker count) and ``store`` (a
-        :class:`repro.sim.store.ResultStore`) persists each chunk as a
-        resumable artifact.  Returns
-        :class:`repro.sim.runner.TrialStatistics`.
-        """
-        from repro.sim.runner import run_trials
-
-        return run_trials(
-            protocol,
-            self.states,
-            self.params,
-            trials=trials,
-            seed=seed,
-            workers=workers,
-            store=store,
-            resume=resume,
-        )
-
-    def serve(
-        self,
-        seed: Optional[int] = None,
-        *,
-        traffic: Optional[TrafficModel] = None,
-        workers: int = 1,
-        callback: Optional[Callable] = None,
-    ) -> "ServiceResult":
-        """Play the scenario through the asyncio ingestion service.
-
-        Delegates to :func:`repro.sim.service.run_service` on this
-        scenario's fixed population under its ``traffic`` model (override
-        with ``traffic=``); ``workers`` shards block randomization across
-        processes (bit-identical for any worker count).  Returns a
-        :class:`repro.sim.service.ServiceResult`.
-        """
-        from repro.sim.service import run_service
-
-        model = traffic if traffic is not None else self.traffic
-        return run_service(
-            self.states,
-            self.params,
-            seed,
-            traffic=model if model is not None else "uniform",
-            workers=workers,
-            callback=callback,
-        )
 
     def _run_streaming(self, name, runner, rng, callback):
         """Drive a protocol's streaming session, emitting per-period snapshots."""

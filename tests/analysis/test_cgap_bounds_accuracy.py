@@ -15,32 +15,35 @@ from repro.analysis.accuracy import (
 )
 from repro.analysis.bounds import (
     central_tree_error_bound,
-    erlingsson_error_bound,
     hoeffding_radius,
-    lower_bound,
-    naive_split_error_bound,
     theorem41_error_bound,
 )
 from repro.analysis.cgap import (
-    cgap_basic,
-    cgap_bun,
     cgap_constant_series,
-    cgap_erlingsson,
     cgap_future_rand,
     cgap_simple,
 )
 from repro.core.params import ProtocolParams
+from repro.protocols import get_protocol
 
 
 class TestCGapCatalogue:
     def test_basic_is_tanh(self):
-        assert cgap_basic(1.0) == pytest.approx(math.tanh(0.5), rel=1e-12)
+        """Unsplit randomized response runs the basic randomizer at the
+        full budget, so its gap is ``tanh(eps / 2)``."""
+        params = ProtocolParams(n=10, d=8, k=1, epsilon=1.0)
+        assert get_protocol("naive_unsplit").c_gap(params) == pytest.approx(
+            math.tanh(0.5), rel=1e-12
+        )
 
     def test_simple_formula(self):
         assert cgap_simple(4, 1.0) == pytest.approx(math.tanh(0.125), rel=1e-12)
 
     def test_erlingsson_formula(self):
-        assert cgap_erlingsson(1.0) == pytest.approx(math.tanh(0.25), rel=1e-12)
+        params = ProtocolParams(n=10, d=8, k=2, epsilon=1.0)
+        assert get_protocol("erlingsson").c_gap(params) == pytest.approx(
+            math.tanh(0.25), rel=1e-12
+        )
 
     def test_future_rand_positive_and_scaling(self):
         values = {k: cgap_future_rand(k, 1.0) for k in (4, 16, 64, 256)}
@@ -52,7 +55,10 @@ class TestCGapCatalogue:
 
     def test_bun_below_future_rand_at_large_k(self):
         for k in (16, 64, 256):
-            assert cgap_bun(k, 1.0) < cgap_future_rand(k, 1.0)
+            params = ProtocolParams(n=10, d=256, k=k, epsilon=1.0)
+            assert get_protocol("bun_composed").c_gap(params) < cgap_future_rand(
+                k, 1.0
+            )
 
     def test_constant_series_rows(self):
         rows = cgap_constant_series([1, 4, 16], 1.0)
@@ -82,18 +88,6 @@ class TestBounds:
             hoeffding_radius(params, c_gap=0.0, beta_prime=0.05)
         with pytest.raises(ValueError):
             hoeffding_radius(params, c_gap=0.5, beta_prime=1.5)
-
-    def test_theorem41_below_erlingsson_for_large_k(self, params):
-        big_k = params.with_updates(k=64)
-        assert theorem41_error_bound(big_k) < erlingsson_error_bound(big_k)
-
-    def test_lower_bound_below_theorem41(self, params):
-        assert lower_bound(params) <= theorem41_error_bound(params)
-
-    def test_naive_linear_in_d(self, params):
-        small = naive_split_error_bound(params.with_updates(d=64))
-        large = naive_split_error_bound(params.with_updates(d=256))
-        assert large / small == pytest.approx(4.0, rel=0.1)
 
     def test_central_independent_of_n(self, params):
         a = central_tree_error_bound(params)

@@ -10,7 +10,6 @@ import pytest
 
 from repro.analysis.privacy import (
     client_report_log_ratio,
-    composed_randomizer_log_ratio,
     enumerate_composed_law,
     enumerate_future_rand_report_law,
     sequence_support_patterns,
@@ -32,7 +31,7 @@ class TestEnumerateComposedLaw:
         b = np.ones(5, dtype=np.int8)
         table = enumerate_composed_law(law, b)
         ratio = math.log(max(table.values()) / min(table.values()))
-        assert ratio == pytest.approx(composed_randomizer_log_ratio(law), abs=1e-9)
+        assert ratio == pytest.approx(law.privacy_log_ratio(), abs=1e-9)
 
     def test_wrong_length_rejected(self):
         law = AnnulusLaw.for_future_rand(k=3, epsilon=1.0)
@@ -171,5 +170,5 @@ class TestClientReportRatio:
             law = AnnulusLaw.for_future_rand(k, 1.0)
             assert (
                 client_report_log_ratio(law)
-                >= composed_randomizer_log_ratio(law) - 1e-9
+                >= law.privacy_log_ratio() - 1e-9
             )

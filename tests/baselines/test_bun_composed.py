@@ -67,7 +67,7 @@ class TestBunLaw:
         """At tiny k the symmetric annulus covers every distance; the law must
         degrade gracefully rather than crash."""
         law = bun_annulus_law(1, 1.0)
-        assert law.complement_empty
+        assert (law.lo, law.hi) == (0, law.k)
         assert law.c_gap > 0
 
     def test_cgap_below_future_rand_for_moderate_k(self):

@@ -5,9 +5,42 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.memoization import change_time_leakage, run_memoization
 from repro.baselines.naive import run_naive_split
-from repro.core.basic_randomizer import keep_probability
+from repro.core.basic_randomizer import flip_probability
+from repro.core.params import ProtocolParams
+from repro.protocols import get_protocol
+
+MEMOIZATION = get_protocol("memoization")
+
+
+def run_memoization(states, params, rng):
+    return MEMOIZATION.run(states, params, rng)
+
+
+def change_time_leakage(states, epsilon, rng):
+    """The fraction of true change times a passive observer recovers exactly.
+
+    A memoizing user's report changes at ``t`` if and only if their value
+    changed at ``t`` and their two memoized answers differ, so every report
+    change is a true change (precision 1) and the result is the observer's
+    recall.  The per-user report stream is rebuilt from the session's
+    memoized answers, exactly as ``ingest`` replays them.
+    """
+    n, d = states.shape
+    session = MEMOIZATION.prepare(
+        ProtocolParams(n=n, d=d, k=d, epsilon=epsilon), rng
+    )
+    reports = np.where(
+        states == 1,
+        session._answer_for_one[:, np.newaxis],
+        session._answer_for_zero[:, np.newaxis],
+    )
+    true_changes = np.diff(states, axis=1) != 0
+    report_changes = np.diff(reports, axis=1) != 0
+    total_changes = int(true_changes.sum())
+    if total_changes == 0:
+        return 0.0
+    return int((true_changes & report_changes).sum()) / total_changes
 
 
 class TestAccuracy:
@@ -33,11 +66,16 @@ class TestAccuracy:
         assert "NOT" in result.family_name
 
     def test_replay_is_deterministic_per_value(self, small_params, rng):
-        """While a user's value is constant, their report never changes."""
+        """While a user's value is constant, their report never changes, so
+        every estimate before the common change time (and every one after
+        it) is the same number."""
         states = np.zeros((small_params.n, small_params.d), dtype=np.int8)
-        states[:, small_params.d // 2 :] = 1  # one change per user
-        result = run_memoization(states, small_params, rng)
-        assert result.estimates.shape == (small_params.d,)
+        half = small_params.d // 2
+        states[:, half:] = 1  # one change per user
+        estimates = run_memoization(states, small_params, rng).estimates
+        assert estimates.shape == (small_params.d,)
+        assert np.all(estimates[:half] == estimates[0])
+        assert np.all(estimates[half:] == estimates[half])
 
     def test_validation(self, small_params, rng):
         with pytest.raises(ValueError):
@@ -61,7 +99,7 @@ class TestLeakage:
         # A change is visible iff the two memoized answers differ.  The
         # answer for value 1 is +1 w.p. keep; the answer for value 0 is -1
         # w.p. keep; they differ when both are kept or both are flipped:
-        keep = keep_probability(1.0)
+        keep = 1.0 - flip_probability(1.0)
         expected = keep**2 + (1 - keep) ** 2
         assert leakage == pytest.approx(expected, abs=0.05)
         assert leakage > 0.5  # far from private
@@ -70,6 +108,7 @@ class TestLeakage:
         states = np.zeros((50, 16), dtype=np.int8)
         assert change_time_leakage(states, epsilon=1.0, rng=rng) == 0.0
 
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            change_time_leakage(np.zeros(5), epsilon=1.0, rng=rng)
+    def test_validation(self, small_params, rng):
+        """One-shot input that is not a 2-D state matrix is refused."""
+        with pytest.raises(ValueError, match="2-D"):
+            run_memoization(np.zeros(small_params.d), small_params, rng)

@@ -127,18 +127,6 @@ class TestOfflineTree:
         standard_error = float(np.std(errors, ddof=1) / np.sqrt(trials))
         assert abs(mean) < 4 * standard_error + 1e-9
 
-    def test_hashed_variant_runs(self, small_params, small_states, rng):
-        sparsity = small_params.k * small_params.num_orders
-        result = run_offline_tree(
-            small_states, small_params, rng, buckets=4 * sparsity**2
-        )
-        assert result.family_name == "offline_tree_hashed"
-        assert result.estimates.shape == (small_params.d,)
-
-    def test_bucket_minimum_enforced(self, small_params, small_states, rng):
-        with pytest.raises(ValueError):
-            run_offline_tree(small_states, small_params, rng, buckets=10)
-
     def test_validation(self, small_params, rng):
         with pytest.raises(ValueError):
             run_offline_tree(

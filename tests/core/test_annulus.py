@@ -65,7 +65,8 @@ class TestIntegerAnnulus:
 
     def test_complement_non_empty_for_future_rand(self):
         for _k, _epsilon, law in law_grid():
-            assert not law.complement_empty
+            assert (law.lo, law.hi) != (0, law.k)
+            assert law.log_p_out > LOG_ZERO
 
     def test_annulus_within_real_bounds(self):
         for _k, _epsilon, law in law_grid():
@@ -79,7 +80,7 @@ class TestIntegerAnnulus:
 
     def test_full_cover_flagged(self):
         law = AnnulusLaw(4, 0.1, lower=-1.0, upper=10.0)
-        assert law.complement_empty
+        assert (law.lo, law.hi) == (0, law.k)
         assert law.log_p_out == LOG_ZERO
 
     def test_rejects_bad_eps_tilde(self):
@@ -121,8 +122,10 @@ class TestLawNormalization:
             law = AnnulusLaw.for_future_rand(k, 1.0)
             q = law.flip_probability
             for i in range(k + 1):
-                assert law.g(i) == pytest.approx(q**i * (1 - q) ** (k - i), rel=1e-12)
-            total = sum(math.comb(k, i) * law.g(i) for i in range(k + 1))
+                assert math.exp(law.log_g(i)) == pytest.approx(
+                    q**i * (1 - q) ** (k - i), rel=1e-12
+                )
+            total = sum(math.comb(k, i) * math.exp(law.log_g(i)) for i in range(k + 1))
             assert total == pytest.approx(1.0, rel=1e-12)
 
     def test_g_is_decreasing(self):

@@ -7,24 +7,28 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.basic_randomizer import (
-    BasicRandomizer,
-    basic_c_gap,
-    flip_probability,
-    keep_probability,
-)
+from repro.core.basic_randomizer import basic_c_gap, flip_probability
+from repro.core.params import ProtocolParams
+from repro.protocols import get_protocol
+
+
+def _mean_report(values: np.ndarray, epsilon: float, rng) -> float:
+    """Mean ``{-1, +1}`` report of unsplit randomized response over one period.
+
+    The session runs ``R`` at the full budget on every user; its released
+    estimate ``(sum / c_gap + n) / 2`` is inverted back to the report sum.
+    """
+    n = values.size
+    params = ProtocolParams(n=n, d=1, k=1, epsilon=epsilon)
+    session = get_protocol("naive_unsplit").prepare(params, rng)
+    session.ingest(1, values)
+    estimate = float(session.estimates()[0])
+    return (2.0 * estimate - n) * session.c_gap / n
 
 
 class TestProbabilities:
-    def test_eps_tilde_exposed(self):
-        assert BasicRandomizer(0.7).eps_tilde == 0.7
-
     def test_flip_probability_formula(self):
         assert flip_probability(1.0) == pytest.approx(1.0 / (math.e + 1.0))
-
-    def test_keep_plus_flip_is_one(self):
-        for eps in (0.01, 0.5, 1.0, 3.0):
-            assert flip_probability(eps) + keep_probability(eps) == pytest.approx(1.0)
 
     def test_flip_below_half(self):
         for eps in (0.01, 0.5, 1.0):
@@ -41,9 +45,8 @@ class TestProbabilities:
 
     def test_c_gap_equals_keep_minus_flip(self):
         eps = 0.7
-        assert basic_c_gap(eps) == pytest.approx(
-            keep_probability(eps) - flip_probability(eps)
-        )
+        keep = 1.0 - flip_probability(eps)
+        assert basic_c_gap(eps) == pytest.approx(keep - flip_probability(eps))
 
     def test_c_gap_rejects_non_positive(self):
         with pytest.raises(ValueError):
@@ -51,26 +54,18 @@ class TestProbabilities:
 
 
 class TestRandomize:
-    def test_output_in_domain(self, rng):
-        randomizer = BasicRandomizer(1.0)
-        for zeta in (-1, 1):
-            assert randomizer.randomize(zeta, rng) in (-1, 1)
-
-    def test_rejects_bad_input(self, rng):
-        with pytest.raises(ValueError):
-            BasicRandomizer(1.0).randomize(0, rng)
+    """R as the registry's randomized-response sessions deploy it."""
 
     def test_empirical_keep_rate(self, rng):
-        randomizer = BasicRandomizer(1.0)
         trials = 20_000
-        kept = sum(randomizer.randomize(1, rng) == 1 for _ in range(trials))
-        expected = keep_probability(1.0)
+        mean = _mean_report(np.ones(trials, dtype=np.int8), 1.0, rng)
+        kept = (mean + 1.0) / 2.0
+        expected = 1.0 - flip_probability(1.0)
         standard_error = math.sqrt(expected * (1 - expected) / trials)
-        assert abs(kept / trials - expected) < 5 * standard_error
+        assert abs(kept - expected) < 5 * standard_error
 
     def test_empirical_gap_matches_c_gap(self, rng):
-        randomizer = BasicRandomizer(0.5)
         trials = 40_000
-        outputs = np.array([randomizer.randomize(-1, rng) for _ in range(trials)])
-        empirical_gap = float((outputs == -1).mean() - (outputs == 1).mean())
-        assert empirical_gap == pytest.approx(randomizer.c_gap, abs=0.02)
+        mean = _mean_report(np.zeros(trials, dtype=np.int8), 0.5, rng)
+        # Every input is -1: Pr[-1] - Pr[+1] is minus the mean report.
+        assert -mean == pytest.approx(basic_c_gap(0.5), abs=0.02)

@@ -12,8 +12,8 @@ from repro.core.server import Server
 from repro.core.simple_randomizer import SimpleRandomizerFamily
 from repro.dyadic.intervals import decompose_prefix, decompose_range
 from repro.dyadic.partial_sums import partial_sums_of_order
-from repro.dyadic.prefix_matrix import flat_offsets
-from repro.protocols import EstimatesNotReady, get_protocol
+from repro.dyadic.prefix_matrix import flat_offsets, reconstruct_all_prefixes
+from repro.protocols import get_protocol
 
 
 @pytest.fixture
@@ -49,16 +49,9 @@ class TestClient:
             else:
                 assert report is None
 
-    def test_time_tracks_observed_periods(self, family, rng):
-        client = Client(0, d=8, family=family, rng=rng)
-        assert client.time == 0
-        for t in range(1, 9):
-            client.step(0)
-            assert client.time == t
-
     def test_report_count_is_length(self, family, rng):
         client = Client(3, d=16, family=family, rng=rng)
-        reports = client.run(np.zeros(16, dtype=np.int8))
+        reports = [r for r in (client.step(0) for _ in range(16)) if r is not None]
         assert len(reports) == 16 >> client.order
         assert all(report.user_id == 3 for report in reports)
 
@@ -74,14 +67,11 @@ class TestClient:
         with pytest.raises(RuntimeError):
             client.step(0)
 
-    def test_run_requires_full_sequence(self, family, rng):
-        client = Client(0, d=8, family=family, rng=rng)
-        with pytest.raises(ValueError):
-            client.run(np.zeros(4, dtype=np.int8))
-
-    def test_c_gap_exposed(self, family, rng):
-        client = Client(0, d=4, family=family, rng=rng)
-        assert client.c_gap == family.c_gap
+    def test_c_gap_exposed(self, rng):
+        """The object session debiases with its clients' family gap."""
+        params = ProtocolParams(n=3, d=4, k=2, epsilon=1.0)
+        session = get_protocol("future_rand_object").prepare(params, rng)
+        assert session.c_gap == FutureRandFamily(k=2, epsilon=1.0).c_gap
 
     def test_sparse_user_within_budget_works(self, family, rng):
         """A user with k changes must never trip the randomizer's budget,
@@ -89,7 +79,8 @@ class TestClient:
         states = np.array([0, 1, 1, 1, 1, 0, 0, 0], dtype=np.int8)  # 2 changes
         for seed in range(40):
             client = Client(0, d=8, family=family, rng=np.random.default_rng(seed))
-            client.run(states)  # must not raise
+            for state in states:
+                client.step(int(state))  # must not raise
 
 
 class TestServer:
@@ -154,8 +145,8 @@ class TestServer:
         server.register(0, 1)
         server.advance_to(2)
         server.receive(Report(0, order=1, index=1, bit=-1))
-        node = flat_offsets(4)[1]  # the slot of I_{1,1}
-        assert server.flat_node_values()[node] * server.scale == pytest.approx(-6.0)
+        # C(2) = {I_{1,1}}; scale = (1 + log2 4) / 0.5 = 6.
+        assert server.estimate(2) == pytest.approx(-6.0)
 
     def test_estimate_range_validation(self):
         server = Server(4, c_gap=0.5)
@@ -165,9 +156,14 @@ class TestServer:
             server.estimate(5)
 
     def test_horizon_and_scale(self):
+        """``a_hat[16]`` on d=16 is the root node times ``(1 + 4) / 0.5``."""
         server = Server(16, c_gap=0.5)
-        assert server.horizon == 16
-        assert server.scale == pytest.approx((1 + 4) / 0.5)
+        server.register(0, 4)
+        server.advance_to(16)
+        server.receive(Report(0, order=4, index=1, bit=1))
+        assert server.estimate(16) == pytest.approx((1 + 4) / 0.5)
+        with pytest.raises(ValueError):
+            server.estimate(17)
 
     def test_rejects_bad_c_gap(self):
         with pytest.raises(ValueError):
@@ -179,11 +175,10 @@ class TestServer:
         count = server.receive_batch(1, 1, np.array([1, 1, -1, 1], dtype=np.int8))
         assert count == 4
         assert server.reports_received == 4
-        # scale = (1 + log2 4) / 0.5 = 6; column sum = 2.
+        # scale = (1 + log2 4) / 0.5 = 6; column sum = 2; C(2) = {I_{1,1}}.
         node = flat_offsets(4)[1]  # the slot of I_{1,1}
-        assert server.flat_node_values()[node] * server.scale == pytest.approx(
-            6.0 * 2.0
-        )
+        assert server.flat_node_values()[node] == 2.0
+        assert server.estimate(2) == pytest.approx(6.0 * 2.0)
 
     def test_receive_batch_matches_individual_receives(self):
         bits = np.array([1, -1, 1, 1, -1], dtype=np.int8)
@@ -225,9 +220,9 @@ class TestServer:
         assert server.receive_batch(0, 1, np.array([], dtype=np.int8)) == 0
         assert server.reports_received == 0
 
-    def test_all_estimates_matches_per_period_estimates(self):
-        """The vectorized prefix-decomposition path must reproduce the
-        per-period decompose_prefix walk exactly."""
+    def test_prefix_operator_matches_per_period_estimates(self):
+        """The vectorized prefix-decomposition operator the batch drivers
+        use must reproduce the server's per-period decompose_prefix walk."""
         server = Server(8, c_gap=0.5)
         rng_local = np.random.default_rng(0)
         for t in range(1, 9):
@@ -237,7 +232,10 @@ class TestServer:
                     bits = rng_local.choice([-1, 1], size=5).astype(np.int8)
                     server.receive_batch(order, t >> order, bits)
         expected = np.array([server.estimate(t) for t in range(1, 9)])
-        np.testing.assert_allclose(server.all_estimates(), expected)
+        np.testing.assert_allclose(
+            (4 / 0.5) * reconstruct_all_prefixes(server.flat_node_values(), 8),
+            expected,
+        )
 
     def test_duplicate_reports_rejected_by_default(self):
         server = Server(4, c_gap=0.5)
@@ -385,40 +383,16 @@ class TestRangeQueries:
 
     def test_validation(self):
         """Bounds are checked against the horizon before anything else: out
-        of ``1 <= left <= right <= d`` is a ``ValueError`` naming the bound,
-        on the server and on a session at any period (never a ``KeyError``
-        or ``EstimatesNotReady``)."""
+        of ``1 <= left <= right <= d`` is a ``ValueError`` naming the bound
+        (never a ``KeyError``)."""
         bad_ranges = [(3, 2), (0, 2), (1, 9), (9, 9)]
         bound = "1 <= left <= right <= 8"
         server = Server(8, c_gap=1.0)
         for left, right in bad_ranges:
             with pytest.raises(ValueError, match=bound):
                 server.estimate_range_change(left, right)
-        params = ProtocolParams(n=20, d=8, k=2, epsilon=1.0)
-        session = get_protocol("future_rand").prepare(
-            params, np.random.default_rng(0)
-        )
-        zeros = np.zeros(params.n, dtype=np.int8)
-        for t in range(1, params.d + 1):
-            session.ingest(t, zeros)
-            if t in (1, params.d):  # mid-stream and complete
-                for left, right in bad_ranges:
-                    with pytest.raises(ValueError, match=bound):
-                        session.range_change(left, right)
         with pytest.raises(ValueError, match="window"):
             server.window_change_series(0)
-
-    def test_session_waits_for_the_queried_period(self):
-        params = ProtocolParams(n=20, d=8, k=2, epsilon=1.0)
-        session = get_protocol("future_rand").prepare(
-            params, np.random.default_rng(0)
-        )
-        session.ingest(1, np.zeros(params.n, dtype=np.int8))
-        assert session.range_change(1, 1) == session.server.estimate_range_change(1, 1)
-        with pytest.raises(EstimatesNotReady, match="only 1 periods"):
-            session.range_change(1, 2)
-        with pytest.raises(EstimatesNotReady, match="full horizon"):
-            session.window_change_series(2)
 
     def test_window_variance_advantage(self):
         """Narrow windows touch fewer noisy nodes than differencing prefixes:

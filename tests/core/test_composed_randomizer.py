@@ -48,15 +48,6 @@ class TestInterface:
         with pytest.raises(ValueError):
             randomizer.sample_batch(np.ones(8, dtype=np.int8), -1, rng)
 
-    def test_c_gap_delegates_to_law(self, randomizer, law):
-        assert randomizer.c_gap == law.c_gap
-
-    def test_log_prob_of_output(self, randomizer, law):
-        b = np.ones(8, dtype=np.int8)
-        s = b.copy()
-        s[:3] = -1
-        assert randomizer.log_prob_of_output(b, s) == law.log_prob_at_distance(3)
-
 
 def _distance_chi2(outputs: np.ndarray, b: np.ndarray, law: AnnulusLaw) -> float:
     """Chi-squared p-value of sampled Hamming distances vs the exact pmf."""

@@ -85,7 +85,9 @@ class TestOnlineBehaviour:
 
     def test_randomize_sequence(self, law, rng):
         randomizer = FutureRand(length=6, law=law, rng=rng)
-        output = randomizer.randomize_sequence(np.array([0, 1, 0, -1, 0, 0]))
+        output = np.array(
+            [randomizer.randomize(value) for value in (0, 1, 0, -1, 0, 0)]
+        )
         assert output.shape == (6,)
         assert set(np.unique(output).tolist()) <= {-1, 1}
 

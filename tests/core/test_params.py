@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.core.annulus import future_rand_eps_tilde
 from repro.core.params import ProtocolParams
 
 
@@ -48,8 +49,11 @@ class TestDerivedQuantities:
         assert ProtocolParams(n=10, d=256, k=2, epsilon=1.0).num_orders == 9
 
     def test_eps_tilde(self):
+        """FutureRand's per-coordinate budget at these params (Lemma 5.2)."""
         params = ProtocolParams(n=10, d=16, k=4, epsilon=1.0)
-        assert params.eps_tilde == pytest.approx(1.0 / 10.0)
+        assert future_rand_eps_tilde(params.k, params.epsilon) == pytest.approx(
+            1.0 / 10.0
+        )
 
 
 class TestTheoremAssumptions:

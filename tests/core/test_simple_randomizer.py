@@ -106,17 +106,6 @@ class TestFamily:
         rate = float((output == 1).mean())
         assert abs(rate - 0.5) < 4 * (0.5 / math.sqrt(2 * rows))
 
-    def test_default_loop_matrix_matches_family_for_small_input(self, rng):
-        """The base-class fallback path must also produce sign matrices."""
-        from repro.core.interfaces import RandomizerFamily
-
-        family = SimpleRandomizerFamily(k=1, epsilon=1.0)
-        values = np.zeros((4, 3), dtype=np.int8)
-        values[:, 0] = 1
-        fallback = RandomizerFamily.randomize_matrix(family, values, rng)
-        assert fallback.shape == (4, 3)
-        assert set(np.unique(fallback).tolist()) <= {-1, 1}
-
 
 @pytest.mark.parametrize("kernel", KERNELS)
 class TestIndependentMatrixPerKernel:

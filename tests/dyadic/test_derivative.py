@@ -1,4 +1,10 @@
-"""Tests for the data derivative (Definition 3.1)."""
+"""Tests for the data derivative (Definition 3.1).
+
+``X_u[t] = st_u[t] - st_u[t-1]`` (with ``st_u[0] = 0``) is exactly the
+vector of order-0 partial sums, which is how every protocol computes it:
+:func:`partial_sums_of_order` for one user, :func:`group_partial_sums` for
+a population matrix.
+"""
 
 from __future__ import annotations
 
@@ -7,13 +13,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dyadic.derivative import (
-    change_count,
-    derivative,
-    integrate,
+from repro.core.vectorized import group_partial_sums
+from repro.dyadic.partial_sums import partial_sums_of_order
+
+boolean_sequences = st.integers(min_value=0, max_value=6).flatmap(
+    lambda log: st.lists(
+        st.integers(min_value=0, max_value=1), min_size=1 << log, max_size=1 << log
+    )
 )
 
-boolean_sequences = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64)
+
+def derivative(states) -> np.ndarray:
+    return partial_sums_of_order(states, 0)
 
 
 class TestDerivative:
@@ -25,7 +36,7 @@ class TestDerivative:
         assert derivative([1, 1]).tolist() == [1, 0]
 
     def test_2d_rows_independent(self):
-        matrix = derivative(np.array([[0, 1], [1, 0]]))
+        matrix = group_partial_sums(np.array([[0, 1], [1, 0]]), 0)
         assert matrix.tolist() == [[0, 1], [1, -1]]
 
     def test_rejects_non_boolean(self):
@@ -42,48 +53,17 @@ class TestDerivative:
 
     @given(boolean_sequences)
     def test_roundtrip(self, states):
-        assert integrate(derivative(states)).tolist() == states
+        assert np.cumsum(derivative(states)).tolist() == states
 
     @given(boolean_sequences)
     def test_values_in_range(self, states):
         assert set(derivative(states).tolist()) <= {-1, 0, 1}
 
 
-class TestIntegrate:
-    def test_paper_example(self):
-        assert integrate([0, 1, 0, -1]).tolist() == [0, 1, 1, 0]
-
-    def test_rejects_invalid_derivative(self):
-        with pytest.raises(ValueError):
-            integrate([0, -1])  # would go below 0
-
-    def test_rejects_double_increment(self):
-        with pytest.raises(ValueError):
-            integrate([1, 1])  # would reach 2
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            integrate([2, 0])
-
-    def test_2d(self):
-        matrix = integrate(np.array([[0, 1], [1, -1]]))
-        assert matrix.tolist() == [[0, 1], [1, 0]]
-
-
 class TestChangeCount:
-    def test_example(self):
-        assert change_count([0, 1, 1, 0]) == 2
-
-    def test_no_changes(self):
-        assert change_count([0, 0, 0]) == 0
-
-    def test_2d_returns_vector(self):
-        counts = change_count(np.array([[0, 1, 1], [1, 0, 1]]))
-        assert counts.tolist() == [1, 3]
-
     @given(boolean_sequences)
     def test_count_matches_adjacent_differences(self, states):
         expected = sum(
             1 for a, b in zip([0, *states[:-1]], states, strict=True) if a != b
         )
-        assert change_count(states) == expected
+        assert np.count_nonzero(derivative(states)) == expected

@@ -14,7 +14,6 @@ from repro.dyadic.intervals import (
     decompose_range,
     interval_set,
     intervals_of_order,
-    num_orders,
 )
 
 
@@ -23,64 +22,13 @@ class TestDyadicInterval:
         interval = DyadicInterval(order=2, index=2)
         assert interval.start == 5
         assert interval.end == 8
-        assert len(interval) == 4
-
-    def test_contains(self):
-        interval = DyadicInterval(1, 2)  # {3, 4}
-        assert 3 in interval and 4 in interval
-        assert 2 not in interval and 5 not in interval
-
-    def test_times(self):
-        assert list(DyadicInterval(1, 1).times()) == [1, 2]
-
-    def test_parent(self):
-        assert DyadicInterval(0, 3).parent() == DyadicInterval(1, 2)
-        assert DyadicInterval(0, 4).parent() == DyadicInterval(1, 2)
-
-    def test_children(self):
-        left, right = DyadicInterval(1, 2).children()
-        assert left == DyadicInterval(0, 3)
-        assert right == DyadicInterval(0, 4)
-
-    def test_order_zero_has_no_children(self):
-        with pytest.raises(ValueError):
-            DyadicInterval(0, 1).children()
-
-    def test_overlaps(self):
-        assert DyadicInterval(1, 1).overlaps(DyadicInterval(0, 2))
-        assert not DyadicInterval(1, 1).overlaps(DyadicInterval(1, 2))
-
-    def test_containing(self):
-        assert DyadicInterval.containing(5, 2) == DyadicInterval(2, 2)
-        assert DyadicInterval.containing(4, 2) == DyadicInterval(2, 1)
+        assert interval.end - interval.start + 1 == 4
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             DyadicInterval(-1, 1)
         with pytest.raises(ValueError):
             DyadicInterval(0, 0)
-
-    @given(st.integers(min_value=1, max_value=10_000), st.integers(min_value=0, max_value=10))
-    def test_containing_property(self, t, order):
-        interval = DyadicInterval.containing(t, order)
-        assert t in interval
-        assert interval.order == order
-
-    def test_containing_chain(self):
-        """The nodes holding t=3 in a d=8 tree, leaf to root."""
-        chain = [DyadicInterval.containing(3, order) for order in range(4)]
-        assert [(i.order, i.index) for i in chain] == [(0, 3), (1, 2), (2, 1), (3, 1)]
-
-    @given(st.integers(min_value=1, max_value=1024), st.integers(min_value=0, max_value=9))
-    def test_containing_chain_climbs_by_parent(self, t, order):
-        assert (
-            DyadicInterval.containing(t, order).parent()
-            == DyadicInterval.containing(t, order + 1)
-        )
-
-    def test_containing_rejects_non_positive_t(self):
-        with pytest.raises(ValueError):
-            DyadicInterval.containing(0, 1)
 
 
 class TestIntervalSets:
@@ -106,9 +54,9 @@ class TestIntervalSets:
             intervals_of_order(8, -1)
 
     def test_num_orders(self):
-        assert num_orders(1) == 1
-        assert num_orders(8) == 4
-        assert num_orders(1024) == 11
+        """The interval set spans the ``1 + log2 d`` orders."""
+        for d, orders in ((1, 1), (8, 4), (1024, 11)):
+            assert {i.order for i in interval_set(d)} == set(range(orders))
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):

@@ -8,11 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.dyadic.intervals import DyadicInterval, decompose_prefix, interval_set
-from repro.dyadic.partial_sums import (
-    all_partial_sums,
-    partial_sum,
-    partial_sums_of_order,
-)
+from repro.dyadic.partial_sums import all_partial_sums, partial_sums_of_order
 
 EXAMPLE = [0, 1, 1, 0]  # st_u with X_u = (0, 1, 0, -1)
 
@@ -40,26 +36,20 @@ class TestPartialSum:
             DyadicInterval(1, 2): -1,
             DyadicInterval(2, 1): 0,
         }
-        for interval, value in expected.items():
-            assert partial_sum(EXAMPLE, interval) == value
-
-    def test_out_of_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            partial_sum(EXAMPLE, DyadicInterval(3, 1))
+        assert all_partial_sums(EXAMPLE) == expected
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
-            partial_sum([0, 1, 0], DyadicInterval(0, 1))
+            partial_sums_of_order([0, 1, 0], 0)
 
     def test_rejects_matrix(self):
         with pytest.raises(ValueError):
-            partial_sum(np.zeros((2, 4), dtype=int), DyadicInterval(0, 1))
+            partial_sums_of_order(np.zeros((2, 4), dtype=int), 0)
 
     @given(power_of_two_states())
     def test_observation_37_range(self, states):
         """Observation 3.7: every partial sum is in {-1, 0, 1}."""
-        for interval in interval_set(len(states)):
-            assert partial_sum(states, interval) in (-1, 0, 1)
+        assert set(all_partial_sums(states).values()) <= {-1, 0, 1}
 
 
 class TestPartialSumsOfOrder:
@@ -76,11 +66,14 @@ class TestPartialSumsOfOrder:
 
     @given(power_of_two_states())
     def test_matches_scalar_api(self, states):
+        """Each entry is Observation 3.7's boundary difference."""
         d = len(states)
         for order in range(d.bit_length()):
             vector = partial_sums_of_order(states, order)
             for j, value in enumerate(vector, start=1):
-                assert value == partial_sum(states, DyadicInterval(order, j))
+                interval = DyadicInterval(order, j)
+                before = states[interval.start - 2] if interval.start > 1 else 0
+                assert value == states[interval.end - 1] - before
 
     @given(power_of_two_states())
     def test_observation_36_sparsity(self, states):

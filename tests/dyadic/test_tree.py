@@ -33,9 +33,10 @@ class TestBasics:
         assert tree[interval] == -2.0
 
     def test_horizon_and_orders(self):
+        """d=16 holds 2d - 1 = 31 slots over orders 0..4."""
         tree = DyadicTree(16)
-        assert tree.horizon == 16
-        assert tree.num_orders == 5
+        assert tree.flat_values().size == 31
+        assert {interval.order for interval in tree.intervals()} == set(range(5))
 
     def test_out_of_range_interval(self):
         tree = DyadicTree(4)
@@ -105,5 +106,6 @@ class TestPrefixAndRangeSums:
         tree = self._filled_tree(states)
         for interval in tree.intervals():
             if interval.order:
-                left, right = interval.children()
+                left = DyadicInterval(interval.order - 1, 2 * interval.index - 1)
+                right = DyadicInterval(interval.order - 1, 2 * interval.index)
                 assert tree[interval] == tree[left] + tree[right]

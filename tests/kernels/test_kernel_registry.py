@@ -85,9 +85,6 @@ class TestKernelSurface:
         signs = kernel.uniform_signs((0, 5), np.random.default_rng(0))
         assert signs.shape == (0, 5)
 
-    def test_repr_names_backend(self):
-        assert "fast" in repr(get_kernel("fast"))
-
     def test_abstract_interface(self):
         assert issubclass(FastKernel, RandomizerKernel)
         with pytest.raises(TypeError):

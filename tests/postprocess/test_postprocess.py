@@ -1,4 +1,4 @@
-"""Tests for consistency enforcement and smoothing post-processing."""
+"""Tests for consistency enforcement post-processing."""
 
 from __future__ import annotations
 
@@ -14,10 +14,6 @@ from repro.postprocess.consistency import (
     consistent_prefix_estimates,
     consistent_result,
     wls_tree_consistency,
-)
-from repro.postprocess.smoothing import (
-    exponential_smoothing,
-    moving_average,
 )
 from repro.workloads.generators import BoundedChangePopulation
 
@@ -125,38 +121,3 @@ class TestConsistencyOnProtocol:
             raw.append(reports.to_result().max_abs_error)
             adjusted.append(consistent_result(reports).max_abs_error)
         assert np.mean(adjusted) < np.mean(raw)
-
-
-class TestSmoothing:
-    def test_moving_average_basic(self):
-        result = moving_average(np.array([0.0, 3.0, 6.0]), 3)
-        assert result.tolist() == [1.5, 3.0, 4.5]
-
-    def test_moving_average_window_one_is_identity(self):
-        series = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(moving_average(series, 1), series)
-
-    def test_moving_average_reduces_noise(self, rng):
-        noise = rng.normal(size=1000)
-        smoothed = moving_average(noise, 9)
-        assert smoothed.std() < noise.std() / 2
-
-    def test_moving_average_validation(self):
-        with pytest.raises(ValueError):
-            moving_average(np.zeros((2, 2)), 3)
-        with pytest.raises(ValueError):
-            moving_average(np.zeros(4), 0)
-
-    def test_exponential_smoothing_basic(self):
-        result = exponential_smoothing(np.array([0.0, 1.0, 1.0]), alpha=0.5)
-        assert result.tolist() == [0.0, 0.5, 0.75]
-
-    def test_exponential_smoothing_alpha_one_is_identity(self):
-        series = np.array([3.0, 1.0, 4.0])
-        assert np.array_equal(exponential_smoothing(series, 1.0), series)
-
-    def test_exponential_smoothing_validation(self):
-        with pytest.raises(ValueError):
-            exponential_smoothing(np.zeros(3), 0.0)
-        with pytest.raises(ValueError):
-            exponential_smoothing(np.zeros((2, 2)), 0.5)

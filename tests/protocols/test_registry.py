@@ -65,12 +65,6 @@ class TestRegistryShape:
     def test_instances_are_singletons(self):
         assert get_protocol("future_rand") is get_protocol("future_rand")
 
-    def test_repr_names_the_protocol(self):
-        assert repr(get_protocol("future_rand")) == (
-            "FutureRandProtocol(name='future_rand', privacy_model='local', "
-            "online=True)"
-        )
-
     def test_metadata_types(self):
         for protocol in PROTOCOLS.values():
             assert protocol.privacy_model in ("local", "central")

@@ -13,6 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.core.future_rand import FutureRandFamily
 from repro.core.params import ProtocolParams
 from repro.core.simple_randomizer import SimpleRandomizerFamily
 from repro.sim.batch_engine import BatchSimulationEngine, run_batch_engine
@@ -30,11 +31,12 @@ def _estimates_digest(estimates: np.ndarray) -> str:
 
 
 class TestOnlineContract:
-    def test_family_is_the_deployed_one(self, small_params):
-        family = SimpleRandomizerFamily(small_params.k, small_params.epsilon)
-        assert BatchSimulationEngine(small_params, family=family).family is family
-        default = BatchSimulationEngine(small_params).family
-        assert default.k == small_params.k
+    def test_family_is_the_deployed_one(self, small_params, small_states, rng):
+        """Without a family the engine deploys FutureRand at (k, epsilon)."""
+        default = BatchSimulationEngine(small_params, rng=rng).run(small_states)
+        family = FutureRandFamily(small_params.k, small_params.epsilon)
+        assert default.family_name == family.name
+        assert default.c_gap == family.c_gap
 
     def test_callback_invoked_every_period(self, rng):
         params = ProtocolParams(n=40, d=8, k=2, epsilon=1.0)

@@ -221,10 +221,6 @@ class TestSimulationEngine:
         assert [snap.t for snap in snapshots] == list(range(1, 9))
         assert all(snap.true_count == 0 for snap in snapshots)
 
-    def test_snapshot_error_property(self):
-        snapshot = StepSnapshot(t=1, estimate=5.0, true_count=3, reports_this_period=2)
-        assert snapshot.error == 2.0
-
     def test_result_matches_protocol_result_contract(self, rng):
         params = ProtocolParams(n=30, d=8, k=2, epsilon=1.0)
         states = np.zeros((30, 8), dtype=np.int8)

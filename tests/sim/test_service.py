@@ -338,11 +338,15 @@ class TestScenarioIntegration:
         )
         assert scenario.traffic is not None
         assert scenario.traffic.faulty
-        result = scenario.serve(seed=11)
+        result = run_service(
+            scenario.states, scenario.params, 11, traffic=scenario.traffic
+        )
         assert result.estimates.shape == (32,)
         assert result.traffic == scenario.traffic
         # Override the scenario's traffic with a smooth model.
-        smooth = scenario.serve(seed=11, traffic=TrafficModel(name="uniform"))
+        smooth = run_service(
+            scenario.states, scenario.params, 11, traffic=TrafficModel(name="uniform")
+        )
         assert smooth.stats.duplicate_messages == 0
 
 

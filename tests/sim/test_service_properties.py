@@ -41,7 +41,7 @@ def _fold(items) -> np.ndarray:
     server.advance_to(D)
     for order, index, total, count in items:
         server.receive_aggregate(order, index, total, count)
-    return server.all_estimates()
+    return np.array([server.estimate(t) for t in range(1, D + 1)])
 
 
 def _messages(items) -> list[AggregateMessage]:

@@ -74,7 +74,7 @@ def test_run_records_a_script_under_its_own_context(
     monkeypatch.setattr(sys, "path", list(sys.path))
     script = tmp_path / "probe.py"
     script.write_text(
-        "from repro.dyadic.intervals import num_orders\nnum_orders(8)\n"
+        "from repro.dyadic.intervals import interval_set\ninterval_set(8)\n"
     )
     out = tmp_path / "out.json"
     outer = sys.getprofile()  # a census of this very suite must survive
@@ -86,4 +86,4 @@ def test_run_records_a_script_under_its_own_context(
     payload = json.loads(out.read_text())
     (context,) = payload
     assert context == f"script:{script}"
-    assert payload[context]["src/repro/dyadic/intervals.py:num_orders"] is False
+    assert payload[context]["src/repro/dyadic/intervals.py:interval_set"] is False

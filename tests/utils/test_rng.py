@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils.rng import RngFactory, as_generator, spawn_generators
+from repro.utils.rng import as_generator, as_seed_sequence, spawn_generators
 
 
 class TestAsGenerator:
@@ -56,28 +56,32 @@ class TestSpawnGenerators:
         assert a == b
 
 
-class TestRngFactory:
-    def test_reproducible_sequence_of_children(self):
-        first, second = RngFactory(1), RngFactory(1)
-        assert [first.make().random() for _ in range(4)] == [
-            second.make().random() for _ in range(4)
-        ]
+class TestAsSeedSequence:
+    """The spawn-tree root every sharded, blocked or chunked path seeds from."""
 
-    def test_spawned_counter(self):
-        factory = RngFactory(0)
-        for _ in range(4):
-            factory.make()
-        assert factory.spawned == 4
+    def test_reproducible_sequence_of_children(self):
+        first, second = as_seed_sequence(1), as_seed_sequence(1)
+        assert [
+            np.random.default_rng(child).random() for child in first.spawn(4)
+        ] == [np.random.default_rng(child).random() for child in second.spawn(4)]
+
+    def test_reset_spawn_counter(self):
+        root = as_seed_sequence(0)
+        first = root.spawn(2)
+        assert root.n_children_spawned == 2
+        reset = as_seed_sequence(root, reset_spawn_counter=True)
+        assert reset.n_children_spawned == 0
+        assert [c.generate_state(2).tolist() for c in reset.spawn(2)] == [
+            c.generate_state(2).tolist() for c in first
+        ]
+        assert as_seed_sequence(root) is root
 
     def test_children_independent(self):
-        factory = RngFactory(0)
-        a, b = factory.make(), factory.make()
-        assert a.random() != b.random()
+        a, b = as_seed_sequence(0).spawn(2)
+        assert np.random.default_rng(a).random() != np.random.default_rng(b).random()
 
-    def test_stream_yields_generators(self):
-        factory = RngFactory(0)
-        stream = factory.stream()
-        first = next(stream)
-        second = next(stream)
-        assert isinstance(first, np.random.Generator)
-        assert first.random() != second.random()
+    def test_from_generator_is_deterministic_given_state(self):
+        a = as_seed_sequence(np.random.default_rng(3))
+        b = as_seed_sequence(np.random.default_rng(3))
+        assert isinstance(a, np.random.SeedSequence)
+        assert a.entropy == b.entropy

@@ -60,10 +60,10 @@ class TestChurnPopulation:
         assert active_brief.mean() < active_lasting.mean()
 
     def test_exposes_horizon_and_budget(self):
-        population = ChurnPopulation(16, 3)
-        assert (population.d, population.k) == (16, 3)
-        states = population.sample(50, np.random.default_rng(0))
-        assert states.shape == (50, population.d)
+        states = ChurnPopulation(16, 3).sample(50, np.random.default_rng(0))
+        assert states.shape == (50, 16)
+        changes = np.count_nonzero(np.diff(states, axis=1, prepend=0), axis=1)
+        assert changes.max() <= 3
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="k must be at least 2"):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,6 @@ from repro.workloads.scenarios import (
     telemetry_fleet_scenario,
     url_tracking_scenario,
 )
-from repro.workloads.streams import iterate_periods
 
 
 def _changes(states: np.ndarray) -> np.ndarray:
@@ -86,9 +87,11 @@ class TestBoundedChangePopulation:
             BoundedChangePopulation(8, 2, start_prob=1.5)
 
     def test_properties(self):
-        population = BoundedChangePopulation(16, 3)
-        assert population.d == 16
-        assert population.k == 3
+        """Samples span the horizon ``d`` and respect the budget ``k``."""
+        states = BoundedChangePopulation(16, 3).sample(50, np.random.default_rng(0))
+        assert states.shape == (50, 16)
+        changes = np.count_nonzero(np.diff(states, axis=1, prepend=0), axis=1)
+        assert changes.max() <= 3
 
 
 class TestTrendPopulation:
@@ -171,31 +174,23 @@ class TestScenarios:
         assert np.array_equal(a.states, b.states)
 
     def test_run_trials_sharded_and_persisted(self, tmp_path):
+        from repro.sim.runner import run_trials
         from repro.sim.store import ResultStore
 
         scenario = url_tracking_scenario(
             n=150, d=16, k=2, rng=np.random.default_rng(6)
         )
-        serial = scenario.run_trials(trials=3, seed=0)
+        repeat = functools.partial(
+            run_trials, None, scenario.states, scenario.params, trials=3, seed=0
+        )
+        serial = repeat()
         assert serial.trials == 3
-        sharded = scenario.run_trials(trials=3, seed=0, workers=2)
+        sharded = repeat(workers=2)
         assert sharded == serial
 
         store = ResultStore(tmp_path / "results")
-        persisted = scenario.run_trials(trials=3, seed=0, store=store)
+        persisted = repeat(store=store)
         assert persisted == serial
         assert store.shard_count() == 3
-        reloaded = scenario.run_trials(trials=3, seed=0, store=store)
+        reloaded = repeat(store=store)
         assert reloaded == serial
-
-
-class TestStreams:
-    def test_iterate_periods(self):
-        states = np.array([[0, 1], [1, 1]])
-        items = list(iterate_periods(states))
-        assert [t for t, _ in items] == [1, 2]
-        assert items[0][1].tolist() == [0, 1]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            list(iterate_periods(np.zeros(3)))
