@@ -98,6 +98,78 @@ class TestExactEquivalence:
             )
 
 
+#: sha256 of one-shot ``run`` estimates on :func:`_bounded_states` at seed 5.
+RUN_PINS = {
+    "naive_split": "65b0a3a6fa9ddf0156cc84cf8ca509464c8565d26aa2aad2689237f86cb72316",
+    "naive_unsplit": "f7780a04cc8bf5ce5f810e3ac59c7acfbd9ea4010f72d7002e7d58763078288a",
+    "erlingsson": "f2668216d390f7a3527fca0ac98dc2c8cec1b705c937c58694f8ff0296d68466",
+    "central_tree": "1ac2f7ef64e2b8de6f33a3d057417e11df28497e5219dc9a6f440ec109a3ff91",
+    "offline_tree": "4b8d4bdb1bfddd039fe5649805880eda775258d83796f92596b262e25307b750",
+}
+
+#: The orders every hierarchical session below samples first at seed 6.
+SESSION_ORDERS_PIN = "b752a6a52e10b8596f833b929e6e557635cfb736295f621fa5c045fa0cf7e7c9"
+
+#: sha256 of streamed estimates on :func:`_bounded_states` at seed 6, per
+#: ``(protocol, chunk_size, kernel)``.
+SESSION_PINS = {
+    ("future_rand", None, None):
+        "58d0194d92ac373550815835d275022228eddbb7c6862706b162296c4e13aefa",
+    ("future_rand", None, "fast"):
+        "c2b7526b7c440f549aa5df06532200409ec120246ca60bcd60992d7eb9dbd2f0",
+    ("future_rand", 128, None):
+        "0f8ecf8e76a7a348d970d3c3cf7d08dbfd9cd2d94e3ba3d6433a44d03baecf33",
+    ("future_rand", 128, "fast"):
+        "2da5279cf7924a2e64c0857eba3e8350ac928fc9b2e431509bf9756da4470e9e",
+    ("bun_composed", None, None):
+        "75da05b1362b1e9a9e3467079dbdcc84b622091c198432abd6f2264adb2434c9",
+    ("bun_composed", None, "fast"):
+        "e3794c4c5d917202692c6ff80c298ceb4027c20647d0c1e13a36298ed1fee642",
+    ("bun_composed", 128, None):
+        "75da05b1362b1e9a9e3467079dbdcc84b622091c198432abd6f2264adb2434c9",
+    ("bun_composed", 128, "fast"):
+        "54050acf9c1b6dd266c2f13e7e838deccdb809d3a582b2120b70e80658991803",
+}
+
+
+def _bounded_states() -> np.ndarray:
+    """400 users over 16 periods, each changing at most k=3 times."""
+    return BoundedChangePopulation(16, 3, start_prob=0.2).sample(
+        400, np.random.default_rng(0)
+    )
+
+
+class TestPinnedDraws:
+    """Exact outputs at fixed seeds: any moved draw changes a digest."""
+
+    @pytest.mark.parametrize("name", sorted(RUN_PINS))
+    def test_one_shot_run_is_pinned(self, name):
+        result = get_protocol(name).run(
+            _bounded_states(), PARAMS, np.random.default_rng(5)
+        )
+        assert _digest(result.estimates, "<f8") == RUN_PINS[name]
+
+    def test_erlingsson_orders_are_pinned(self):
+        result = get_protocol("erlingsson").run(
+            _bounded_states(), PARAMS, np.random.default_rng(5)
+        )
+        assert _digest(result.orders, "<i8") == (
+            "cb213577dee10b18f1a99c42e6a92fd8f526442b2f72e24e3536032186927f96"
+        )
+
+    @pytest.mark.parametrize("name, chunk_size, kernel", list(SESSION_PINS))
+    def test_hierarchical_session_is_pinned(self, name, chunk_size, kernel):
+        states = _bounded_states()
+        session = get_protocol(name).prepare(
+            PARAMS, np.random.default_rng(6), chunk_size=chunk_size, kernel=kernel
+        )
+        for t in range(1, PARAMS.d + 1):
+            session.ingest(t, states[:, t - 1])
+        result = session.result()
+        assert _digest(result.estimates, "<f8") == SESSION_PINS[name, chunk_size, kernel]
+        assert _digest(result.orders, "<i8") == SESSION_ORDERS_PIN
+
+
 @pytest.mark.parametrize("name", NAMES)
 class TestDistributionalEquivalence:
     """Final-period estimates from streaming and one-shot runs must share
