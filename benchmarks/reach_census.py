@@ -17,11 +17,14 @@ Report::
 
     python benchmarks/reach_census.py report census/*.json
 
-The report lists the functions defined under ``src/`` that no script,
-benchmark or import reaches, split into those that tests call directly and
-never through other ``src/`` code (reached only by their own unit tests),
-those tests reach only through other ``src/`` code, and those nothing
-reaches.  Pool worker processes are not traced.
+Each run records, per context and function, the ways the function was
+entered: ``"direct"`` (called from outside ``src/``, e.g. by the test
+itself) and ``"via_src"`` (called by other ``src/`` code).  The report lists
+the functions defined under ``src/`` that no script, benchmark or import
+reaches, split into those some test calls directly (reached only by their
+own unit tests, whether or not other ``src/`` code also calls them), those
+tests reach only through other ``src/`` code, and those nothing reaches.
+Pool worker processes are not traced.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class Census:
 
     def __init__(self) -> None:
         self.context = "import"
-        # context -> {callee code: whether some other src function called it}
+        # context -> {callee code: the ways it was entered, "direct"/"via_src"}
         self.reached: dict[str, dict] = defaultdict(dict)
 
     def profile(self, frame, event, arg) -> None:
@@ -60,8 +63,7 @@ class Census:
             and back.f_code.co_filename.startswith(SRC)
         )
         seen = self.reached[self.context]
-        if not seen.get(code):
-            seen[code] = via_src
+        seen.setdefault(code, set()).add("via_src" if via_src else "direct")
 
     def start(self) -> None:
         threading.setprofile(self.profile)
@@ -71,7 +73,7 @@ class Census:
         sys.setprofile(None)
         threading.setprofile(None)
         payload = {
-            context: {_key(code): via for code, via in seen.items()}
+            context: {_key(code): sorted(ways) for code, ways in seen.items()}
             for context, seen in self.reached.items()
         }
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
@@ -126,17 +128,18 @@ def report(paths: list[str]) -> None:
     for path in paths:
         with open(path) as handle:
             for context, seen in json.load(handle).items():
-                for key, called_by_src in seen.items():
+                for key, ways in seen.items():
                     if not context.startswith("test:"):
                         production.add(key)
-                    elif called_by_src:
-                        via_src.add(key)
-                    else:
+                        continue
+                    if "direct" in ways:
                         direct[key].add(context[len("test:"):])
+                    if "via_src" in ways:
+                        via_src.add(key)
     defined = _defined_functions()
-    own_tests = sorted(k for k in direct if k in defined
-                       and k not in production and k not in via_src)
-    tests_via_src = sorted(k for k in via_src if k in defined and k not in production)
+    own_tests = sorted(k for k in direct if k in defined and k not in production)
+    tests_via_src = sorted(k for k in via_src if k in defined
+                           and k not in production and k not in direct)
     unreached = sorted(defined - production - via_src - set(direct))
     print(f"# reached only by their own unit tests ({len(own_tests)})")
     for key in own_tests:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines import run_erlingsson
 from repro.core.vectorized import run_batch
+from repro.protocols import get_protocol
 from repro.workloads import url_tracking_scenario
 
 
@@ -40,7 +40,9 @@ def main() -> None:
     print()
 
     ours = run_batch(scenario.states, scenario.params, np.random.default_rng(1))
-    theirs = run_erlingsson(scenario.states, scenario.params, np.random.default_rng(2))
+    theirs = get_protocol("erlingsson").run(
+        scenario.states, scenario.params, np.random.default_rng(2)
+    )
 
     print(f"true counts   {sparkline(scenario.true_counts.astype(float))}")
     print(f"future_rand   {sparkline(ours.estimates)}")

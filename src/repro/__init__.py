@@ -8,8 +8,8 @@ with every substrate and baseline needed to reproduce the paper's claims:
   annulus, made online via pre-computation),
 * the dyadic hierarchical aggregation framework (Algorithms 1 and 2),
 * exact analysis tooling (privacy envelopes, ``c_gap``, error bounds),
-* baselines (Erlingsson et al. 2020, naive repeated RR, Bun et al. composed
-  randomizer, central-model tree mechanism, offline hash sketch),
+* baselines (Erlingsson et al. 2020, naive repeated RR, memoization, Bun et
+  al. composed randomizer, central-model tree mechanism, offline full tree),
 * workload generators, a simulation engine and an experiment registry.
 
 Quickstart — every mechanism is discoverable by name through the protocol

@@ -1,17 +1,17 @@
-"""Comparator protocols: every baseline the paper is evaluated against.
+"""Comparator building blocks that live outside a streaming session.
 
-* :mod:`repro.baselines.erlingsson` — the Erlingsson et al. (2020) online
-  protocol (derivative-coordinate sampling + basic randomizer at ``eps/2``,
-  estimator inflated by ``k``); error linear in ``k``.
-* :mod:`repro.baselines.naive` — repeated randomized response with per-period
-  budget ``eps/d`` (error linear in ``d``), plus the privacy-violating
-  unsplit variant kept for illustrating why budget splitting is forced.
+Every baseline the paper is evaluated against is a registry protocol
+(:func:`repro.protocols.get_protocol`).  Naive repeated randomized response,
+memoization, Erlingsson et al. (2020) and the central-model tree mechanism
+are implemented once, as their streaming sessions in
+:mod:`repro.protocols.sessions`.  This package holds the two pieces that are
+not sessions:
+
 * :mod:`repro.baselines.bun_composed` — the Bun–Nelson–Stemmer composed
   randomizer (Algorithm 4, Appendix A.2) as a drop-in randomizer family.
-* :mod:`repro.baselines.central` — the central-model binary (tree) mechanism
-  with Laplace noise; the trusted-curator reference point.
 * :mod:`repro.baselines.offline_tree` — an offline full-tree protocol
-  approximating the error shape of Zhou et al. (2021).
+  approximating the error shape of Zhou et al. (2021); its session buffers
+  the horizon and runs it once at the end.
 """
 
 from repro.baselines.bun_composed import (
@@ -19,19 +19,11 @@ from repro.baselines.bun_composed import (
     bun_annulus_law,
     select_bun_parameters,
 )
-from repro.baselines.central import CentralTreeMechanism, run_central_tree
-from repro.baselines.erlingsson import run_erlingsson
-from repro.baselines.naive import run_naive_split, run_naive_unsplit
 from repro.baselines.offline_tree import run_offline_tree
 
 __all__ = [
     "BunComposedFamily",
     "bun_annulus_law",
     "select_bun_parameters",
-    "CentralTreeMechanism",
-    "run_central_tree",
-    "run_erlingsson",
-    "run_naive_split",
-    "run_naive_unsplit",
     "run_offline_tree",
 ]

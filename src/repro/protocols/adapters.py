@@ -1,10 +1,13 @@
-"""Adapters: every driver and baseline behind the unified protocol interface.
+"""Adapters: every mechanism behind the unified protocol interface.
 
 Each adapter binds one mechanism to :class:`LongitudinalProtocol`:
-``prepare`` returns the mechanism's streaming session, ``run`` delegates to
-the existing vectorized one-shot driver (the two share randomizer kernels,
-so their outputs are identically distributed), and the class attributes
-advertise capabilities for registry filtering.
+``prepare`` returns the mechanism's streaming session, and the class
+attributes advertise capabilities for registry filtering.  ``run`` is the
+inherited stream over that session, so the session is the mechanism's one
+implementation and one seed gives the same bits either way.  The exception
+is the composed-randomizer pair (``future_rand``, ``bun_composed``), whose
+``run`` is the batch engine: it shares their randomizer kernels but draws in
+a different order, so the two paths agree in distribution only.
 """
 
 from __future__ import annotations
@@ -14,9 +17,6 @@ from typing import Optional
 import numpy as np
 
 from repro.baselines.bun_composed import BunComposedFamily
-from repro.baselines.central import run_central_tree
-from repro.baselines.erlingsson import run_erlingsson
-from repro.baselines.naive import run_naive_split, run_naive_unsplit
 from repro.baselines.offline_tree import run_offline_tree
 from repro.core.annulus import AnnulusLaw
 from repro.core.basic_randomizer import basic_c_gap
@@ -184,14 +184,6 @@ class ErlingssonProtocol(LongitudinalProtocol):
     ) -> ProtocolSession:
         return ErlingssonStreamingSession(params, rng)
 
-    def run(
-        self,
-        states: np.ndarray,
-        params: ProtocolParams,
-        rng: Optional[np.random.Generator] = None,
-    ) -> ProtocolResult:
-        return run_erlingsson(states, params, rng)
-
 
 class NaiveSplitProtocol(LongitudinalProtocol):
     """Repeated RR with per-period budget ``eps/d`` (the Section 1 strawman)."""
@@ -220,14 +212,6 @@ class NaiveSplitProtocol(LongitudinalProtocol):
             params, params.epsilon / params.d, "naive_rr_split", rng
         )
 
-    def run(
-        self,
-        states: np.ndarray,
-        params: ProtocolParams,
-        rng: Optional[np.random.Generator] = None,
-    ) -> ProtocolResult:
-        return run_naive_split(states, params, rng)
-
 
 class NaiveUnsplitProtocol(LongitudinalProtocol):
     """Repeated RR spending the full ``eps`` per period — NOT eps-LDP."""
@@ -255,14 +239,6 @@ class NaiveUnsplitProtocol(LongitudinalProtocol):
         return RepeatedRRSession(
             params, params.epsilon, "naive_rr_unsplit", rng
         )
-
-    def run(
-        self,
-        states: np.ndarray,
-        params: ProtocolParams,
-        rng: Optional[np.random.Generator] = None,
-    ) -> ProtocolResult:
-        return run_naive_unsplit(states, params, rng)
 
 
 class MemoizationProtocol(LongitudinalProtocol):
@@ -319,14 +295,6 @@ class OfflineTreeProtocol(LongitudinalProtocol):
             params, run_offline_tree, "offline_tree", rng, c_gap=self.c_gap(params)
         )
 
-    def run(
-        self,
-        states: np.ndarray,
-        params: ProtocolParams,
-        rng: Optional[np.random.Generator] = None,
-    ) -> ProtocolResult:
-        return run_offline_tree(states, params, rng)
-
 
 class CentralTreeProtocol(LongitudinalProtocol):
     """Central-model binary mechanism — the trusted-curator reference."""
@@ -352,11 +320,3 @@ class CentralTreeProtocol(LongitudinalProtocol):
         chunk_size: Optional[int] = None,
     ) -> ProtocolSession:
         return CentralTreeStreamingSession(params, rng)
-
-    def run(
-        self,
-        states: np.ndarray,
-        params: ProtocolParams,
-        rng: Optional[np.random.Generator] = None,
-    ) -> ProtocolResult:
-        return run_central_tree(states, params, rng)

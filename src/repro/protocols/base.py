@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolResult
+from repro.core.vectorized import _check_binary_entries
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -132,8 +133,10 @@ class ProtocolSession(abc.ABC):
             raise ValueError(
                 f"values must have shape ({self._params.n},), got {column.shape}"
             )
-        if not np.isin(column, (0, 1)).all():
-            raise ValueError("values entries must all be 0 or 1")
+        try:
+            _check_binary_entries(column)
+        except ValueError:
+            raise ValueError("values entries must all be 0 or 1") from None
         column = column.astype(np.int8)
         if self._enforce_k_changes:
             # A switch away from the implicit st_u[0]=0 start counts (the
@@ -245,10 +248,23 @@ class LongitudinalProtocol(abc.ABC):
     ) -> ProtocolSession:
         """Set up a streaming session (pre-draw randomness, spawn state).
 
+        Every local mechanism's noise is data-independent, so sessions draw
+        it here, before any data exists.  What a session then holds depends
+        on the mechanism:
+
+        * the hierarchical sessions hold O(n k): orders, ``b~`` and boundary
+          states;
+        * repeated RR holds every coin, ``n * d`` bools (the coins are drawn
+          in row tiles, so no ``(n, d)`` float64 array ever exists);
+        * Erlingsson et al. hold each order group's flips and signs, about
+          ``4 n d / (1 + log2 d)`` bytes;
+        * memoization holds two answers per user, the central tree one
+          noise value per dyadic node, and the offline tree buffers the
+          ``(n, d)`` int8 horizon.
+
         ``chunk_size`` is advisory: sessions that pre-draw per-user noise in
-        one bulk call use it to bound the transient working set of that draw
-        (the per-period state is O(n) either way); sessions with nothing to
-        chunk ignore it.
+        one bulk call use it to bound the transient working set of that draw;
+        sessions with nothing to chunk ignore it.
         """
 
     @abc.abstractmethod
@@ -276,9 +292,12 @@ class LongitudinalProtocol(abc.ABC):
     ) -> ProtocolResult:
         """Execute the protocol on a full ``(n, d)`` state matrix.
 
-        The default implementation drives a streaming session column by
-        column; adapters override it with their vectorized batch drivers
-        (same output distribution, shared randomizer kernels).
+        Drives the streaming session :meth:`prepare` returns, period by
+        period, over one contiguous copy of the matrix's columns.  Every
+        protocol whose noise is drawn at preparation runs this way, so its
+        session is its only implementation; the composed-randomizer adapters
+        override it with the batch engine (same output distribution, shared
+        randomizer kernels).
         """
         matrix = np.asarray(states)
         if matrix.ndim != 2:
@@ -289,8 +308,8 @@ class LongitudinalProtocol(abc.ABC):
                 f"(n={params.n}, d={params.d})"
             )
         session = self.prepare(params, rng)
-        for t in range(1, params.d + 1):
-            session.ingest(t, matrix[:, t - 1])
+        for t, column in enumerate(np.ascontiguousarray(matrix.T), start=1):
+            session.ingest(t, column)
         return session.result()
 
     def __call__(

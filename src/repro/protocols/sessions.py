@@ -2,24 +2,28 @@
 
 Each class here implements the :class:`~repro.protocols.base.ProtocolSession`
 contract for one mechanism family, holding exactly the state a real
-deployment would hold between periods:
+deployment would hold between periods.  Every local mechanism's noise is
+data-independent, so a session draws it at preparation ("randomize the
+future") and each period's reports are a deterministic function of that
+noise and the inputs seen so far.  Where a protocol's one-shot ``run`` is the
+inherited :meth:`~repro.protocols.base.LongitudinalProtocol.run` over its
+session, the session *is* the protocol's only implementation.
 
 * :class:`HierarchicalStreamingSession` — Algorithms 1 + 2 for any
   composed-randomizer family (FutureRand, Bun et al.), vectorized across the
-  population.  The "randomize the future" pre-computation is what makes this
-  possible: all per-user noise ``b~ = R~(1^k)`` is drawn at :meth:`prepare`
-  time, so each period's reports are a deterministic function of pre-drawn
-  noise and the inputs seen so far — no future data needed.
+  population: orders and the noise ``b~ = R~(1^k)`` are drawn at
+  preparation, and each period the emitting order groups' reports go into
+  the server's prefix tree.
 * :class:`ObjectStreamingSession` — the same protocol through real
   :class:`~repro.core.client.Client` state machines (deployment-shaped, O(n)
   Python per period; use for fidelity, not scale).
 * :class:`ErlingssonStreamingSession` — derivative-slot sampling + basic
-  randomizer, streamed (the slot decision is made online: a user keeps the
-  ``s``-th change the moment it happens).
+  randomizer (the slot decision is made online: a user keeps the ``s``-th
+  change the moment it happens).
 * :class:`RepeatedRRSession` / :class:`MemoizationSession` — the per-period
-  randomized-response baselines (memoryless / memoized, trivially online).
+  randomized-response baselines (memoryless / memoized).
 * :class:`CentralTreeStreamingSession` — the central-model binary mechanism,
-  online: each dyadic node is noised the moment its interval completes
+  online: each dyadic node is released the moment its interval completes
   (Chan et al.'s continual-release shape).
 * :class:`BufferedOfflineSession` — wrapper for genuinely offline protocols
   (the full-tree comparator): buffers the horizon, runs the one-shot driver
@@ -35,13 +39,15 @@ import numpy as np
 
 from repro.core.basic_randomizer import basic_c_gap
 from repro.core.client import Client, Report
+from repro.core.composed_randomizer import ComposedRandomizer
 from repro.core.interfaces import RandomizerFamily
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolResult
 from repro.core.server import Server
 from repro.dyadic.intervals import decompose_prefix
-from repro.protocols.sketch_layer import SIGNS, BooleanDyadicStream
+from repro.dyadic.prefix_matrix import flat_offsets
 from repro.protocols.base import EstimatesNotReady, ProtocolSession
+from repro.utils.chunking import plan_row_blocks
 from repro.utils.rng import spawn_generators
 
 __all__ = [
@@ -54,14 +60,22 @@ __all__ = [
     "BufferedOfflineSession",
 ]
 
+_SIGNS = np.array([-1, 1], dtype=np.int8)
+
+#: Cells per row tile of :class:`RepeatedRRSession`'s coin draw: 64K float64
+#: uniforms (512 KB) at a time, whatever ``n`` and ``d``.
+_TILE_CELLS = 1 << 16
+
 
 class HierarchicalStreamingSession(ProtocolSession):
     """Streaming Algorithms 1 + 2 over any composed-randomizer family.
 
     Per-user state is O(1) exactly as the paper promises: the pre-drawn noise
     vector ``b~``, the running non-zero count, and the boundary state of the
-    user's current dyadic interval.  Each period the emitting order groups'
-    reports are formed with numpy sign algebra and delivered through
+    user's current dyadic interval.  At preparation every user samples an
+    order and ``b~ = R~(1^k)`` (chunk-bounded when ``chunk_size`` is set);
+    each period the emitting order groups' ``{-1,+1}`` reports are formed with
+    numpy sign algebra and delivered through
     :meth:`~repro.core.server.Server.receive_batch`.
     """
 
@@ -77,34 +91,78 @@ class HierarchicalStreamingSession(ProtocolSession):
         super().__init__(
             params, rng, c_gap=family.c_gap, family_name=family.name
         )
+        if chunk_size is not None and chunk_size < 1:
+            raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
+        law = getattr(family, "law", None)
+        if law is None:
+            raise TypeError(
+                f"family {family.name!r} exposes no exact law; the hierarchical "
+                "session needs sample_batch-able randomizers"
+            )
         # Resolved once; None keeps the historical bit-exact draw paths.
         from repro.kernels import resolve_kernel
 
         self._kernel = resolve_kernel(kernel)
-        # The client side (order sampling, b~ pre-draw, per-period report
-        # emission) is the Boolean dyadic stream; this session's only job is
-        # routing the emissions into the prefix tree.
-        self._stream = BooleanDyadicStream(
-            params.n,
-            params.d,
-            family,
-            self._rng,
-            chunk_size=chunk_size,
-            kernel=self._kernel,
-        )
+        n, k, rng = params.n, family.k, self._rng
+        num_orders = params.d.bit_length()
+        # Algorithm 1 line 1, for every user at once: sample orders.
+        self._orders = rng.integers(0, num_orders, size=n)
+        self._members = [
+            np.flatnonzero(self._orders == order) for order in range(num_orders)
+        ]
+        # M.init for every user: b~ = R~(1^k) (randomize the future).
+        sampler = ComposedRandomizer(law)
+        ones = np.ones(k, dtype=np.int8)
+        if chunk_size is None:
+            self._b_tilde = sampler.sample_batch(ones, n, rng, kernel=self._kernel)
+        else:
+            # Bounded pre-draw: the retained b~ is (n, k) int8 either way, but
+            # sample_batch's float transients now peak at chunk_size rows.
+            self._b_tilde = np.empty((n, k), dtype=np.int8)
+            for start, stop in plan_row_blocks(n, chunk_size):
+                self._b_tilde[start:stop] = sampler.sample_batch(
+                    ones, stop - start, rng, kernel=self._kernel
+                )
+        self._nnz = np.zeros(n, dtype=np.int64)
+        self._boundary = np.zeros(n, dtype=np.int8)
         self._server = Server(params.d, family.c_gap)
 
     def _ingest(self, values: np.ndarray) -> int:
         t = self._period
         self._server.advance_to(t)
         delivered = 0
-        for order, index, _members, bits in self._stream.emissions(t, values):
-            delivered += self._server.receive_batch(order, index, bits)
+        for order, members in enumerate(self._members):
+            if t % (1 << order) or members.size == 0:
+                continue  # a group emits only at multiples of 2^order
+            # Observation 3.7: the partial sum is a boundary-state difference.
+            partials = values[members] - self._boundary[members]
+            self._boundary[members] = values[members]
+            nonzero = partials != 0
+            # Property III noise; the kernel backend (when set) draws the
+            # same uniform-sign law from raw bits.
+            bits = (
+                self._rng.choice(_SIGNS, size=members.size)
+                if self._kernel is None
+                else self._kernel.uniform_signs((members.size,), self._rng)
+            )
+            signal_users = members[nonzero]
+            if signal_users.size:
+                positions = self._nnz[signal_users]
+                if (positions >= self._b_tilde.shape[1]).any():
+                    raise RuntimeError(
+                        "a user produced more than k non-zero partial sums; "
+                        "the privacy calibration assumed k-sparsity"
+                    )
+                bits[nonzero] = (
+                    partials[nonzero] * self._b_tilde[signal_users, positions]
+                ).astype(np.int8)
+                self._nnz[signal_users] += 1
+            delivered += self._server.receive_batch(order, t >> order, bits)
         self._released.append(self._server.estimate(t))
         return delivered
 
     def _orders_for_result(self) -> np.ndarray:
-        return self._stream.orders.copy()
+        return self._orders.copy()
 
 
 class ObjectStreamingSession(ProtocolSession):
@@ -163,14 +221,28 @@ class ObjectStreamingSession(ProtocolSession):
 
 
 class ErlingssonStreamingSession(ProtocolSession):
-    """The Erlingsson et al. (2020) protocol, streamed.
+    """The Erlingsson et al. (2020) online protocol (Section 6, "Online Setting").
 
-    The derivative-coordinate sampling is made online: each user draws its
-    slot ``s`` up front and keeps the ``s``-th change of its sequence *the
-    moment that change happens* (changes are observed as they occur, so no
-    future data is needed).  Kept partial sums go through the basic
-    randomizer at ``eps/2``; the estimator carries the ``x k`` slot-sampling
-    debias.
+    It differs from the paper's protocol in one step: *before* sampling the
+    dyadic order, each user samples one of ``k`` derivative slots uniformly
+    and keeps only that change of its sequence.  The kept change's partial
+    sums are 1-sparse at every order, so the basic randomizer at budget
+    ``eps/2`` suffices, giving ``c_gap = tanh(eps/4)``.  The price is the
+    estimator inflation: the server multiplies by an extra ``k`` to undo the
+    slot sampling, which is where the *linear* ``k`` in their error bound
+    comes from.
+
+    Unbiasedness: a user whose sequence has ``k_u <= k`` changes samples its
+    slot uniformly from ``k`` slots, of which ``k - k_u`` are phantoms holding
+    no change, so the expected kept derivative is ``X_u[t] / k`` exactly and
+    the ``x k`` debias is unbiased for every user.
+
+    Slot sampling is online: a user keeps its ``s``-th change *the moment
+    that change happens* (changes are observed as they occur, so no future
+    data is needed).  Every coin is drawn at preparation: the slots, the
+    orders, then for each non-empty order group ``h`` in ascending order its
+    ``(m_h, d >> h)`` flips and uniform signs, one column per interval the
+    group will report.
     """
 
     def __init__(
@@ -188,14 +260,24 @@ class ErlingssonStreamingSession(ProtocolSession):
         n, d = params.n, params.d
         rng = self._rng
         num_orders = d.bit_length()
-        self._flip_probability = 1.0 / (math.exp(eps_tilde) + 1.0)
-        # Uniform over k phantom-padded slots (unbiasedness detail in
-        # repro.baselines.erlingsson).
+        flip_probability = 1.0 / (math.exp(eps_tilde) + 1.0)
         self._slots = rng.integers(0, params.k, size=n)
         self._orders = rng.integers(0, num_orders, size=n)
         self._members = [
             np.flatnonzero(self._orders == order) for order in range(num_orders)
         ]
+        # Per non-empty order group, one row per reporting interval (the
+        # transpose of the (m_h, d >> h) draw), so each period reads
+        # contiguous coins.
+        self._flips: dict[int, np.ndarray] = {}
+        self._noise: dict[int, np.ndarray] = {}
+        for order, members in enumerate(self._members):
+            if members.size == 0:
+                continue
+            shape = (members.size, d >> order)
+            flips = rng.random(shape) < flip_probability
+            self._flips[order] = np.ascontiguousarray(flips.T)
+            self._noise[order] = np.ascontiguousarray(rng.choice(_SIGNS, size=shape).T)
         self._changes_seen = np.zeros(n, dtype=np.int64)
         self._kept_value = np.zeros(n, dtype=np.int8)  # cumsum of kept derivative
         self._kept_previous = np.zeros(n, dtype=np.int8)
@@ -216,19 +298,15 @@ class ErlingssonStreamingSession(ProtocolSession):
         self._changes_seen += changed
         self._kept_previous = values
         delivered = 0
-        for order in range(self._params.d.bit_length()):
-            if t % (1 << order):
+        for order, members in enumerate(self._members):
+            if t % (1 << order) or members.size == 0:
                 continue
-            members = self._members[order]
-            if members.size == 0:
-                continue
+            column = (t >> order) - 1
             partials = self._kept_value[members] - self._boundary[members]
             self._boundary[members] = self._kept_value[members]
-            flips = self._rng.random(members.size) < self._flip_probability
-            perturbed = np.where(flips, -partials, partials)
-            noise = self._rng.choice(SIGNS, size=members.size)
-            reports = np.where(partials == 0, noise, perturbed)
-            self._raw_sums[order][(t >> order) - 1] = float(reports.sum())
+            perturbed = np.where(self._flips[order][column], -partials, partials)
+            reports = np.where(partials == 0, self._noise[order][column], perturbed)
+            self._raw_sums[order][column] = float(reports.sum())
             delivered += members.size
         total = 0.0
         for interval in decompose_prefix(t):
@@ -241,10 +319,20 @@ class ErlingssonStreamingSession(ProtocolSession):
 
 
 class RepeatedRRSession(ProtocolSession):
-    """Per-period randomized response (memoryless — trivially streaming).
+    """Repeated randomized response: every period, a fresh report per user.
 
-    ``per_period_epsilon = epsilon / d`` is the budget-split (LDP) variant;
-    the full ``epsilon`` per period is the privacy-violating strawman.
+    Each user encodes its current value as a sign ``2 st - 1`` and sends it
+    through the basic randomizer; the server inverts
+    ``E[w] = c_gap (2 st - 1)``.  Re-running a one-shot LDP protocol every
+    period composes privacy loss linearly, so ``per_period_epsilon =
+    epsilon / d`` is the budget-split (``epsilon``-LDP) variant, whose error
+    grows linearly in ``d``.  The full ``epsilon`` per period is **not**
+    ``epsilon``-LDP (its end-to-end budget is ``d * epsilon``); it is kept
+    only to show the accuracy that silently degrading privacy would buy.
+
+    The coins are data-independent, so all ``n * d`` of them are drawn at
+    preparation, as one ``(n, d)`` uniform draw made in row tiles (no
+    ``(n, d)`` float64 array exists) and kept as booleans, one row per period.
     """
 
     def __init__(
@@ -261,12 +349,18 @@ class RepeatedRRSession(ProtocolSession):
             family_name=family_name,
             enforce_k_changes=False,
         )
-        self._flip_probability = 1.0 / (math.exp(per_period_epsilon) + 1.0)
+        flip_probability = 1.0 / (math.exp(per_period_epsilon) + 1.0)
+        n, d = params.n, params.d
+        # Generator.random fills C order from one stream, so tile after tile
+        # consumes it exactly as one rng.random((n, d)) would.
+        self._flips = np.empty((d, n), dtype=bool)
+        for start, stop in plan_row_blocks(n, max(1, _TILE_CELLS // d)):
+            tile = self._rng.random((stop - start, d))
+            np.less(tile.T, flip_probability, out=self._flips[:, start:stop])
 
     def _ingest(self, values: np.ndarray) -> int:
         signs = (2 * values - 1).astype(np.int8)
-        flips = self._rng.random(values.size) < self._flip_probability
-        reports = np.where(flips, -signs, signs)
+        reports = np.where(self._flips[self._period - 1], -signs, signs)
         self._released.append(self._debiased_count(float(reports.sum())))
         return int(values.size)
 
@@ -312,14 +406,24 @@ class MemoizationSession(ProtocolSession):
 
 
 class CentralTreeStreamingSession(ProtocolSession):
-    """Central-model binary mechanism in its continual-release (online) form.
+    """Central-model binary (tree) mechanism in its continual-release form.
 
-    The trusted curator sees exact per-period counts; each dyadic node
-    ``I_{h,j}`` is perturbed with user-level Laplace noise the moment its
-    interval completes (time ``j * 2^h``), so prefix estimates are released
-    online — the shape of Chan et al.'s continual counting.  The one-shot
-    :func:`~repro.baselines.central.run_central_tree` noises the same nodes
-    with the same scale, so the output distributions coincide.
+    Dwork et al. (2010) and Chan et al. (2011) count a Boolean stream under
+    *central* differential privacy: each dyadic node's partial sum gets
+    Laplace noise and every prefix is rebuilt from at most ``1 + log2 d``
+    nodes.  The trusted curator sees the exact per-period counts; each node
+    ``I_{h,j}`` is released the moment its interval completes (time
+    ``j * 2^h``), so prefix estimates come out online.
+
+    Privacy here is *user-level*: one user contributes at most ``k`` changes,
+    each touching one node per order, so the L1 sensitivity of the node
+    vector is ``2 k (1 + log2 d)`` (the user's ``k`` changes disappear and
+    ``k`` new ones appear).  Each node's Laplace scale is therefore
+    ``2 k (1 + log2 d) / epsilon``, for error ``O((k / epsilon) polylog d)``
+    — *independent of n*, the point of experiment E10: the local model must
+    pay ``sqrt(n)``.  The noise is data-independent, so all ``2d - 1`` node
+    draws are made at preparation, in flat node order (order-major, the
+    layout of :func:`~repro.dyadic.prefix_matrix.flat_offsets`).
     """
 
     def __init__(
@@ -334,11 +438,11 @@ class CentralTreeStreamingSession(ProtocolSession):
             family_name="central_tree",
         )
         d = params.d
-        # User-level sensitivity: 2 k (1 + log2 d) — see CentralTreeMechanism.
-        self._noise_scale = 2.0 * params.k * d.bit_length() / params.epsilon
-        self._noisy_nodes = [
-            np.zeros(d >> order, dtype=np.float64) for order in range(d.bit_length())
-        ]
+        noise_scale = 2.0 * params.k * d.bit_length() / params.epsilon
+        self._offsets = flat_offsets(d)
+        # Each node holds its noise until its interval closes, then its count
+        # is added in.
+        self._nodes = self._rng.laplace(0.0, noise_scale, size=2 * d - 1)
         # Exact population counts a[0..d] (a[0] = 0); node I_{h,j} sums the
         # increment stream over its interval, i.e. a[j 2^h] - a[(j-1) 2^h].
         self._counts = np.zeros(d + 1, dtype=np.float64)
@@ -346,17 +450,14 @@ class CentralTreeStreamingSession(ProtocolSession):
     def _ingest(self, values: np.ndarray) -> int:
         t = self._period
         self._counts[t] = float(values.sum())
-        for order in range(self._params.d.bit_length()):
+        for order, offset in enumerate(self._offsets):
             if t % (1 << order):
                 continue
-            index = t >> order
             exact = self._counts[t] - self._counts[t - (1 << order)]
-            self._noisy_nodes[order][index - 1] = exact + self._rng.laplace(
-                0.0, self._noise_scale
-            )
+            self._nodes[offset + (t >> order) - 1] += exact
         total = 0.0
         for interval in decompose_prefix(t):
-            total += self._noisy_nodes[interval.order][interval.index - 1]
+            total += self._nodes[self._offsets[interval.order] + interval.index - 1]
         self._released.append(total)
         return 0  # the curator ingests raw data; no randomized reports travel
 
@@ -379,15 +480,8 @@ class BufferedOfflineSession(ProtocolSession):
         rng: Optional[np.random.Generator] = None,
         *,
         c_gap: float,
-        enforce_k_changes: bool = True,
     ) -> None:
-        super().__init__(
-            params,
-            rng,
-            c_gap=c_gap,
-            family_name=family_name,
-            enforce_k_changes=enforce_k_changes,
-        )
+        super().__init__(params, rng, c_gap=c_gap, family_name=family_name)
         self._runner = runner
         self._columns = np.zeros((params.n, params.d), dtype=np.int8)
         self._final: Optional[ProtocolResult] = None

@@ -5,11 +5,32 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.erlingsson import run_erlingsson, sample_single_change
 from repro.core.params import ProtocolParams
+from repro.protocols import get_protocol
+
+ERLINGSSON = get_protocol("erlingsson")
+run_erlingsson = ERLINGSSON.run
 
 
-class TestSampleSingleChange:
+def sample_single_change(
+    states: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The integral of each user's kept derivative, as the session keeps it.
+
+    Streams ``states`` through an Erlingsson session and records, after each
+    period, the running sum of the one change each user's sampled slot keeps
+    (values in {-1, 0, 1}: a kept "down" change integrates to -1).
+    """
+    n, d = states.shape
+    session = ERLINGSSON.prepare(ProtocolParams(n=n, d=d, k=k, epsilon=1.0), rng)
+    kept = np.empty((n, d), dtype=np.int8)
+    for t in range(1, d + 1):
+        session.ingest(t, states[:, t - 1])
+        kept[:, t - 1] = session._kept_value
+    return kept
+
+
+class TestOnlineSlotSampling:
     def test_keeps_at_most_one_change(self, small_states, rng):
         sampled = sample_single_change(small_states, k=3, rng=rng)
         changes = np.count_nonzero(np.diff(sampled, axis=1, prepend=0), axis=1)
@@ -35,16 +56,15 @@ class TestSampleSingleChange:
                 assert deriv[t] == original[t]
 
     def test_expected_value_is_original_over_k(self):
-        """E[kept derivative] = X_u / k — the basis of the x k debias."""
-        states = np.array([[0, 1, 1, 0]], dtype=np.int8)
-        k = 4
+        """E[kept derivative] = X_u / k — the basis of the x k debias.
+
+        Every user holds the same sequence and samples its slot
+        independently, so the users are the trials."""
         trials = 20_000
-        accumulator = np.zeros(4)
-        rng = np.random.default_rng(5)
-        for _ in range(trials):
-            sampled = sample_single_change(states, k=k, rng=rng)
-            accumulator += np.diff(sampled[0], prepend=0)
-        mean = accumulator / trials
+        states = np.tile(np.array([[0, 1, 1, 0]], dtype=np.int8), (trials, 1))
+        k = 4
+        sampled = sample_single_change(states, k=k, rng=np.random.default_rng(5))
+        mean = np.diff(sampled, axis=1, prepend=0).mean(axis=0)
         expected = np.diff(states[0], prepend=0) / k
         assert np.allclose(mean, expected, atol=0.01)
 

@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.naive import run_naive_split
 from repro.core.basic_randomizer import flip_probability
 from repro.core.params import ProtocolParams
 from repro.protocols import get_protocol
 
 MEMOIZATION = get_protocol("memoization")
+run_naive_split = get_protocol("naive_split").run
 
 
 def run_memoization(states, params, rng):

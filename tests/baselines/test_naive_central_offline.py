@@ -5,11 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.central import CentralTreeMechanism, run_central_tree
-from repro.baselines.naive import run_naive_split, run_naive_unsplit
-from repro.baselines.offline_tree import flatten_tree_partial_sums, run_offline_tree
+from repro.baselines.offline_tree import flatten_tree_partial_sums
 from repro.core.params import ProtocolParams
 from repro.dyadic.partial_sums import partial_sums_of_order
+from repro.protocols import EstimatesNotReady, get_protocol
+
+run_naive_split = get_protocol("naive_split").run
+run_naive_unsplit = get_protocol("naive_unsplit").run
+run_central_tree = get_protocol("central_tree").run
+run_offline_tree = get_protocol("offline_tree").run
 
 
 class TestNaive:
@@ -57,8 +61,14 @@ class TestNaive:
 
 class TestCentral:
     def test_noise_scale_formula(self):
-        mechanism = CentralTreeMechanism(d=16, epsilon=0.5, k=3)
-        assert mechanism.noise_scale == pytest.approx(2 * 3 * 5 / 0.5)
+        """Node I_{0,1} is the first Laplace draw, at scale 2 k (1 + log2 d) / eps,
+        and on an all-zero population it is the first released estimate."""
+        params = ProtocolParams(n=10, d=16, k=3, epsilon=0.5)
+        result = run_central_tree(
+            np.zeros((10, 16), dtype=np.int8), params, np.random.default_rng(9)
+        )
+        expected = np.random.default_rng(9).laplace(0.0, 2 * 3 * 5 / 0.5)
+        assert result.estimates[0] == expected
 
     def test_estimates_concentrate_around_truth(self, small_params, small_states):
         trials = 30
@@ -86,21 +96,27 @@ class TestCentral:
             errors[n] = float(np.mean(runs))
         assert 0.5 < errors[100] / errors[10_000] < 2.0
 
-    def test_fit_required_before_estimate(self):
-        mechanism = CentralTreeMechanism(d=8, epsilon=1.0, k=1)
-        with pytest.raises(RuntimeError):
-            mechanism.estimate(1)
+    def test_result_requires_the_full_horizon(self, small_params, rng):
+        session = get_protocol("central_tree").prepare(small_params, rng)
+        session.ingest(1, np.zeros(small_params.n, dtype=np.int8))
+        assert session.estimates().shape == (1,)
+        with pytest.raises(EstimatesNotReady):
+            session.result()
 
-    def test_fit_validates_shape(self, rng):
-        mechanism = CentralTreeMechanism(d=8, epsilon=1.0, k=1, rng=rng)
-        with pytest.raises(ValueError):
-            mechanism.fit(np.zeros(7))
+    def test_ingest_validates_shape(self, small_params, rng):
+        session = get_protocol("central_tree").prepare(small_params, rng)
+        with pytest.raises(ValueError, match="shape"):
+            session.ingest(1, np.zeros(small_params.n - 1, dtype=np.int8))
 
     def test_bad_construction(self):
         with pytest.raises(ValueError):
-            CentralTreeMechanism(d=8, epsilon=0.0, k=1)
+            get_protocol("central_tree").prepare(
+                ProtocolParams(n=4, d=8, k=1, epsilon=0.0)
+            )
         with pytest.raises(ValueError):
-            CentralTreeMechanism(d=8, epsilon=1.0, k=0)
+            get_protocol("central_tree").prepare(
+                ProtocolParams(n=4, d=8, k=0, epsilon=1.0)
+            )
 
 
 class TestOfflineTree:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.bounds import hoeffding_radius
-from repro.baselines.erlingsson import run_erlingsson
 from repro.core.vectorized import run_batch
 from repro.protocols import get_protocol
 from repro.sim.engine import SimulationEngine
@@ -51,7 +50,9 @@ class TestScenarioPipelines:
 
     def test_baseline_runs_on_same_scenario(self):
         scenario = url_tracking_scenario(n=300, d=16, k=3, rng=np.random.default_rng(7))
-        result = run_erlingsson(scenario.states, scenario.params, np.random.default_rng(8))
+        result = get_protocol("erlingsson").run(
+            scenario.states, scenario.params, np.random.default_rng(8)
+        )
         assert result.estimates.shape == (16,)
 
 

@@ -1,10 +1,15 @@
-"""Streaming sessions vs one-shot drivers: identical output distributions.
+"""Streaming sessions vs one-shot runs.
 
-Each protocol's ``prepare``/``ingest``/``estimates`` path reimplements its
-one-shot driver in deployment shape; these tests pin the two together —
-exactly where the rng consumption order coincides, statistically (Monte-Carlo
-4-sigma bounds, the same idiom as the batch-vs-object engine tests)
-everywhere else.
+Seven protocols draw all their randomness when their session is prepared
+and run one-shot as the inherited stream over that session:
+``future_rand_object`` and the six in :data:`PREDRAWN`.  For those, run and
+stream agree exactly, and sha256 pins guard the draws.  ``future_rand`` and
+``bun_composed`` still run one-shot through the batch engine, which draws in
+a different order, so their streamed sessions are pinned on their own and
+checked against the batch path only in distribution (Monte-Carlo 4-sigma
+bounds, the same idiom as the batch-vs-object engine tests).  The
+distributional checks run for every protocol, so each streamed path is also
+checked for unbiasedness.
 """
 
 from __future__ import annotations
@@ -19,6 +24,16 @@ from repro.protocols import get_protocol
 from repro.workloads.generators import BoundedChangePopulation
 
 PARAMS = ProtocolParams(n=400, d=16, k=3, epsilon=1.0)
+
+#: Protocols whose one-shot ``run`` is the inherited stream over their session.
+PREDRAWN = [
+    "naive_split",
+    "naive_unsplit",
+    "erlingsson",
+    "central_tree",
+    "offline_tree",
+    "memoization",
+]
 
 NAMES = [
     "future_rand",
@@ -55,16 +70,25 @@ def _stream(protocol, states, rng) -> np.ndarray:
 
 
 class TestExactEquivalence:
-    def test_memoization_stream_is_bit_identical_to_run(self):
-        """Memoization draws all randomness at prepare time, in the same
-        order as the one-shot driver — same seed, same outputs exactly."""
-        protocol = get_protocol("memoization")
-        states = _signal_states()
-        run_estimates = protocol.run(
-            states, PARAMS, np.random.default_rng(7)
-        ).estimates
-        stream_estimates = _stream(protocol, states, np.random.default_rng(7))
-        np.testing.assert_array_equal(stream_estimates, run_estimates)
+    @pytest.mark.parametrize("name", PREDRAWN)
+    def test_stream_is_bit_identical_to_run(self, name):
+        """These sessions draw every coin at prepare time and ``run`` streams
+        them, so one seed gives the same estimates and orders exactly."""
+        protocol = get_protocol(name)
+        states = _bounded_states()
+        result = protocol.run(states, PARAMS, np.random.default_rng(7))
+        session = protocol.prepare(PARAMS, np.random.default_rng(7))
+        for t in range(1, PARAMS.d + 1):
+            session.ingest(t, states[:, t - 1])
+        streamed = session.result()
+        np.testing.assert_array_equal(streamed.estimates, result.estimates)
+        np.testing.assert_array_equal(streamed.true_counts, result.true_counts)
+        if result.orders is None:
+            assert streamed.orders is None
+        else:
+            np.testing.assert_array_equal(streamed.orders, result.orders)
+        assert streamed.c_gap == result.c_gap
+        assert streamed.family_name == result.family_name
 
     def test_memoization_run_is_pinned(self):
         """Exact one-shot memoization estimates at a fixed seed."""

@@ -53,9 +53,11 @@ def test_defined_functions_are_named_src_functions(census):
 def test_report_sorts_functions_into_the_three_buckets(census, tmp_path, capsys):
     path = tmp_path / "census.json"
     path.write_text(json.dumps({
-        "script:examples/x.py": {ADVANCE: False},
-        "test:tests/core/test_a.py": {RECEIVE: False, ESTIMATE: True, ADVANCE: False},
-        "test:tests/core/test_b.py": {RECEIVE: False},
+        "script:examples/x.py": {ADVANCE: ["via_src"]},
+        "test:tests/core/test_a.py": {
+            RECEIVE: ["direct"], ESTIMATE: ["via_src"], ADVANCE: ["direct"],
+        },
+        "test:tests/core/test_b.py": {RECEIVE: ["direct"]},
     }))
     census.report([str(path)])
     sections = _sections(capsys.readouterr().out)
@@ -65,6 +67,46 @@ def test_report_sorts_functions_into_the_three_buckets(census, tmp_path, capsys)
     assert REGISTER in sections["reached by nothing"]
     # A function some script reaches is production code: in no bucket.
     assert all(ADVANCE not in keys for keys in sections.values())
+
+
+def test_report_lists_a_direct_call_even_when_src_also_calls_it(
+    census, tmp_path, capsys
+):
+    """A test that calls a function itself and also reaches it through other
+    src code still marks it as reached by its own unit test."""
+    path = tmp_path / "census.json"
+    path.write_text(json.dumps({
+        "test:tests/core/test_a.py": {
+            RECEIVE: ["direct", "via_src"], ESTIMATE: ["via_src"],
+        },
+        "test:tests/core/test_b.py": {ESTIMATE: ["via_src"]},
+    }))
+    census.report([str(path)])
+    sections = _sections(capsys.readouterr().out)
+    assert RECEIVE in sections["reached only by their own unit tests"]
+    assert RECEIVE not in sections["reached by tests only through other src code"]
+    assert ESTIMATE in sections["reached by tests only through other src code"]
+
+
+def test_run_records_both_ways_a_function_is_entered(census, tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", list(sys.argv))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    script = tmp_path / "probe.py"
+    script.write_text(
+        "from repro.dyadic.tree import DyadicTree\n"
+        "from repro.utils.validation import check_power_of_two\n"
+        "DyadicTree(8)\n"  # calls check_power_of_two from src
+        "check_power_of_two(8, 'd')\n"
+    )
+    out = tmp_path / "out.json"
+    outer = sys.getprofile()
+    try:
+        census.main(["run", str(out), str(script)])
+    finally:
+        sys.setprofile(outer)
+    (seen,) = json.loads(out.read_text()).values()
+    key = "src/repro/utils/validation.py:check_power_of_two"
+    assert seen[key] == ["direct", "via_src"]
 
 
 def test_run_records_a_script_under_its_own_context(
@@ -86,4 +128,4 @@ def test_run_records_a_script_under_its_own_context(
     payload = json.loads(out.read_text())
     (context,) = payload
     assert context == f"script:{script}"
-    assert payload[context]["src/repro/dyadic/intervals.py:interval_set"] is False
+    assert payload[context]["src/repro/dyadic/intervals.py:interval_set"] == ["direct"]
