@@ -30,7 +30,36 @@ from repro.dyadic.prefix_matrix import reconstruct_range, reconstruct_window_ser
 from repro.dyadic.tree import DyadicTree
 from repro.utils.validation import check_power_of_two
 
-__all__ = ["Server"]
+__all__ = ["Server", "feasible_aggregate"]
+
+
+def feasible_aggregate(total: float, count: int) -> tuple[int, int]:
+    """Check that ``total`` is a feasible sum of ``count`` ``{-1, +1}`` reports.
+
+    The aggregate door: ``count`` is non-negative and ``total`` is a finite
+    integer with ``|total| <= count`` and the parity of ``count``.  The
+    check runs in exact integer arithmetic, so a non-integral total is
+    rejected rather than coerced and parity survives beyond 2^53.  Returns
+    ``(total, count)`` as Python ints.
+    """
+    count = int(count)
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    if isinstance(total, (int, np.integer)):
+        exact_total = int(total)
+    else:
+        value = float(total)
+        if not math.isfinite(value) or not value.is_integer():
+            raise ValueError(
+                f"total={total!r} is not a feasible sum of {count} "
+                "+-1 reports (must be a finite integer)"
+            )
+        exact_total = int(value)
+    if abs(exact_total) > count or (exact_total - count) % 2:
+        raise ValueError(
+            f"total={total} is not a feasible sum of {count} +-1 reports"
+        )
+    return exact_total, count
 
 
 class Server:
@@ -176,9 +205,7 @@ class Server:
         report sums are folded across user chunks/shards *before* delivery,
         so the server receives one aggregate per dyadic node instead of a
         column of individual bits.  ``total`` must be a feasible sum of
-        ``count`` signs (``|total| <= count`` with matching parity) —
-        validated in exact integer arithmetic, so non-integral totals are
-        rejected rather than coerced and parity survives beyond 2^53.  The
+        ``count`` signs, as :func:`feasible_aggregate` checks.  The
         online clock semantics of :meth:`receive` apply unchanged; replay
         protection is the caller's (the ingestion service deduplicates at its
         own door).  Returns ``count``.
@@ -188,23 +215,7 @@ class Server:
             raise ValueError(f"order must be in [0, {max_order}], got {order}")
         if index < 1:
             raise ValueError(f"index must be at least 1, got {index}")
-        count = int(count)
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        if isinstance(total, (int, np.integer)):
-            exact_total = int(total)
-        else:
-            value = float(total)
-            if not math.isfinite(value) or not value.is_integer():
-                raise ValueError(
-                    f"total={total!r} is not a feasible sum of {count} "
-                    "+-1 reports (must be a finite integer)"
-                )
-            exact_total = int(value)
-        if abs(exact_total) > count or (exact_total - count) % 2:
-            raise ValueError(
-                f"total={total} is not a feasible sum of {count} +-1 reports"
-            )
+        exact_total, count = feasible_aggregate(total, count)
         self._check_emission(order, index)
         if count:
             self._tree.add(DyadicInterval(order, index), float(exact_total))

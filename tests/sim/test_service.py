@@ -18,6 +18,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import functools
+import threading
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.analysis.conformance import fault_adjusted_radius, protocol_radius
 from repro.core.params import ProtocolParams
 from repro.core.vectorized import collect_tree_reports
 from repro.sim.batch_engine import run_batch_engine
+from repro.sim import service as service_module
 from repro.sim.runner import run_trials, sweep
 from repro.sim.service import (
     AggregateMessage,
@@ -323,9 +325,71 @@ class TestSnapshotState:
         "message_id", [(-1, 0, 1), (0, 4, 1), (0, 1, 0), (0, 1, 5)]
     )
     def test_an_id_outside_the_tree_is_refused(self, message_id):
-        message = dataclasses.replace(_message(0, 0, 1), message_id=message_id)
+        message = _message(0, 0, 1)._replace(message_id=message_id)
         with pytest.raises(ValueError, match="names no node"):
             asyncio.run(_drive(IngestionService(8, 0.5), [1], [message]))
+
+
+class TestServeLoop:
+    def test_a_pass_creates_one_task_per_block(self, monkeypatch):
+        """The main task, the consumer and one long-lived client per block:
+        no task per period.  Only tasks that run service code are counted,
+        not the event loop's own shutdown tasks."""
+        created = []
+        original = asyncio.BaseEventLoop.create_task
+
+        def counting(loop, coro, *args, **kwargs):
+            code = getattr(coro, "cr_code", None)
+            if code is not None and code.co_filename == service_module.__file__:
+                created.append(code.co_name)
+            return original(loop, coro, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio.BaseEventLoop, "create_task", counting)
+        result = _serve("soak")
+        assert result.blocks == 4
+        assert len(created) <= result.blocks + 2, created
+
+    @pytest.mark.parametrize("failing_call", [1, 100])
+    def test_a_raising_client_surfaces_its_error(self, monkeypatch, failing_call):
+        calls = []
+        submit = IngestionService.submit
+
+        async def flaky_submit(service, message):
+            calls.append(message)
+            if len(calls) == failing_call:
+                raise ConnectionResetError("client dropped its connection")
+            await submit(service, message)
+
+        monkeypatch.setattr(IngestionService, "submit", flaky_submit)
+        outcome = {}
+
+        def serve():
+            try:
+                _serve("bursty")
+            except BaseException as error:  # handed to the test thread
+                outcome["error"] = error
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "run_service hung after a client raised"
+        assert isinstance(outcome.get("error"), ConnectionResetError)
+
+    def test_an_over_budget_row_fails_before_any_block_runs(self, monkeypatch):
+        """A presampled matrix is validated whole, once, up front."""
+        states = _population().sample(PARAMS.n, np.random.default_rng(0))
+        states[1234] = 0
+        states[1234, 2:4] = 1
+        states[1234, 6:8] = 1  # k + 1 = 4 changes
+        ran = []
+        monkeypatch.setattr(
+            service_module, "_randomize_service_block", ran.append
+        )
+        with pytest.raises(
+            ValueError, match=f"a user changes 4 times, exceeding k={PARAMS.k}"
+        ):
+            run_service(states, PARAMS, 0, block_rows=BLOCK_ROWS)
+        assert not ran
 
 
 class TestScenarioIntegration:
