@@ -7,6 +7,9 @@ rewrite of how the service schedules its clients or folds its messages:
   moves with the interleaving of client puts and consumer gets) and the
   sha256 of the released estimates, for every traffic preset with the
   deduplication door on and off;
+* the same stats and sha256 with the submission queue shrunk to 16, so the
+  ``bursty`` and ``soak`` producers block on ``put`` (their unbounded peaks
+  are 24 and 23) and backpressure is part of what is pinned;
 * the sha256 of the ``"period"`` records of a journaled run under soak
   traffic with clock skew, so early arrivals sit in the buffer across
   snapshots.
@@ -26,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro.core.params import ProtocolParams
+from repro.sim import service as service_module
 from repro.sim.journal import ServiceJournal
 from repro.sim.service import AggregateMessage, IngestionService, run_service
 from repro.sim.store import canonical_json
@@ -97,6 +101,19 @@ PINNED_STATS: dict[tuple[str, bool], tuple[tuple, str]] = {
     ),
 }
 
+#: A submission-queue size below the natural peaks of ``bursty`` and ``soak``.
+BACKPRESSURE_MAXSIZE = 16
+
+#: The stats under that queue: the unbounded pins with the peak depth capped
+#: at the queue size; nothing else, estimates included, moves.
+PINNED_BACKPRESSURE_STATS: dict[tuple[str, bool], tuple[tuple, str]] = {
+    key: (
+        (*stats[:11], min(stats[11], BACKPRESSURE_MAXSIZE), *stats[12:]),
+        digest,
+    )
+    for key, (stats, digest) in PINNED_STATS.items()
+}
+
 #: sha256 of the canonical JSON of every ``"period"`` record body, in order.
 PINNED_PERIOD_RECORDS = (
     "05c8bba28023a02577aa6be348b8b3f4afef9dd7802530755af410ebbdcbc12d"
@@ -125,6 +142,25 @@ def test_traffic_stats_and_estimates_are_pinned(traffic, reject_duplicates):
         reject_duplicates=reject_duplicates,
     )
     stats, digest = PINNED_STATS[traffic, reject_duplicates]
+    assert dataclasses.astuple(result.stats) == stats
+    assert _digest(result.estimates) == digest
+
+
+@pytest.mark.parametrize("reject_duplicates", [True, False])
+@pytest.mark.parametrize("traffic", sorted(TRAFFIC_MODELS))
+def test_backpressure_stats_and_estimates_are_pinned(
+    monkeypatch, traffic, reject_duplicates
+):
+    monkeypatch.setattr(service_module, "_QUEUE_MAXSIZE", BACKPRESSURE_MAXSIZE)
+    result = run_service(
+        _population(),
+        PARAMS,
+        SEED,
+        traffic=traffic,
+        block_rows=BLOCK_ROWS,
+        reject_duplicates=reject_duplicates,
+    )
+    stats, digest = PINNED_BACKPRESSURE_STATS[traffic, reject_duplicates]
     assert dataclasses.astuple(result.stats) == stats
     assert _digest(result.estimates) == digest
 
