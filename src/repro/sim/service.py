@@ -26,16 +26,17 @@ Pipeline
    the traffic model, drawn from the *traffic* stream of the seed tree
    (independent of worker count).
 3. **Serve** — an asyncio loop plays the horizon.  Each block is one
-   client task that lives for the whole run; per period, the loop wakes
-   the clients due at that period in block order, they submit their
-   messages through a bounded queue, and the consumer routes them (buffer
-   or hold for the fold).  The period then closes: every admissible
+   client; per period, the loop submits the due clients' messages in
+   rounds through a bounded queue — each round the next ``burst``
+   messages of every due client that has any left, in block order — and
+   the consumer routes them (buffer or hold for the fold) while the loop
+   yields between rounds.  The period then closes: every admissible
    message passes the door one at a time, in canonical
    ``(block, order, index, copy)`` order (slot check, deduplication, the
    feasibility rule), the admitted totals are summed per dyadic node, and
    each node is folded into the server once before the estimate is
-   released.  All totals are integers, so neither the task interleaving
-   nor the summation order can move a released bit.
+   released.  All totals are integers, so neither the interleaving of
+   puts and gets nor the summation order can move a released bit.
 
 Together 1–3 make the whole run — estimates, counters, everything — a pure
 function of ``(workload, params, seed, traffic, block_rows)``: bit-identical
@@ -477,21 +478,34 @@ class IngestionService:
     # -- ingestion --------------------------------------------------------
 
     async def submit(self, message: AggregateMessage) -> None:
-        """Accept one message from a client task (bounded-queue backpressure)."""
-        await self._queue.put(message)
+        """Accept one message (bounded-queue backpressure).
+
+        A put into a full queue suspends the caller until the consumer
+        makes room.
+        """
+        try:
+            # The common case, without the coroutine of ``Queue.put``.
+            self._queue.put_nowait(message)
+        except asyncio.QueueFull:
+            await self._queue.put(message)
 
     def _start_consumer(self) -> None:
         if self._consumer is None:
             self._consumer = asyncio.ensure_future(self._consume())
 
     async def _consume(self) -> None:
+        queue = self._queue
         while True:
-            message = await self._queue.get()
-            depth = self._queue.qsize() + 1
+            message = await queue.get()
+            # A drain never yields, so the queue is deepest at its first get.
+            depth = queue.qsize() + 1
             if depth > self.peak_queue_depth:
                 self.peak_queue_depth = depth
             self._route(message)
-            self._queue.task_done()
+            queue.task_done()
+            while not queue.empty():
+                self._route(queue.get_nowait())
+                queue.task_done()
 
     def _route(self, message: AggregateMessage) -> None:
         if message.emitted_at > self._server.time:
@@ -673,73 +687,30 @@ class IngestionService:
         self.peak_queue_depth = int(snapshot["peak_queue_depth"])
 
 
-class _Rendezvous:
-    """The per-period handshake between :func:`_serve` and its clients.
-
-    A client parks on a wake-up future of its own; :meth:`deliver` wakes the
-    clients due at a period in block order and waits until the last of
-    them has submitted.  Futures are made only for deliveries that happen:
-    a client makes its next wake-up future when it parks, and a period
-    without deliveries makes none.  A client that raises hands its
-    exception to the waiting loop instead of leaving it hanging.
-    """
-
-    def __init__(self, clients: int) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._wake: list[Optional[asyncio.Future]] = [None] * clients
-        self._pending = 0
-        self._done: Optional[asyncio.Future] = None
-
-    async def park(self, slot: int) -> None:
-        """Client side: wait to be woken for the next delivery."""
-        wake = self._wake[slot] = self._loop.create_future()
-        await wake
-
-    def delivered(self) -> None:
-        """Client side: this period's messages are all submitted."""
-        self._pending -= 1
-        if not self._pending:
-            self._done.set_result(None)
-
-    def fail(self, error: BaseException) -> None:
-        """Client side: end the current wait with ``error``."""
-        if self._done is not None and not self._done.done():
-            self._done.set_exception(error)
-
-    async def deliver(self, slots: Sequence[int]) -> None:
-        """Loop side: wake ``slots`` in order and wait for their deliveries."""
-        self._pending = len(slots)
-        self._done = done = self._loop.create_future()
-        for slot in slots:
-            self._wake[slot].set_result(None)
-        await done
-
-
-async def _client(
+async def _deliver(
     service: IngestionService,
-    rendezvous: _Rendezvous,
-    slot: int,
     batches: Sequence[list[AggregateMessage]],
     burst: int,
 ) -> None:
-    """One block's client for the whole run: one batch per woken period,
-    submitted in ``burst``-sized gulps."""
-    try:
+    """Submit one period's batches round-robin, ``burst`` messages at a time.
+
+    Round ``r`` submits the ``r``-th burst of every batch that still has
+    messages, in block order.  The loop yields once between rounds, so the
+    consumer drains each round whole, and not after the last one, whose
+    drain :meth:`IngestionService.close_period` waits for.  A put into a
+    full queue suspends inside :meth:`IngestionService.submit`.
+    """
+    for offset in range(0, max(map(len, batches)), burst):
+        if offset:
+            await asyncio.sleep(0)
         for batch in batches:
-            await rendezvous.park(slot)
-            for position, message in enumerate(batch, 1):
+            for message in batch[offset : offset + burst]:
                 await service.submit(message)
-                if position % burst == 0:
-                    await asyncio.sleep(0)
-            rendezvous.delivered()
-    except Exception as error:
-        rendezvous.fail(error)
-        raise
 
 
 async def _serve(
     service: IngestionService,
-    schedules: Sequence[list[tuple[int, list[AggregateMessage]]]],
+    due: dict[int, list[list[AggregateMessage]]],
     d: int,
     burst: int,
     callback: Optional[Callable[[StepSnapshot], None]],
@@ -750,40 +721,25 @@ async def _serve(
     snapshot_every: int = _DEFAULT_SNAPSHOT_EVERY,
     expected: Sequence[float] = (),
 ) -> None:
-    """Play the horizon through the event loop with one client per block.
+    """Play the horizon through the event loop, one period at a time.
 
-    ``schedules`` holds each block's ``(period, messages)`` deliveries in
-    period order, blocks in block order; each non-empty one becomes a
-    client task that lives until its last delivery.  Per period the loop
-    opens ``t``, wakes the clients due at ``t``, waits for their messages,
-    and closes ``t``.  ``start`` skips periods a journal snapshot already
-    covers; ``expected`` carries the journaled estimates for periods
-    ``start+1 .. start+len(expected)`` — those are *re-verified* (a
-    divergence raises :class:`~repro.sim.journal.JournalError`, never
-    silently diverges), while periods beyond them are appended to
-    ``journal`` (with a full snapshot every ``snapshot_every`` closes).
+    ``due`` maps a period to the batches submitted at it, one per block
+    that delivers then, in block order.  Per period the loop opens ``t``,
+    submits the batches due at ``t`` in rounds of ``burst`` messages per
+    block (:func:`_deliver`), and closes ``t``.  ``start`` skips periods a
+    journal snapshot already covers; ``expected`` carries the journaled
+    estimates for periods ``start+1 .. start+len(expected)`` — those are
+    *re-verified* (a divergence raises
+    :class:`~repro.sim.journal.JournalError`, never silently diverges),
+    while periods beyond them are appended to ``journal`` (with a full
+    snapshot every ``snapshot_every`` closes).
     """
-    rendezvous = _Rendezvous(len(schedules))
-    due: dict[int, list[int]] = {}
-    clients: list[asyncio.Task] = []
-    for slot, schedule in enumerate(schedules):
-        for t, _ in schedule:
-            due.setdefault(t, []).append(slot)
-        if schedule:
-            batches = [messages for _, messages in schedule]
-            clients.append(
-                asyncio.create_task(
-                    _client(service, rendezvous, slot, batches, burst)
-                )
-            )
     try:
-        # Let every client park on its first wake-up before a period opens.
-        await asyncio.sleep(0)
         for t in range(start + 1, d + 1):
             await service.open_period(t)
-            slots = due.get(t)
-            if slots:
-                await rendezvous.deliver(slots)
+            batches = due.get(t)
+            if batches:
+                await _deliver(service, batches, burst)
             reports_before = service.delivered_reports
             estimate = await service.close_period(t)
             replayed = t - start <= len(expected)
@@ -818,9 +774,6 @@ async def _serve(
                     )
                 )
     finally:
-        for client in clients:
-            client.cancel()
-        await asyncio.gather(*clients, return_exceptions=True)
         await service.shutdown()
 
 
@@ -1109,7 +1062,7 @@ def run_service(
     service = IngestionService(
         d, resolved_family.c_gap, reject_duplicates=reject_duplicates
     )
-    schedules: list[list[tuple[int, list[AggregateMessage]]]] = []
+    due: dict[int, list[list[AggregateMessage]]] = {}
     true_counts = np.zeros(d, dtype=np.int64)
     order_chunks: list[np.ndarray] = []
     total_messages = delivered_plan = dropped_messages = 0
@@ -1156,13 +1109,9 @@ def run_service(
                 )
         # submit_period <= fold period always, so everything a snapshot at
         # ``start`` has not already folded (or buffered) submits after it.
-        schedules.append(
-            [
-                (period, batch)
-                for period, batch in sorted(block_periods.items())
-                if period > start
-            ]
-        )
+        for period, batch in block_periods.items():
+            if period > start:
+                due.setdefault(period, []).append(batch)
 
     if snapshot is not None:
         service.restore_state(snapshot, journaled[:start])
@@ -1171,7 +1120,7 @@ def run_service(
     asyncio.run(
         _serve(
             service,
-            schedules,
+            due,
             d,
             burst,
             callback,

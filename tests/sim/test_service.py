@@ -331,10 +331,13 @@ class TestSnapshotState:
 
 
 class TestServeLoop:
-    def test_a_pass_creates_one_task_per_block(self, monkeypatch):
-        """The main task, the consumer and one long-lived client per block:
-        no task per period.  Only tasks that run service code are counted,
-        not the event loop's own shutdown tasks."""
+    @pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 128])
+    def test_a_pass_creates_two_tasks_whatever_the_block_count(
+        self, monkeypatch, block_rows
+    ):
+        """``_serve`` and the consumer: no task per block or per period.
+        Only tasks that run service code are counted, not the event loop's
+        own shutdown tasks."""
         created = []
         original = asyncio.BaseEventLoop.create_task
 
@@ -345,9 +348,11 @@ class TestServeLoop:
             return original(loop, coro, *args, **kwargs)
 
         monkeypatch.setattr(asyncio.BaseEventLoop, "create_task", counting)
-        result = _serve("soak")
-        assert result.blocks == 4
-        assert len(created) <= result.blocks + 2, created
+        result = run_service(
+            _population(), PARAMS, 7, traffic="soak", block_rows=block_rows
+        )
+        assert result.blocks == -(-PARAMS.n // block_rows)
+        assert len(created) <= 2, created
 
     @pytest.mark.parametrize("failing_call", [1, 100])
     def test_a_raising_client_surfaces_its_error(self, monkeypatch, failing_call):
