@@ -44,10 +44,7 @@ from repro.core import (
     ProtocolResult,
     RandomizerFamily,
     Report,
-    SequenceRandomizer,
     Server,
-    SimpleRandomizer,
-    SimpleRandomizerFamily,
     run_batch,
 )
 
@@ -63,10 +60,7 @@ __all__ = [
     "ProtocolResult",
     "RandomizerFamily",
     "Report",
-    "SequenceRandomizer",
     "Server",
-    "SimpleRandomizer",
-    "SimpleRandomizerFamily",
     "run_batch",
     "__version__",
 ]

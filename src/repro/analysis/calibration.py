@@ -18,17 +18,11 @@ rests on the same closed form the test suite cross-validates by brute force.
 from __future__ import annotations
 
 import math
-from typing import Optional
-
-import numpy as np
 
 from repro.analysis.privacy import client_report_log_ratio
 from repro.core.annulus import AnnulusLaw, future_rand_bounds
-from repro.core.composed_randomizer import ComposedRandomizer
-from repro.core.future_rand import FutureRand, randomize_matrix_with_sampler
-from repro.core.interfaces import RandomizerFamily
+from repro.core.future_rand import RandomizerFamily
 from repro.sim.results import ResultTable
-from repro.utils.rng import as_generator
 from repro.utils.validation import ensure_positive
 
 __all__ = [
@@ -103,32 +97,7 @@ class CalibratedFutureRandFamily(RandomizerFamily):
     name = "future_rand_calibrated"
 
     def __init__(self, k: int, epsilon: float) -> None:
-        super().__init__(k, epsilon)
-        self._law = _law_at(k, epsilon, calibration_multiplier(k, epsilon))
-        self._sampler = ComposedRandomizer(self._law)
-
-    @property
-    def c_gap(self) -> float:
-        """Exact gap at the calibrated budget (larger than the paper's)."""
-        return self._law.c_gap
-
-    def spawn(
-        self, length: int, rng: Optional[np.random.Generator] = None
-    ) -> FutureRand:
-        """Create one user's online randomizer over the calibrated law."""
-        return FutureRand(length, self._law, rng, composed=self._sampler)
-
-    def randomize_matrix(
-        self,
-        values: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        kernel=None,
-    ) -> np.ndarray:
-        """Vectorized path over the calibrated law."""
-        return randomize_matrix_with_sampler(
-            values, self._k, self._sampler, as_generator(rng), kernel=kernel
-        )
+        super().__init__(epsilon, calibrated_law(k, epsilon))
 
 
 def calibration_table(ks: list[int], epsilon: float) -> ResultTable:

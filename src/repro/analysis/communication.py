@@ -38,7 +38,7 @@ def expected_report_bits(params: ProtocolParams, protocol: str) -> float:
     """Expected total report bits one user sends over the whole horizon."""
     d = params.d
     num_orders = params.num_orders
-    if protocol in ("future_rand", "erlingsson2020", "simple_rr", "bun_composed"):
+    if protocol in ("future_rand", "erlingsson2020", "bun_composed"):
         # E[d / 2^h] over uniform h in [0 .. log2 d], plus the announcement.
         expected_reports = sum(d >> order for order in range(num_orders)) / num_orders
         return expected_reports + order_announcement_bits(params)

@@ -21,13 +21,9 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import numpy as np
-
 from repro.core.annulus import AnnulusLaw
 from repro.core.basic_randomizer import flip_probability
-from repro.core.composed_randomizer import ComposedRandomizer
-from repro.core.future_rand import FutureRand
-from repro.core.interfaces import RandomizerFamily
+from repro.core.future_rand import RandomizerFamily
 from repro.utils.validation import ensure_positive
 
 __all__ = ["select_bun_parameters", "bun_annulus_law", "BunComposedFamily"]
@@ -114,6 +110,9 @@ def bun_annulus_law(
 class BunComposedFamily(RandomizerFamily):
     """Algorithm 4 wrapped as a drop-in randomizer family.
 
+    Its law is the lambda-parameterized annulus, and Theorem A.8 bounds its
+    gap by ``O(eps / sqrt(k ln(k/eps)))``.
+
     Reuses FutureRand's online pre-computation wrapper — the pre-computation
     trick is *our* contribution and Appendix A.2 notes the original design is
     offline-only; wrapping it this way isolates the annulus-parameterization
@@ -123,37 +122,4 @@ class BunComposedFamily(RandomizerFamily):
     name = "bun_composed"
 
     def __init__(self, k: int, epsilon: float, lam: Optional[float] = None) -> None:
-        super().__init__(k, epsilon)
-        self._law = bun_annulus_law(k, epsilon, lam)
-        self._sampler = ComposedRandomizer(self._law)
-
-    @property
-    def law(self) -> AnnulusLaw:
-        """The exact output law (lambda-parameterized annulus)."""
-        return self._law
-
-    @property
-    def c_gap(self) -> float:
-        """Exact gap; Theorem A.8 bounds it by ``O(eps / sqrt(k ln(k/eps)))``."""
-        return self._law.c_gap
-
-    def spawn(
-        self, length: int, rng: Optional[np.random.Generator] = None
-    ) -> FutureRand:
-        """Create one user's online randomizer over this law."""
-        return FutureRand(length, self._law, rng, composed=self._sampler)
-
-    def randomize_matrix(
-        self,
-        values: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        kernel=None,
-    ) -> np.ndarray:
-        """Vectorized path sharing FutureRand's kernel over the Bun law."""
-        from repro.core.future_rand import randomize_matrix_with_sampler
-        from repro.utils.rng import as_generator
-
-        return randomize_matrix_with_sampler(
-            values, self._k, self._sampler, as_generator(rng), kernel=kernel
-        )
+        super().__init__(epsilon, bun_annulus_law(k, epsilon, lam))

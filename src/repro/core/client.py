@@ -16,8 +16,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.future_rand import FutureRandFamily  # noqa: F401  (doctest namespace)
-from repro.core.interfaces import RandomizerFamily
+from repro.core.future_rand import (
+    FutureRandFamily,  # noqa: F401  (doctest namespace)
+    RandomizerFamily,
+)
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_power_of_two
 

@@ -11,6 +11,13 @@ known.  Zero coordinates are answered with fresh uniform ``{-1, +1}`` bits
 
 Inputs with fewer than ``k`` non-zeros simply leave a suffix of ``b~`` unused;
 Section 5.4 shows the guarantees are unaffected.
+
+:class:`RandomizerFamily` is the one family class: it binds ``epsilon`` to
+an :class:`~repro.core.annulus.AnnulusLaw` (which fixes ``k``) and serves
+both the per-user :class:`FutureRand` (``spawn``) and the vectorized matrix
+path.  The paper's law is :class:`FutureRandFamily`; the exactly calibrated
+law (``analysis.calibration``) and the Bun et al. law
+(``baselines.bun_composed``) are the other two.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ import numpy as np
 
 from repro.core.annulus import AnnulusLaw
 from repro.core.composed_randomizer import ComposedRandomizer
-from repro.core.interfaces import RandomizerFamily, SequenceRandomizer
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_ternary_matrix, ensure_positive
 
@@ -31,6 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 __all__ = [
     "FutureRand",
     "FutureRandFamily",
+    "RandomizerFamily",
     "check_sparse_sign_matrix",
     "randomize_matrix_with_sampler",
 ]
@@ -38,7 +45,7 @@ __all__ = [
 
 def check_sparse_sign_matrix(matrix: np.ndarray, k: int) -> np.ndarray:
     """Validate a ``(users, L)`` matrix in {-1, 0, 1} with at most ``k`` non-zeros
-    per row; return it as an array.  Shared by every kernel backend."""
+    per row; return it as an array (the reference path's input contract)."""
     matrix = check_ternary_matrix(matrix, "values")
     support = np.count_nonzero(matrix, axis=1)
     if (support > k).any():
@@ -105,8 +112,18 @@ def randomize_matrix_with_sampler(
     return resolve_kernel(kernel).randomize_composed_matrix(matrix, k, sampler, rng)
 
 
-class FutureRand(SequenceRandomizer):
+class FutureRand:
     """One user's FutureRand instance (``M.init`` + ``M^(j)`` of Algorithm 3).
+
+    Initialized with ``(L, law)``, then fed one value ``v_j in {-1, 0, 1}``
+    at a time, it returns one ``{-1, +1}`` report per value and satisfies
+    the three properties of Section 4.2 for any composed ``law``:
+
+    * **Property I** (privacy): the joint law of all ``L`` outputs lies in
+      ``[p_min, p_max]`` with ``p_max <= e^eps * p_min`` for every k-sparse input.
+    * **Property II** (signal): ``Pr[out = v] - Pr[out = -v] = c_gap`` for
+      non-zero inputs ``v``, where ``c_gap`` is the law's (Lemma 5.3).
+    * **Property III** (indifference): zero inputs yield uniform ``{-1, +1}``.
 
     >>> law = AnnulusLaw.for_future_rand(k=4, epsilon=1.0)
     >>> randomizer = FutureRand(length=8, law=law, rng=np.random.default_rng(1))
@@ -145,11 +162,6 @@ class FutureRand(SequenceRandomizer):
         return self._law.k
 
     @property
-    def c_gap(self) -> float:
-        """Exact ``c_gap`` of the underlying composed randomizer (Lemma 5.3)."""
-        return self._law.c_gap
-
-    @property
     def precomputed_noise(self) -> np.ndarray:
         """A read-only view of ``b~ = R~(1^k)`` (for inspection/testing)."""
         view = self._b_tilde.view()
@@ -176,19 +188,36 @@ class FutureRand(SequenceRandomizer):
         return int(value * self._b_tilde[self._nnz - 1])
 
 
-class FutureRandFamily(RandomizerFamily):
-    """Factory for :class:`FutureRand` instances sharing one exact law.
+class RandomizerFamily:
+    """A family of composed randomizers sharing one exact law.
 
-    The law (and hence ``c_gap``) depends only on ``(k, epsilon)``; per-user
-    instances differ only in their sequence length and random stream.
+    Holds ``epsilon``, the :class:`~repro.core.annulus.AnnulusLaw` it
+    calibrates (which fixes ``k``) and one :class:`ComposedRandomizer` over
+    it.  Individual users supply their sequence length ``L`` (which depends
+    on their sampled order) to :meth:`spawn`; :meth:`randomize_matrix` is the
+    vectorized path over a whole ``(users, L)`` matrix.  The named families
+    differ only in the law their ``__init__`` builds.
     """
 
-    name = "future_rand"
+    #: Human-readable name recorded in reports, journals and artifacts.
+    name: str = "composed"
 
-    def __init__(self, k: int, epsilon: float) -> None:
-        super().__init__(k, epsilon)
-        self._law = AnnulusLaw.for_future_rand(k, epsilon)
-        self._sampler = ComposedRandomizer(self._law)
+    def __init__(self, epsilon: float, law: AnnulusLaw) -> None:
+        if epsilon <= 0:
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        self._epsilon = float(epsilon)
+        self._law = law
+        self._sampler = ComposedRandomizer(law)
+
+    @property
+    def k(self) -> int:
+        """The sparsity bound the family is calibrated for."""
+        return self._law.k
+
+    @property
+    def epsilon(self) -> float:
+        """The per-user privacy budget."""
+        return self._epsilon
 
     @property
     def law(self) -> AnnulusLaw:
@@ -197,13 +226,13 @@ class FutureRandFamily(RandomizerFamily):
 
     @property
     def c_gap(self) -> float:
-        """Exact ``c_gap`` (Lemma 5.3); ``Omega(epsilon / sqrt(k))``."""
+        """The law's exact ``c_gap`` (Lemma 5.3), shared by all members."""
         return self._law.c_gap
 
     def spawn(
         self, length: int, rng: Optional[np.random.Generator] = None
     ) -> FutureRand:
-        """Create one user's FutureRand for an ``L = length`` sequence."""
+        """Create one user's online randomizer for an ``L = length`` sequence."""
         return FutureRand(length, self._law, rng, composed=self._sampler)
 
     def randomize_matrix(
@@ -213,13 +242,25 @@ class FutureRandFamily(RandomizerFamily):
         *,
         kernel: "KernelLike" = None,
     ) -> np.ndarray:
-        """Vectorized FutureRand over a ``(users, L)`` matrix in {-1, 0, 1}.
+        """Randomize a ``(users, L)`` matrix of values in {-1, 0, 1}.
 
-        Each row gets an independent pre-computed ``b~``; the i-th non-zero of
-        row ``u`` is multiplied by ``b~[u, i]``; zeros get fresh uniform signs.
+        Rows are independent users; the output is a ``(users, L)`` matrix in
+        {-1, +1} with the law of one :meth:`spawn`-ed randomizer per row.
         ``kernel`` selects the backend (see :mod:`repro.kernels`).
         """
-        rng = as_generator(rng)
         return randomize_matrix_with_sampler(
-            values, self._k, self._sampler, rng, kernel=kernel
+            values, self._law.k, self._sampler, as_generator(rng), kernel=kernel
         )
+
+
+class FutureRandFamily(RandomizerFamily):
+    """The paper's family: the law depends only on ``(k, epsilon)`` (Lemma 5.2).
+
+    ``c_gap`` is ``Omega(epsilon / sqrt(k))``; per-user instances differ only
+    in their sequence length and random stream.
+    """
+
+    name = "future_rand"
+
+    def __init__(self, k: int, epsilon: float) -> None:
+        super().__init__(epsilon, AnnulusLaw.for_future_rand(k, epsilon))

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from repro.core.future_rand import FutureRandFamily
-from repro.core.interfaces import RandomizerFamily
+from repro.core.future_rand import FutureRandFamily, RandomizerFamily
 from repro.core.params import ProtocolParams
 
 __all__ = ["ProtocolResult", "default_family"]

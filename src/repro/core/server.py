@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.client import Report
 from repro.dyadic.intervals import DyadicInterval, decompose_prefix
-from repro.dyadic.prefix_matrix import reconstruct_range, reconstruct_window_series
+from repro.dyadic.prefix_matrix import reconstruct_range
 from repro.dyadic.tree import DyadicTree
 from repro.utils.validation import check_power_of_two
 
@@ -289,16 +289,4 @@ class Server:
         """
         return self._scale * reconstruct_range(
             self._tree.flat_values(), self._d, left, right
-        )
-
-    def window_change_series(self, window: int) -> np.ndarray:
-        """Return the trailing-``window`` net change at every period.
-
-        Entry ``t-1`` estimates ``a[t] - a[t - window]`` (``a[s] = 0`` for
-        ``s <= 0``, so periods inside the first window fall back to the prefix
-        estimate) — a drift detector, in one ``bincount`` over the cached
-        window-decomposition operator.
-        """
-        return self._scale * reconstruct_window_series(
-            self._tree.flat_values(), self._d, window
         )

@@ -46,11 +46,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.interfaces import RandomizerFamily
+from repro.core.future_rand import RandomizerFamily
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolResult, default_family
 from repro.dyadic.prefix_matrix import reconstruct_all_prefixes
@@ -60,7 +60,6 @@ from repro.utils.rng import SeedLike, as_generator, as_seed_sequence
 __all__ = [
     "run_batch",
     "collect_tree_reports",
-    "family_randomizer",
     "group_partial_sums",
     "iter_group_reports",
     "node_scales",
@@ -324,30 +323,32 @@ def iter_group_reports(
     matrix: np.ndarray,
     orders: np.ndarray,
     num_orders: int,
-    randomize: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+    family: RandomizerFamily,
     rng: np.random.Generator,
+    kernel=None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield ``(order, members, reports)`` per non-empty order group, ascending.
 
-    ``reports`` is one ``randomize`` call on the members' partial sums, so
-    the rng consumption is a fixed function of ``orders``.
+    ``reports`` is one ``family.randomize_matrix`` call on the members'
+    partial sums, so the rng consumption is a fixed function of ``orders``.
     """
     sort_index, _, boundaries = partition_rows_by_order(orders, num_orders)
     for order in range(num_orders):
         members = sort_index[boundaries[order] : boundaries[order + 1]]
         if members.size:
             partials = group_partial_sums(matrix[members], order)
-            yield order, members, randomize(partials, rng)
+            yield order, members, family.randomize_matrix(partials, rng, kernel=kernel)
 
 
 def randomize_block(
     matrix: np.ndarray,
     rng: np.random.Generator,
-    randomize: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+    family: RandomizerFamily,
     probabilities: np.ndarray,
     node_sums: list[np.ndarray],
     node_counts: list[np.ndarray],
     drop_rate: float = 0.0,
+    kernel=None,
 ) -> np.ndarray:
     """Algorithm 1's client side for one block of users; returns the orders.
 
@@ -355,11 +356,12 @@ def randomize_block(
     delivered counts are added into ``node_sums`` / ``node_counts``.  With
     ``drop_rate > 0`` each report is lost independently, drawn right after
     its group's randomization; at 0 no extra randomness is consumed.
+    ``kernel`` is passed to ``family.randomize_matrix``.
     """
     num_orders = probabilities.size
     orders = rng.choice(num_orders, size=matrix.shape[0], p=probabilities)
     for order, members, reports in iter_group_reports(
-        matrix, orders, num_orders, randomize, rng
+        matrix, orders, num_orders, family, rng, kernel
     ):
         if drop_rate:
             kept = rng.random(reports.shape) >= drop_rate
@@ -369,20 +371,6 @@ def randomize_block(
             node_sums[order] += reports.sum(axis=0)
             node_counts[order] += members.size
     return orders
-
-
-def family_randomizer(
-    family: RandomizerFamily, kernel=None
-) -> Callable[[np.ndarray, np.random.Generator], np.ndarray]:
-    """Bind a kernel backend onto ``family.randomize_matrix``.
-
-    ``kernel=None`` returns the bound method untouched — third-party
-    families with the historical two-argument signature keep working, and
-    the default path stays byte-identical.
-    """
-    if kernel is None:
-        return family.randomize_matrix
-    return functools.partial(family.randomize_matrix, kernel=kernel)
 
 
 def protocol_block_seeds(
@@ -405,11 +393,12 @@ def _fold_seed_blocks(
     states: StatesLike,
     params: ProtocolParams,
     seed: SeedLike,
-    randomize: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+    family: RandomizerFamily,
     probabilities: np.ndarray,
     *,
     block_rows: int = DEFAULT_BLOCK_ROWS,
     drop_rate: float = 0.0,
+    kernel=None,
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray]:
     """Randomize ``states`` one seed block at a time (the chunked mode).
 
@@ -447,7 +436,14 @@ def _fold_seed_blocks(
         rng = np.random.default_rng(seeds[index])
         orders.append(
             randomize_block(
-                matrix, rng, randomize, probabilities, node_sums, node_counts, drop_rate
+                matrix,
+                rng,
+                family,
+                probabilities,
+                node_sums,
+                node_counts,
+                drop_rate,
+                kernel,
             )
         )
         true_counts += matrix.sum(axis=0)
@@ -496,16 +492,16 @@ def collect_tree_reports(
         family = default_family(params)
     num_orders = d.bit_length()
     probabilities = order_probabilities(d, order_weights)
-    randomize = family_randomizer(family, kernel)
 
     if chunk_size is not None:
         node_sums, _, true_counts, orders = _fold_seed_blocks(
             states,
             params,
             rng,
-            randomize,
+            family,
             probabilities,
             block_rows=DEFAULT_BLOCK_ROWS if block_rows is None else block_rows,
+            kernel=kernel,
         )
     else:
         if isinstance(states, Iterator):
@@ -519,7 +515,13 @@ def collect_tree_reports(
             np.zeros(d >> order, dtype=np.int64) for order in range(num_orders)
         ]
         orders = randomize_block(
-            matrix, as_generator(rng), randomize, probabilities, node_sums, node_counts
+            matrix,
+            as_generator(rng),
+            family,
+            probabilities,
+            node_sums,
+            node_counts,
+            kernel=kernel,
         )
         true_counts = matrix.sum(axis=0).astype(np.float64)
 

@@ -28,8 +28,6 @@ __all__ = [
     "range_decomposition_cols",
     "reconstruct_all_prefixes",
     "reconstruct_range",
-    "reconstruct_window_series",
-    "window_decomposition_indices",
 ]
 
 
@@ -99,62 +97,21 @@ def range_decomposition_cols(d: int, left: int, right: int) -> np.ndarray:
     return cols
 
 
-@lru_cache(maxsize=None)
-def window_decomposition_indices(d: int, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(rows, cols)`` of the trailing-``window`` change operator.
-
-    Entry ``i`` says: the trailing-window change at period ``t = rows[i] + 1``
-    (``a[t] - a[t - window]``, with ``a[s] = 0`` for ``s <= 0``) includes the
-    flat node ``cols[i]``.  Periods with ``t <= window`` fall back to the
-    prefix decomposition ``C(t)``; later periods use the general
-    decomposition of ``[t - window + 1 .. t]``.  One ``bincount`` over these
-    arrays yields the whole series (:func:`reconstruct_window_series`).
-    """
-    d = check_power_of_two(d, "d")
-    if window < 1:
-        raise ValueError(f"window must be positive, got {window}")
-    offsets = flat_offsets(d)
-    rows: list[int] = []
-    cols: list[int] = []
-    for t in range(1, d + 1):
-        left = t - window + 1
-        intervals = decompose_prefix(t) if left <= 1 else decompose_range(left, t)
-        for interval in intervals:
-            rows.append(t - 1)
-            cols.append(int(offsets[interval.order]) + interval.index - 1)
-    row_array = np.array(rows, dtype=np.int64)
-    col_array = np.array(cols, dtype=np.int64)
-    row_array.flags.writeable = False
-    col_array.flags.writeable = False
-    return row_array, col_array
+def _checked_flat(flat_values: np.ndarray, d: int) -> np.ndarray:
+    """``flat_values`` as float64, checked to hold one value per dyadic node."""
+    flat = np.asarray(flat_values, dtype=np.float64)
+    expected = flat_node_count(d)
+    if flat.shape != (expected,):
+        raise ValueError(
+            f"flat_values must have shape ({expected},) for d={d}, got {flat.shape}"
+        )
+    return flat
 
 
 def reconstruct_range(flat_values: np.ndarray, d: int, left: int, right: int) -> float:
     """Return ``sum_{I in decompose_range(left, right)} flat_values[I]``."""
-    flat = np.asarray(flat_values, dtype=np.float64)
-    expected = flat_node_count(d)
-    if flat.shape != (expected,):
-        raise ValueError(
-            f"flat_values must have shape ({expected},) for d={d}, got {flat.shape}"
-        )
+    flat = _checked_flat(flat_values, d)
     return float(flat[range_decomposition_cols(d, left, right)].sum())
-
-
-def reconstruct_window_series(flat_values: np.ndarray, d: int, window: int) -> np.ndarray:
-    """Return the trailing-``window`` change reconstruction at every period.
-
-    One ``bincount`` scatter-add over the cached
-    :func:`window_decomposition_indices` arrays — the vectorized equivalent
-    of ``d`` separate per-period decomposition walks.
-    """
-    flat = np.asarray(flat_values, dtype=np.float64)
-    expected = flat_node_count(d)
-    if flat.shape != (expected,):
-        raise ValueError(
-            f"flat_values must have shape ({expected},) for d={d}, got {flat.shape}"
-        )
-    rows, cols = window_decomposition_indices(d, window)
-    return np.bincount(rows, weights=flat[cols], minlength=d)
 
 
 def reconstruct_all_prefixes(flat_values: np.ndarray, d: int) -> np.ndarray:
@@ -164,11 +121,6 @@ def reconstruct_all_prefixes(flat_values: np.ndarray, d: int) -> np.ndarray:
     :func:`flat_offsets`); the reconstruction is a single ``bincount``
     scatter-add over the precomputed index arrays.
     """
-    flat = np.asarray(flat_values, dtype=np.float64)
-    expected = flat_node_count(d)
-    if flat.shape != (expected,):
-        raise ValueError(
-            f"flat_values must have shape ({expected},) for d={d}, got {flat.shape}"
-        )
+    flat = _checked_flat(flat_values, d)
     rows, cols = prefix_decomposition_indices(d)
     return np.bincount(rows, weights=flat[cols], minlength=d)

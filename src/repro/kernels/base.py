@@ -1,12 +1,14 @@
 """Kernel backend interface and registry.
 
-A :class:`RandomizerKernel` is one *implementation strategy* for the handful
-of hot sampling primitives every randomizer family reduces to — drawing
-``b~ = R~(b)`` batches, drawing uniform ``{-1, +1}`` noise, and running the
-full ``randomize_matrix`` client path.  Backends differ only in *how* they
-consume the supplied ``numpy.random.Generator``; the output **distribution**
-is part of the contract and is identical for every backend (enforced by the
-exact-law TV-distance tests and the statistical-conformance harness).
+A :class:`RandomizerKernel` is one *implementation strategy* for the three
+hot sampling primitives every randomizer family reduces to.  Every family is
+composed (:class:`repro.core.future_rand.RandomizerFamily`), so the three are
+drawing ``b~ = R~(b)`` batches, drawing uniform ``{-1, +1}`` noise, and
+running the full composed ``randomize_matrix`` client path.  Backends differ
+only in *how* they consume the supplied ``numpy.random.Generator``; the
+output **distribution** is part of the contract and is identical for every
+backend (enforced by the exact-law TV-distance tests and the
+statistical-conformance harness).
 
 Registry semantics mirror :mod:`repro.protocols.registry`: string-keyed
 singletons, :func:`get_kernel` lookup with an actionable ``KeyError``,
@@ -96,20 +98,6 @@ class RandomizerKernel(abc.ABC):
         gets an independent ``b~ = R~(1^k)``, the i-th non-zero of row ``u``
         is multiplied by ``b~[u, i]``, zeros get fresh uniform signs.
         Validates shape, ``{-1, 0, 1}`` entries and k-sparsity.
-        """
-
-    @abc.abstractmethod
-    def randomize_independent_matrix(
-        self,
-        matrix: np.ndarray,
-        k: int,
-        flip_probability: float,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Independent randomized response over a ``(users, L)`` ternary matrix.
-
-        Non-zero entries are flipped with ``flip_probability`` each; zeros
-        get fresh uniform signs (the Example 4.2 baseline's vectorized path).
         """
 
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.future_rand import check_sparse_sign_matrix
 from repro.kernels.alias import AliasTable
 from repro.kernels.base import RandomizerKernel
 from repro.utils.validation import check_ternary_matrix
@@ -184,25 +183,4 @@ class FastKernel(RandomizerKernel):
             output[signal_rows, signal_columns] = (
                 matrix[signal_rows, signal_columns] * b_tilde[signal_rows, rank]
             ).astype(np.int8)
-        return output
-
-    # ------------------------------------------------------------------
-    # Independent randomized response (the Example 4.2 baseline)
-    # ------------------------------------------------------------------
-
-    def randomize_independent_matrix(
-        self,
-        matrix: np.ndarray,
-        k: int,
-        flip_probability: float,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        matrix = check_sparse_sign_matrix(matrix, k)
-        users, length = matrix.shape
-        output = self.uniform_signs((users, length), rng)
-        rows, columns = np.nonzero(matrix)
-        if rows.size:
-            values = matrix[rows, columns]
-            flips = rng.random(rows.size) < flip_probability
-            output[rows, columns] = np.where(flips, -values, values).astype(np.int8)
         return output

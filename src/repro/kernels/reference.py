@@ -9,8 +9,8 @@ generator byte-for-byte identically:
   check, rejection resampling via the double-argsort rank trick
   (:meth:`repro.core.composed_randomizer.ComposedRandomizer.sample_batch`);
 * ``uniform_signs`` — ``Generator.choice`` over ``[-1, +1]``;
-* the matrix paths — the reference bodies in
-  :mod:`repro.core.future_rand` / :mod:`repro.core.simple_randomizer`.
+* ``randomize_composed_matrix`` — the reference body in
+  :mod:`repro.core.future_rand`.
 
 It exists as a registry entry so every consumer can name its backend
 explicitly (artifact keys, bench reports, CLI flags) and so conformance
@@ -60,14 +60,3 @@ class ReferenceKernel(RandomizerKernel):
         from repro.core.future_rand import _reference_randomize_composed
 
         return _reference_randomize_composed(matrix, k, sampler, rng)
-
-    def randomize_independent_matrix(
-        self,
-        matrix: np.ndarray,
-        k: int,
-        flip_probability: float,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        from repro.core.simple_randomizer import _reference_randomize_independent
-
-        return _reference_randomize_independent(matrix, k, flip_probability, rng)

@@ -20,8 +20,7 @@ from repro.baselines.bun_composed import BunComposedFamily
 from repro.baselines.offline_tree import run_offline_tree
 from repro.core.annulus import AnnulusLaw
 from repro.core.basic_randomizer import basic_c_gap
-from repro.core.future_rand import FutureRandFamily
-from repro.core.interfaces import RandomizerFamily
+from repro.core.future_rand import FutureRandFamily, RandomizerFamily
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolResult
 from repro.protocols.base import LongitudinalProtocol, ProtocolSession

@@ -40,7 +40,7 @@ import numpy as np
 from repro.core.basic_randomizer import basic_c_gap
 from repro.core.client import Client, Report
 from repro.core.composed_randomizer import ComposedRandomizer
-from repro.core.interfaces import RandomizerFamily
+from repro.core.future_rand import RandomizerFamily
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolResult
 from repro.core.server import Server
@@ -93,12 +93,6 @@ class HierarchicalStreamingSession(ProtocolSession):
         )
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
-        law = getattr(family, "law", None)
-        if law is None:
-            raise TypeError(
-                f"family {family.name!r} exposes no exact law; the hierarchical "
-                "session needs sample_batch-able randomizers"
-            )
         # Resolved once; None keeps the historical bit-exact draw paths.
         from repro.kernels import resolve_kernel
 
@@ -111,7 +105,7 @@ class HierarchicalStreamingSession(ProtocolSession):
             np.flatnonzero(self._orders == order) for order in range(num_orders)
         ]
         # M.init for every user: b~ = R~(1^k) (randomize the future).
-        sampler = ComposedRandomizer(law)
+        sampler = ComposedRandomizer(family.law)
         ones = np.ones(k, dtype=np.int8)
         if chunk_size is None:
             self._b_tilde = sampler.sample_batch(ones, n, rng, kernel=self._kernel)

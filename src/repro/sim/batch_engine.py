@@ -31,13 +31,12 @@ from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
-from repro.core.interfaces import RandomizerFamily
+from repro.core.future_rand import RandomizerFamily
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolResult
 from repro.core.server import Server
 from repro.core.vectorized import (
     _fold_seed_blocks,
-    family_randomizer,
     iter_group_reports,
     order_probabilities,
     validate_states,
@@ -111,7 +110,7 @@ class BatchSimulationEngine(OnlineEngineBase):
                 "per-report duplication"
             )
         self._chunk_size = chunk_size
-        self._randomize = family_randomizer(self._family, kernel)
+        self._kernel = kernel
 
     def run(
         self,
@@ -160,7 +159,7 @@ class BatchSimulationEngine(OnlineEngineBase):
         group_reports = {
             order: reports
             for order, _, reports in iter_group_reports(
-                matrix, orders, num_orders, self._randomize, rng
+                matrix, orders, num_orders, self._family, rng, self._kernel
             )
         }
 
@@ -191,9 +190,10 @@ class BatchSimulationEngine(OnlineEngineBase):
             states,
             self._params,
             self._rng,
-            self._randomize,
+            self._family,
             order_probabilities(self._params.d),
             drop_rate=self._drop_rate,
+            kernel=self._kernel,
         )
 
         def node_reports(order: int, j: int) -> tuple[float, int]:

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.core.client import Report
-from repro.core.interfaces import RandomizerFamily
+from repro.core.future_rand import RandomizerFamily
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolResult, default_family
 from repro.core.server import Server

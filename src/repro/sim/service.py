@@ -82,12 +82,11 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.interfaces import RandomizerFamily
+from repro.core.future_rand import RandomizerFamily
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolResult, default_family
 from repro.core.server import Server, feasible_aggregate
 from repro.core.vectorized import (
-    family_randomizer,
     # Unused here; perfbench/tracer.py patches these two names on this module.
     group_partial_sums,  # noqa: F401
     order_probabilities,
@@ -321,13 +320,18 @@ def _randomize_service_block(spec: _BlockSpec) -> _BlockAggregates:
         matrix = matrix.astype(np.int8)
 
     family = spec.family if spec.family is not None else default_family(params)
-    randomize = family_randomizer(family, spec.kernel)
     rng = np.random.default_rng(spec.protocol_child)
     num_orders = d.bit_length()
     node_sums = [np.zeros(d >> order) for order in range(num_orders)]
     node_counts = [np.zeros(d >> order, dtype=np.int64) for order in range(num_orders)]
     orders = randomize_block(
-        matrix, rng, randomize, order_probabilities(d, None), node_sums, node_counts
+        matrix,
+        rng,
+        family,
+        order_probabilities(d, None),
+        node_sums,
+        node_counts,
+        kernel=spec.kernel,
     )
     return _BlockAggregates(
         block=spec.block,

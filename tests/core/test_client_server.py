@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.calibration import CalibratedFutureRandFamily
+from repro.baselines.bun_composed import BunComposedFamily
 from repro.core.client import Client, Report
 from repro.core.future_rand import FutureRandFamily
 from repro.core.params import ProtocolParams
 from repro.core.server import Server
-from repro.core.simple_randomizer import SimpleRandomizerFamily
 from repro.dyadic.intervals import decompose_prefix, decompose_range
 from repro.dyadic.partial_sums import partial_sums_of_order
 from repro.dyadic.prefix_matrix import flat_offsets, reconstruct_all_prefixes
@@ -345,7 +346,7 @@ class TestRejectionMutatesNothing:
 
 
 class TestRangeQueries:
-    """Interval-change and sliding-window queries over the server's tree."""
+    """Interval-change queries over the server's tree."""
 
     @staticmethod
     def _noiseless_server(states) -> Server:
@@ -374,13 +375,6 @@ class TestRangeQueries:
                     expected
                 )
 
-    def test_window_series(self):
-        states = [0, 1, 1, 0, 0, 1, 1, 1]
-        series = self._noiseless_server(states).window_change_series(window=2)
-        # Entry t-1 = st[t] - st[t-2] for t > 2; prefix estimate before that.
-        expected = [states[t] - (states[t - 2] if t >= 2 else 0) for t in range(8)]
-        np.testing.assert_allclose(series, expected, atol=1e-12)
-
     def test_validation(self):
         """Bounds are checked against the horizon before anything else: out
         of ``1 <= left <= right <= d`` is a ``ValueError`` naming the bound
@@ -391,8 +385,6 @@ class TestRangeQueries:
         for left, right in bad_ranges:
             with pytest.raises(ValueError, match=bound):
                 server.estimate_range_change(left, right)
-        with pytest.raises(ValueError, match="window"):
-            server.window_change_series(0)
 
     def test_window_variance_advantage(self):
         """Narrow windows touch fewer noisy nodes than differencing prefixes:
@@ -405,12 +397,16 @@ class TestRangeQueries:
 
 
 class TestClientServerLoop:
-    def test_estimator_unbiased_on_static_population(self):
+    @pytest.mark.parametrize(
+        "family_type",
+        [FutureRandFamily, CalibratedFutureRandFamily, BunComposedFamily],
+    )
+    def test_estimator_unbiased_on_static_population(self, family_type):
         """300 users all holding 1 from t=1: the mean estimate at t=d must be
-        near n (unbiasedness, Eq. 12), using the simple randomizer family for
-        speed."""
+        near n (unbiasedness, Eq. 12) for every composed family; k=1 keeps
+        the object loop fast."""
         n, d = 300, 8
-        family = SimpleRandomizerFamily(k=1, epsilon=1.0)
+        family = family_type(k=1, epsilon=1.0)
         estimates = []
         for trial in range(30):
             rng = np.random.default_rng(1000 + trial)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.analysis.bounds import hoeffding_radius
+from repro.analysis.calibration import CalibratedFutureRandFamily
+from repro.baselines.bun_composed import BunComposedFamily
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolResult
-from repro.core.simple_randomizer import SimpleRandomizerFamily
 from repro.core.vectorized import group_partial_sums, run_batch
 from repro.dyadic.partial_sums import partial_sums_of_order
 from repro.protocols import get_protocol
@@ -119,10 +120,13 @@ class TestStatisticalCorrectness:
         )
         assert result.max_abs_error <= radius
 
-    def test_custom_family(self, small_params, small_states, rng):
-        family = SimpleRandomizerFamily(small_params.k, small_params.epsilon)
+    @pytest.mark.parametrize(
+        "family_type", [CalibratedFutureRandFamily, BunComposedFamily]
+    )
+    def test_custom_family(self, small_params, small_states, rng, family_type):
+        family = family_type(small_params.k, small_params.epsilon)
         result = run_batch(small_states, small_params, rng, family=family)
-        assert result.family_name == "simple_rr"
+        assert result.family_name == family_type.name
         assert result.c_gap == family.c_gap
 
     def test_orders_recorded(self, small_params, small_states, rng):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,6 @@ from repro.dyadic.prefix_matrix import (
     range_decomposition_cols,
     reconstruct_all_prefixes,
     reconstruct_range,
-    reconstruct_window_series,
-    window_decomposition_indices,
 )
 from repro.dyadic.tree import DyadicTree
 
@@ -149,58 +149,23 @@ class TestRangeOperator:
             first[0] = 0
 
 
-class TestWindowOperator:
-    @pytest.mark.parametrize("d", [4, 16, 64])
-    @pytest.mark.parametrize("window", [1, 3, 8])
-    def test_series_matches_naive_per_period_walk(self, d, window):
-        rng = np.random.default_rng(d + window)
-        flat = rng.normal(size=2 * d - 1)
-        offsets = flat_offsets(d)
-        expected = []
-        for t in range(1, d + 1):
-            left = t - window + 1
-            intervals = (
-                decompose_prefix(t) if left <= 1 else decompose_range(left, t)
-            )
-            expected.append(
-                sum(flat[offsets[i.order] + i.index - 1] for i in intervals)
-            )
-        np.testing.assert_allclose(
-            reconstruct_window_series(flat, d, window), expected
-        )
+class TestShapeCheck:
+    """Both reconstructions refuse a flat vector that is not one value per
+    dyadic node, with the same message."""
 
-    def test_window_one_is_the_per_period_difference_on_consistent_tree(self):
-        """On a consistent tree (node = sum of its leaves) the window-1
-        series is exactly the per-period difference of the prefix series."""
-        d = 16
-        rng = np.random.default_rng(1)
-        leaves = rng.normal(size=d)
-        flat = np.concatenate(
-            [
-                leaves.reshape(d >> order, 1 << order).sum(axis=1)
-                for order in range(d.bit_length())
-            ]
-        )
-        prefixes = reconstruct_all_prefixes(flat, d)
-        np.testing.assert_allclose(prefixes, np.cumsum(leaves))
-        series = reconstruct_window_series(flat, d, 1)
-        np.testing.assert_allclose(series, np.diff(prefixes, prepend=0.0))
-
-    def test_window_at_least_horizon_is_the_prefix_series(self):
-        d = 8
-        flat = np.random.default_rng(2).normal(size=2 * d - 1)
-        np.testing.assert_allclose(
-            reconstruct_window_series(flat, d, d),
-            reconstruct_all_prefixes(flat, d),
-        )
-
-    def test_indices_cached_and_validated(self):
-        first = window_decomposition_indices(16, 4)
-        assert window_decomposition_indices(16, 4) is first
-        with pytest.raises(ValueError, match="window"):
-            window_decomposition_indices(16, 0)
-        with pytest.raises(ValueError, match="shape"):
-            reconstruct_window_series(np.zeros(3), 8, 2)
+    @pytest.mark.parametrize("shape", [(3,), (16,), (15, 1)])
+    @pytest.mark.parametrize(
+        "reconstruct",
+        [
+            lambda flat: reconstruct_all_prefixes(flat, 8),
+            lambda flat: reconstruct_range(flat, 8, 2, 5),
+        ],
+        ids=["all_prefixes", "range"],
+    )
+    def test_rejects_wrong_shape_with_one_message(self, reconstruct, shape):
+        message = f"flat_values must have shape (15,) for d=8, got {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            reconstruct(np.zeros(shape))
 
 
 class TestTreeIntegration:

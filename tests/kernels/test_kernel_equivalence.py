@@ -24,7 +24,6 @@ from repro.core.annulus import AnnulusLaw
 from repro.core.composed_randomizer import ComposedRandomizer
 from repro.core.future_rand import FutureRandFamily
 from repro.core.params import ProtocolParams
-from repro.core.simple_randomizer import SimpleRandomizerFamily
 from repro.core.vectorized import collect_tree_reports, run_batch
 from repro.protocols import get_protocol
 from repro.sim.batch_engine import run_batch_engine
@@ -37,7 +36,6 @@ FAMILIES = [
     FutureRandFamily(3, 1.0),
     BunComposedFamily(3, 1.0),
     CalibratedFutureRandFamily(3, 1.0),
-    SimpleRandomizerFamily(3, 1.0),
 ]
 
 
@@ -74,10 +72,15 @@ class TestReferenceBitIdentity:
         )
         np.testing.assert_array_equal(default, named)
 
-    def test_collect_tree_reports(self, states):
-        default = collect_tree_reports(states, PARAMS, np.random.default_rng(3))
+    @pytest.mark.parametrize(
+        "family", FAMILIES, ids=[family.name for family in FAMILIES]
+    )
+    def test_collect_tree_reports(self, states, family):
+        default = collect_tree_reports(
+            states, PARAMS, np.random.default_rng(3), family=family
+        )
         named = collect_tree_reports(
-            states, PARAMS, np.random.default_rng(3), kernel="reference"
+            states, PARAMS, np.random.default_rng(3), family=family, kernel="reference"
         )
         for left, right in zip(default.node_sums, named.node_sums, strict=True):
             np.testing.assert_array_equal(left, right)
@@ -124,9 +127,16 @@ class TestReferenceBitIdentity:
 
 
 class TestFastKernelDeterminism:
-    def test_same_seed_same_output(self, states):
-        first = run_batch(states, PARAMS, np.random.default_rng(7), kernel="fast")
-        second = run_batch(states, PARAMS, np.random.default_rng(7), kernel="fast")
+    @pytest.mark.parametrize(
+        "family", FAMILIES, ids=[family.name for family in FAMILIES]
+    )
+    def test_same_seed_same_output(self, states, family):
+        first = run_batch(
+            states, PARAMS, np.random.default_rng(7), family=family, kernel="fast"
+        )
+        second = run_batch(
+            states, PARAMS, np.random.default_rng(7), family=family, kernel="fast"
+        )
         np.testing.assert_array_equal(first.estimates, second.estimates)
 
     def test_streaming_matches_one_shot_distributionally(self, states):

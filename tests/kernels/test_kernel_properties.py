@@ -21,15 +21,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.calibration import CalibratedFutureRandFamily
+from repro.baselines.bun_composed import BunComposedFamily
 from repro.core.annulus import AnnulusLaw
 from repro.core.future_rand import FutureRandFamily
 from repro.core.params import ProtocolParams
-from repro.core.simple_randomizer import SimpleRandomizerFamily
 from repro.core.vectorized import protocol_block_seeds, run_batch
 from repro.kernels import available_kernels, get_kernel
 from repro.workloads.generators import BoundedChangePopulation
 
 KERNELS = available_kernels()
+FAMILY_TYPES = [FutureRandFamily, CalibratedFutureRandFamily, BunComposedFamily]
 
 
 def _sparse_matrix(users: int, length: int, k: int, seed: int) -> np.ndarray:
@@ -49,7 +51,7 @@ def _sparse_matrix(users: int, length: int, k: int, seed: int) -> np.ndarray:
     k=st.integers(min_value=1, max_value=6),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     kernel=st.sampled_from(KERNELS),
-    family_type=st.sampled_from([FutureRandFamily, SimpleRandomizerFamily]),
+    family_type=st.sampled_from(FAMILY_TYPES),
 )
 def test_randomize_matrix_outputs_are_signs(
     users, length, k, seed, kernel, family_type
@@ -88,9 +90,7 @@ def test_batch_distances_inside_law_support(k, epsilon, count, seed, kernel):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize(
-    "family_type", [FutureRandFamily, SimpleRandomizerFamily]
-)
+@pytest.mark.parametrize("family_type", FAMILY_TYPES)
 def test_sparsity_violation_rejected(kernel, family_type):
     family = family_type(2, 1.0)
     matrix = np.ones((4, 8), dtype=np.int8)  # 8 non-zeros per row, k=2
@@ -99,8 +99,9 @@ def test_sparsity_violation_rejected(kernel, family_type):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_non_ternary_entries_rejected(kernel):
-    family = FutureRandFamily(4, 1.0)
+@pytest.mark.parametrize("family_type", FAMILY_TYPES)
+def test_non_ternary_entries_rejected(kernel, family_type):
+    family = family_type(4, 1.0)
     matrix = np.full((3, 8), 2, dtype=np.int8)
     with pytest.raises(ValueError, match="must all be in"):
         family.randomize_matrix(matrix, np.random.default_rng(0), kernel=kernel)
@@ -110,9 +111,10 @@ def test_non_ternary_entries_rejected(kernel):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_float_valued_ternary_entries_accepted(kernel):
+@pytest.mark.parametrize("family_type", FAMILY_TYPES)
+def test_float_valued_ternary_entries_accepted(kernel, family_type):
     """Exact -1.0/0.0/1.0 floats are valid input for every backend."""
-    family = FutureRandFamily(4, 1.0)
+    family = family_type(4, 1.0)
     matrix = np.zeros((5, 8), dtype=np.float64)
     matrix[:, 1] = 1.0
     matrix[:, 6] = -1.0

@@ -5,10 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.bounds import hoeffding_radius
+from repro.analysis.calibration import CalibratedFutureRandFamily
+from repro.baselines.bun_composed import BunComposedFamily
 from repro.core.future_rand import FutureRandFamily
 from repro.core.params import ProtocolParams
 from repro.dyadic.prefix_matrix import flat_offsets
 from repro.protocols import HierarchicalStreamingSession
+from repro.workloads.generators import BoundedChangePopulation
 
 
 def _session(n, d, k, epsilon, seed, **options) -> HierarchicalStreamingSession:
@@ -79,8 +83,33 @@ class TestHierarchicalSession:
     def test_validates_inputs(self):
         with pytest.raises(ValueError, match="chunk_size"):
             _session(10, 4, 1, 1.0, 0, chunk_size=0)
-        with pytest.raises(TypeError, match="no exact law"):
-            HierarchicalStreamingSession(
-                ProtocolParams(n=10, d=4, k=1, epsilon=1.0),
-                type("LawlessFamily", (), {"name": "lawless", "c_gap": 0.5})(),
-            )
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"chunk_size": 97}, {"kernel": "fast"}],
+    ids=["default", "chunk_size", "fast"],
+)
+@pytest.mark.parametrize(
+    "family_type",
+    [FutureRandFamily, CalibratedFutureRandFamily, BunComposedFamily],
+    ids=lambda family_type: family_type.name,
+)
+def test_every_composed_family_streams_through_the_session(family_type, options):
+    """Each named family has an exact law, so the session runs it period by
+    period under every option and its error stays inside Lemma 4.6's radius."""
+    params = ProtocolParams(n=2_000, d=8, k=2, epsilon=1.0)
+    family = family_type(params.k, params.epsilon)
+    states = BoundedChangePopulation(params.d, params.k, start_prob=0.3).sample(
+        params.n, np.random.default_rng(0)
+    )
+    session = HierarchicalStreamingSession(
+        params, family, np.random.default_rng(1), **options
+    )
+    for t in range(1, params.d + 1):
+        session.ingest(t, states[:, t - 1])
+    result = session.result()
+    assert (result.family_name, result.c_gap) == (family.name, family.c_gap)
+    np.testing.assert_array_equal(result.true_counts, states.sum(axis=0))
+    radius = hoeffding_radius(params, family.c_gap, params.beta / params.d)
+    assert result.max_abs_error <= radius

@@ -13,9 +13,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.analysis.calibration import CalibratedFutureRandFamily
+from repro.baselines.bun_composed import BunComposedFamily
 from repro.core.future_rand import FutureRandFamily
 from repro.core.params import ProtocolParams
-from repro.core.simple_randomizer import SimpleRandomizerFamily
 from repro.sim.batch_engine import BatchSimulationEngine, run_batch_engine
 from repro.sim.engine import SimulationEngine, StepSnapshot
 from repro.sim.runner import run_trials
@@ -150,8 +151,11 @@ class TestOnlineContract:
         with pytest.raises(ValueError):
             BatchSimulationEngine(params, report_drop_rate=1.0)
 
-    def test_custom_family(self, small_params, small_states, rng):
-        family = SimpleRandomizerFamily(small_params.k, small_params.epsilon)
+    @pytest.mark.parametrize(
+        "family_type", [CalibratedFutureRandFamily, BunComposedFamily]
+    )
+    def test_custom_family(self, small_params, small_states, rng, family_type):
+        family = family_type(small_params.k, small_params.epsilon)
         result = BatchSimulationEngine(small_params, family=family, rng=rng).run(
             small_states
         )
@@ -162,7 +166,7 @@ class TestOnlineContract:
 class TestFaultInjection:
     def test_drop_rate_biases_towards_zero(self):
         params = ProtocolParams(n=400, d=8, k=1, epsilon=1.0)
-        family = SimpleRandomizerFamily(1, 1.0)
+        family = CalibratedFutureRandFamily(1, 1.0)
         states = np.ones((400, 8), dtype=np.int8)
         full_mags, dropped_mags = [], []
         for trial in range(10):
@@ -265,7 +269,7 @@ class TestFaultInjection:
     def test_duplicates_inflate_the_estimate_magnitude(self):
         """Retransmitted reports double-count noise: error grows with p."""
         params = ProtocolParams(n=400, d=8, k=1, epsilon=1.0)
-        family = SimpleRandomizerFamily(1, 1.0)
+        family = CalibratedFutureRandFamily(1, 1.0)
         states = np.ones((400, 8), dtype=np.int8)
         plain_err, duplicated_err = [], []
         for trial in range(10):

@@ -19,7 +19,6 @@ from repro.core.server import Server
 from repro.core.vectorized import (
     _fold_seed_blocks,
     collect_tree_reports,
-    family_randomizer,
     order_probabilities,
     protocol_block_seeds,
     run_batch,
@@ -57,9 +56,9 @@ class _CountingFamily:
     def __getattr__(self, name):
         return getattr(self._family, name)
 
-    def randomize_matrix(self, partials, rng):
+    def randomize_matrix(self, partials, rng, *, kernel=None):
         self.rows += partials.shape[0]
-        return self._family.randomize_matrix(partials, rng)
+        return self._family.randomize_matrix(partials, rng, kernel=kernel)
 
 
 class TestChunkedStreamValidation:
@@ -204,7 +203,7 @@ class TestChunkedEngine:
     def test_chunk_size_invariance_under_drops_is_pinned(self, states):
         """Four 64-row seed blocks with drops: every chunk size folds the
         same delivered node sums and counts, and those are pinned exactly."""
-        randomize = family_randomizer(default_family(_PARAMS))
+        family = default_family(_PARAMS)
         probabilities = order_probabilities(_PARAMS.d)
         for chunk_size in (1, 17, 64, 999):
             chunks = [
@@ -215,7 +214,7 @@ class TestChunkedEngine:
                 chunks,
                 _PARAMS,
                 3,
-                randomize,
+                family,
                 probabilities,
                 block_rows=64,
                 drop_rate=0.3,

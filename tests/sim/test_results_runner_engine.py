@@ -7,8 +7,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.analysis.calibration import CalibratedFutureRandFamily
 from repro.core.params import ProtocolParams
-from repro.core.simple_randomizer import SimpleRandomizerFamily
 from repro.core.vectorized import run_batch
 from repro.sim.engine import SimulationEngine, StepSnapshot
 from repro.sim.results import ResultTable, format_markdown_table
@@ -232,7 +232,7 @@ class TestSimulationEngine:
     def test_drop_rate_biases_towards_zero(self):
         """With most reports dropped, estimates shrink towards zero."""
         params = ProtocolParams(n=150, d=8, k=1, epsilon=1.0)
-        family = SimpleRandomizerFamily(1, 1.0)
+        family = CalibratedFutureRandFamily(1, 1.0)
         states = np.ones((150, 8), dtype=np.int8)
         full_mags, dropped_mags = [], []
         for trial in range(10):
@@ -261,7 +261,7 @@ class TestSimulationEngine:
         estimate's expectation shrinks by exactly that factor: the mean final
         estimate at drop rate q must track (1 - q) * n."""
         params = ProtocolParams(n=200, d=8, k=1, epsilon=1.0)
-        family = SimpleRandomizerFamily(1, 1.0)
+        family = CalibratedFutureRandFamily(1, 1.0)
         states = np.ones((200, 8), dtype=np.int8)
         trials = 12
         mean_final = {}

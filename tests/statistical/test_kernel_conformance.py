@@ -19,10 +19,8 @@ from conformance_harness import assert_error_within_bound, hierarchical_radius
 
 from repro.analysis.calibration import CalibratedFutureRandFamily
 from repro.baselines.bun_composed import BunComposedFamily
-from repro.core.future_rand import FutureRandFamily
-from repro.core.interfaces import RandomizerFamily
+from repro.core.future_rand import FutureRandFamily, RandomizerFamily
 from repro.core.params import ProtocolParams
-from repro.core.simple_randomizer import SimpleRandomizerFamily
 from repro.core.vectorized import run_batch
 from repro.utils.rng import spawn_generators
 from repro.workloads.generators import BoundedChangePopulation
@@ -40,7 +38,6 @@ FAMILY_FACTORIES = {
     "future_rand": FutureRandFamily,
     "bun_composed": BunComposedFamily,
     "future_rand_calibrated": CalibratedFutureRandFamily,
-    "simple_rr": SimpleRandomizerFamily,
 }
 
 
